@@ -13,7 +13,6 @@ from .errors import (
     ConfigError,
     CorruptFile,
     DataError,
-    DegenerateStats,
     DimensionMismatch,
     EmptyFile,
     EmptyInput,
@@ -45,14 +44,9 @@ from .model import (
     BelpmConfig,
     BelpmModel,
     CmWeights,
-    LoWeights,
-    ThalamusOutput,
-    bl_features,
     cm_lse_fit,
     predict,
     predict_series,
-    punishments,
-    thalamus,
     train,
 )
 from .network import (
@@ -62,7 +56,6 @@ from .network import (
     euclidean_distances,
     forward,
     grad_bandwidths,
-    kernel_eval,
     loo_predictions,
     select_k_min,
     train_bandwidths_sd,

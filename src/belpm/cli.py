@@ -169,6 +169,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if not Path(args.model).exists():
+        raise ConfigError(f"model file not found: {args.model}")
     loaded = load_model_file(args.model)
     series = _load_series(args)
     dataset = embed(series, loaded.r, loaded.horizon)

@@ -83,7 +83,3 @@ class SingularSystem(NumericError):
 
 class ZeroVariance(NumericError):
     """A metric is undefined because a sequence has zero variance."""
-
-
-class DegenerateStats(NumericError):
-    """Distance statistics degenerate (all selected distances zero)."""

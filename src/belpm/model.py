@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptyInput,
     InvalidParameter,
     LengthMismatch,
     SingularSystem,
@@ -32,36 +31,12 @@ _NORMAL_EQ_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ThalamusOutput:
-    """Pass-through of the stimulus plus its [max, min] summary."""
-
-    th_agg: np.ndarray
-    th_maxmin: np.ndarray
-
-
-@dataclass(frozen=True)
 class CmWeights:
-    """Fusion weights (w1, w2, w3) and fixed punishment weights (wa1, wa2, wa3).
-
-    The punishment weights are pinned at (1, -1, 0), making the punishment the
-    signed primary-network error r_u - r_a.
-    """
+    """Fusion weights of the fused response w1 * r_a + w2 * r_o + w3."""
 
     w1: float
     w2: float
     w3: float
-    wa1: float = 1.0
-    wa2: float = -1.0
-    wa3: float = 0.0
-
-
-@dataclass(frozen=True)
-class LoWeights:
-    """Secondary punishment weights; fixed at (1, 0) with the per-sample bias
-    carrying the negated expected punishment."""
-
-    wo1: float = 1.0
-    wo2: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -96,7 +71,6 @@ class BelpmModel:
     bl: AdaptiveNetwork
     mo: AdaptiveNetwork
     cm: CmWeights
-    lo: LoWeights = field(default_factory=LoWeights)
     config: BelpmConfig = field(default_factory=BelpmConfig)
 
     def __post_init__(self):
@@ -112,40 +86,11 @@ class BelpmModel:
             raise InvalidParameter("both networks must store the same sample count")
 
 
-def thalamus(i) -> ThalamusOutput:
-    """Max/min summary plus untouched pass-through of the stimulus."""
-    arr = np.asarray(i, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise EmptyInput("stimulus must be a non-empty vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameter("stimulus must be finite")
-    return ThalamusOutput(
-        th_agg=arr.copy(),
-        th_maxmin=np.array([arr.max(), arr.min()]),
-    )
-
-
-def bl_features(s, th_maxmin) -> np.ndarray:
-    """Widened feature vector [s_1..s_R, max, min] for the primary network."""
-    s_arr = np.asarray(s, dtype=np.float64)
-    mm = np.asarray(th_maxmin, dtype=np.float64)
-    if s_arr.ndim != 1 or mm.shape != (2,):
-        raise DimensionMismatch("expected a 1-D stimulus and a (max, min) pair")
-    return np.concatenate([s_arr, mm])
-
-
 def _bl_feature_matrix(inputs: np.ndarray) -> np.ndarray:
-    return np.column_stack([inputs, inputs.max(axis=1), inputs.min(axis=1)])
-
-
-def punishments(r_u: float, r_a: float, r_o: float) -> tuple[float, float, float]:
-    """Punishment signals for one sample: the primary error, the expected
-    punishment forwarded to the secondary path (identical), and the secondary
-    path's own error against it."""
-    p_a = r_u - r_a
-    p_a_e = p_a
-    p_o = r_o - p_a_e
-    return p_a, p_a_e, p_o
+    """Primary-network features: each window (last axis) followed by its max
+    and min. Serves a single window and a matrix of windows alike."""
+    return np.concatenate([inputs, inputs.max(axis=-1, keepdims=True),
+                           inputs.min(axis=-1, keepdims=True)], axis=-1)
 
 
 def cm_lse_fit(r_a_list, r_o_list, r_u_list, ridge: float = 1e-8) -> CmWeights:
@@ -194,24 +139,20 @@ def train(train_set: EmbeddedDataset, config: BelpmConfig = BelpmConfig()) -> Be
     """
     if len(train_set) < 2:
         raise TooFewSamples("training needs at least two embedded pairs")
-    feats = _bl_feature_matrix(train_set.inputs)
-    bl_data = EmbeddedDataset(feats, train_set.targets,
-                              r=feats.shape[1], horizon=train_set.horizon)
-    bl = AdaptiveNetwork(feats, train_set.targets, k=config.k_a, kernel=config.bl_kernel)
-    bl, _ = train_bandwidths_sd(bl, bl_data, lr=config.lr, epochs=config.epochs)
+    bl = AdaptiveNetwork(_bl_feature_matrix(train_set.inputs), train_set.targets,
+                         k=config.k_a, kernel=config.bl_kernel)
+    bl, _ = train_bandwidths_sd(bl, lr=config.lr, epochs=config.epochs)
 
-    r_a = loo_predictions(bl, bl_data)
+    r_a = loo_predictions(bl)
     residuals = train_set.targets - r_a
 
-    mo_data = EmbeddedDataset(train_set.inputs, residuals,
-                              r=train_set.r, horizon=train_set.horizon)
     mo = AdaptiveNetwork(train_set.inputs, residuals, k=config.k_o, kernel=config.mo_kernel)
-    mo, _ = train_bandwidths_sd(mo, mo_data, lr=config.lr, epochs=config.epochs)
+    mo, _ = train_bandwidths_sd(mo, lr=config.lr, epochs=config.epochs)
 
-    r_o = loo_predictions(mo, mo_data)
+    r_o = loo_predictions(mo)
     cm = cm_lse_fit(r_a, r_o, train_set.targets, ridge=config.ridge)
     return BelpmModel(r=train_set.r, horizon=train_set.horizon,
-                      bl=bl, mo=mo, cm=cm, lo=LoWeights(), config=config)
+                      bl=bl, mo=mo, cm=cm, config=config)
 
 
 def predict(model: BelpmModel, i) -> float:
@@ -221,13 +162,14 @@ def predict(model: BelpmModel, i) -> float:
         raise DimensionMismatch(
             f"query has shape {arr.shape}, model expects ({model.r},)"
         )
-    th = thalamus(arr)
-    r_a, _ = forward(model.bl, bl_features(th.th_agg, th.th_maxmin))
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParameter("query must be finite")
+    r_a, _ = forward(model.bl, _bl_feature_matrix(arr))
     r_o, _ = forward(model.mo, arr)
     return model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3
 
 
-def predict_series(model: BelpmModel, series: TimeSeries, mode: str = "direct") -> TimeSeries:
+def predict_series(model: BelpmModel, series: TimeSeries) -> TimeSeries:
     """One prediction per embeddable window of ``series``.
 
     Only the direct multi-step strategy is supported: the lookahead is baked
@@ -235,8 +177,6 @@ def predict_series(model: BelpmModel, series: TimeSeries, mode: str = "direct") 
     starts at the epoch of the first predictable target, so it aligns
     index-for-index with the observed values it forecasts.
     """
-    if mode != "direct":
-        raise InvalidParameter(f"unsupported prediction mode {mode!r}")
     dataset = embed(series, model.r, model.horizon)
     preds = np.array([predict(model, x) for x in dataset.inputs])
     start = series.start_time + (model.r - 1 + model.horizon) * series.step

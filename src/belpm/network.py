@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    DegenerateStats,
     DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
@@ -25,7 +24,6 @@ from .errors import (
     TooFewSamples,
     UnsupportedKernel,
 )
-from .series import EmbeddedDataset
 
 # Lower bound keeping parametric kernels parametric during descent.
 BANDWIDTH_FLOOR = 1e-8
@@ -142,142 +140,82 @@ def select_k_min(distances, k: int, exclude: int | None = None) -> NeighborSet:
     return NeighborSet(indices=chosen, distances=d[chosen])
 
 
-def kernel_eval(kind: KernelKind, d_m: float, b_m: float,
-                d_stats: tuple[float, float] | None = None) -> float:
-    """Evaluate one kernel node.
+def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
+    """Kernel values for rows of ranked neighbor distances (last axis = rank).
 
-    ``d_stats`` is the (min, max) of the selected neighbor distances; only the
-    linear-rescale kernel uses it, and it raises ``DegenerateStats`` when the
-    max is zero (callers fall back to uniform weights).
+    A linear-rescale row whose distances are all zero gives zeros, which
+    ``_outputs`` turns into uniform weights.
     """
-    if d_m < 0:
-        raise InvalidParameter(f"distance must be >= 0, got {d_m}")
     if kind is KernelKind.LINEAR_RESCALE:
-        if d_stats is None:
-            raise InvalidParameter("linear_rescale needs the neighbor (min, max) distances")
-        d_min, d_max = d_stats
-        if d_max == 0:
-            raise DegenerateStats("all selected distances are zero")
-        return (d_max - (d_m - d_min)) / d_max
-    if b_m <= 0:
-        raise InvalidParameter(f"bandwidth must be positive, got {b_m}")
-    if kind is KernelKind.EXPONENTIAL:
-        return float(np.exp(-d_m * b_m))
-    return float(1.0 / (1.0 + (d_m * b_m) ** 2))
-
-
-def _raw_weights(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
-    """Vector of first-layer kernel values for ranked distances ``dists``."""
-    if kind is KernelKind.LINEAR_RESCALE:
-        d_max = dists.max()
-        if d_max == 0:
-            raise DegenerateStats("all selected distances are zero")
-        return (d_max - (dists - dists.min())) / d_max
-    scaled = dists * bw
+        d_max = dists.max(axis=-1, keepdims=True)
+        # Distances are non-negative, so a zero max means a zero numerator.
+        return (d_max - (dists - dists.min(axis=-1, keepdims=True))) / np.where(
+            d_max == 0, 1.0, d_max)
+    scaled = dists * bw[: dists.shape[-1]]
     if kind is KernelKind.EXPONENTIAL:
         return np.exp(-scaled)
     return 1.0 / (1.0 + scaled ** 2)
 
 
+def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray,
+             bw: np.ndarray) -> np.ndarray:
+    """Network output per row: kernel values normalized to sum to one, then
+    applied to the neighbors' targets. When a row's kernel mass vanishes
+    (underflow, or the rescale kernel with all-zero distances) its weights
+    fall back to uniform. Normalizing before the weighted sum keeps k=1
+    recalling a stored target exactly."""
+    raw = _kernel(kind, dists, bw)
+    total = raw.sum(axis=-1, keepdims=True)
+    dead = total == 0.0
+    weights = np.where(dead, 1.0 / dists.shape[-1], raw / np.where(dead, 1.0, total))
+    return (weights * targets).sum(axis=-1)
+
+
 def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> tuple[float, NeighborSet]:
     """Predict the target for ``query``; also returns the selected neighbors.
 
-    Kernel values over the k nearest stored samples are normalized to sum to
-    one and applied to the neighbors' targets. When the kernel mass vanishes
-    (underflow, or the rescale kernel with all-zero distances) the weights
-    fall back to uniform.
+    The output is ``_outputs`` over the k nearest stored samples (skipping
+    index ``exclude``): normalized kernel weights, uniform when the kernel
+    mass vanishes, applied to the neighbors' targets.
     """
-    d = euclidean_distances(query, net)
-    nb = select_k_min(d, net.k, exclude=exclude)
-    kk = len(nb)
-    try:
-        raw = _raw_weights(net.kernel, nb.distances, net.bandwidths[:kk])
-        total = raw.sum()
-    except DegenerateStats:
-        total = 0.0
-    if total == 0.0:
-        weights = np.full(kk, 1.0 / kk)
-    else:
-        weights = raw / total
-    output = float(weights @ net.train_targets[nb.indices])
-    return output, nb
+    nb = select_k_min(euclidean_distances(query, net), net.k, exclude=exclude)
+    out = _outputs(net.kernel, nb.distances, net.train_targets[nb.indices], net.bandwidths)
+    return float(out), nb
 
 
-def _check_dataset_matches(net: AdaptiveNetwork, dataset: EmbeddedDataset) -> None:
-    if dataset.inputs.shape != net.train_inputs.shape or not (
-        np.array_equal(dataset.inputs, net.train_inputs)
-        and np.array_equal(dataset.targets, net.train_targets)
-    ):
-        raise InvalidParameter("dataset must equal the network's stored training data")
+def _loo_table(net: AdaptiveNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Ranked neighbor distances and targets (each (n, kk)) for every stored
+    sample, with the sample itself excluded.
 
-
-def loo_predictions(net: AdaptiveNetwork, dataset: EmbeddedDataset) -> np.ndarray:
-    """Prediction for each stored sample with that sample excluded from its
-    own neighbor set. Needed so training residuals are not trivially zero."""
-    _check_dataset_matches(net, dataset)
-    if net.n_samples < 2:
-        raise TooFewSamples("leave-one-out needs at least two stored samples")
-    out = np.empty(net.n_samples)
-    for j in range(net.n_samples):
-        out[j], _ = forward(net, net.train_inputs[j], exclude=j)
-    return out
-
-
-@dataclass(frozen=True)
-class _LooCache:
-    """Per-sample ranked neighbor distances/targets with self excluded.
-
-    Neighbor selection depends only on distances, never on bandwidths, so the
-    cache stays valid for the whole descent.
+    Selection depends only on distances, never on bandwidths, so one table
+    serves a whole descent.
     """
-
-    dists: np.ndarray    # (n, kk) ascending per row
-    targets: np.ndarray  # (n, kk) matching neighbor targets
-    truth: np.ndarray    # (n,) per-sample training targets
-
-
-def _build_loo_cache(net: AdaptiveNetwork) -> _LooCache:
     if net.n_samples < 2:
         raise TooFewSamples("leave-one-out needs at least two stored samples")
     n = net.n_samples
     kk = min(net.k, n - 1)
-    nd = np.empty((n, kk))
-    nt = np.empty((n, kk))
+    dists = np.empty((n, kk))
+    indices = np.empty((n, kk), dtype=np.intp)
     for j in range(n):
-        d = euclidean_distances(net.train_inputs[j], net)
-        nb = select_k_min(d, net.k, exclude=j)
-        nd[j] = nb.distances
-        nt[j] = net.train_targets[nb.indices]
-    return _LooCache(dists=nd, targets=nt, truth=net.train_targets)
+        nb = select_k_min(euclidean_distances(net.train_inputs[j], net), net.k, exclude=j)
+        dists[j] = nb.distances
+        indices[j] = nb.indices
+    return dists, net.train_targets[indices]
 
 
-def _cache_outputs(cache: _LooCache, kind: KernelKind, bw: np.ndarray) -> np.ndarray:
-    """Leave-one-out outputs for every sample under bandwidths ``bw``."""
-    kk = cache.dists.shape[1]
-    if kind is KernelKind.LINEAR_RESCALE:
-        d_max = cache.dists.max(axis=1, keepdims=True)
-        d_min = cache.dists.min(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = (d_max - (cache.dists - d_min)) / d_max
-        raw[np.repeat(d_max == 0, kk, axis=1)] = 0.0
-    else:
-        scaled = cache.dists * bw[:kk]
-        raw = np.exp(-scaled) if kind is KernelKind.EXPONENTIAL else 1.0 / (1.0 + scaled ** 2)
-    total = raw.sum(axis=1)
-    fallback = total == 0.0
-    safe_total = np.where(fallback, 1.0, total)
-    out = (raw * cache.targets).sum(axis=1) / safe_total
-    if np.any(fallback):
-        out[fallback] = cache.targets[fallback].mean(axis=1)
-    return out
+def loo_predictions(net: AdaptiveNetwork) -> np.ndarray:
+    """Prediction for each stored sample with that sample excluded from its
+    own neighbor set. Needed so training residuals are not trivially zero."""
+    dists, targets = _loo_table(net)
+    return _outputs(net.kernel, dists, targets, net.bandwidths)
 
 
-def _cache_loss(cache: _LooCache, kind: KernelKind, bw: np.ndarray) -> float:
-    resid = _cache_outputs(cache, kind, bw) - cache.truth
+def _loss(net: AdaptiveNetwork, table: tuple[np.ndarray, np.ndarray], bw: np.ndarray) -> float:
+    resid = _outputs(net.kernel, *table, bw) - net.train_targets
     return float(resid @ resid)
 
 
-def _cache_grad(cache: _LooCache, kind: KernelKind, bw: np.ndarray, k_total: int) -> np.ndarray:
+def _grad(net: AdaptiveNetwork, table: tuple[np.ndarray, np.ndarray], bw: np.ndarray) -> np.ndarray:
     """Gradient of the leave-one-out squared error with respect to each
     rank's bandwidth.
 
@@ -289,46 +227,36 @@ def _cache_grad(cache: _LooCache, kind: KernelKind, bw: np.ndarray, k_total: int
     and the loss contributions sum over samples. Samples on the uniform
     fallback have constant weights and contribute nothing.
     """
-    kk = cache.dists.shape[1]
-    scaled = cache.dists * bw[:kk]
-    if kind is KernelKind.EXPONENTIAL:
-        raw = np.exp(-scaled)
-        draw = -cache.dists * raw
+    dists, targets = table
+    kk = dists.shape[1]
+    raw = _kernel(net.kernel, dists, bw)
+    if net.kernel is KernelKind.EXPONENTIAL:
+        draw = -dists * raw
     else:
-        raw = 1.0 / (1.0 + scaled ** 2)
-        draw = -2.0 * cache.dists ** 2 * bw[:kk] * raw ** 2
+        draw = -2.0 * dists ** 2 * bw[:kk] * raw ** 2
     total = raw.sum(axis=1)
     live = total > 0.0
-    grad = np.zeros(k_total)
-    if not np.any(live):
-        return grad
-    raw = raw[live]
-    draw = draw[live]
-    total = total[live]
-    targets = cache.targets[live]
-    y = (raw * targets).sum(axis=1) / total
-    resid = y - cache.truth[live]
-    contrib = 2.0 * resid[:, None] * draw * (targets - y[:, None]) / total[:, None]
+    y = _outputs(net.kernel, dists, targets, bw)[live]
+    resid = y - net.train_targets[live]
+    contrib = 2.0 * resid[:, None] * draw[live] * (targets[live] - y[:, None]) / total[live, None]
+    grad = np.zeros(net.k)
     grad[:kk] = contrib.sum(axis=0)
     return grad
 
 
-def grad_bandwidths(net: AdaptiveNetwork, dataset: EmbeddedDataset) -> np.ndarray:
+def grad_bandwidths(net: AdaptiveNetwork) -> np.ndarray:
     """Analytic gradient of the leave-one-out squared-error loss.
 
     The linear-rescale kernel has no parameter; its gradient is the zero
     vector and descent is a no-op.
     """
-    _check_dataset_matches(net, dataset)
     if not net.kernel.parametric:
         return np.zeros(net.k)
-    cache = _build_loo_cache(net)
-    return _cache_grad(cache, net.kernel, net.bandwidths, net.k)
+    return _grad(net, _loo_table(net), net.bandwidths)
 
 
 def train_bandwidths_sd(
     net: AdaptiveNetwork,
-    dataset: EmbeddedDataset,
     lr: float,
     epochs: int,
 ) -> tuple[AdaptiveNetwork, np.ndarray]:
@@ -342,20 +270,19 @@ def train_bandwidths_sd(
         raise InvalidParameter(f"lr must be positive, got {lr}")
     if epochs < 0:
         raise InvalidParameter(f"epochs must be >= 0, got {epochs}")
-    _check_dataset_matches(net, dataset)
-    cache = _build_loo_cache(net)
-    b = np.array(net.bandwidths, copy=True)
-    loss = _cache_loss(cache, net.kernel, b)
+    table = _loo_table(net)
+    b = net.bandwidths
+    loss = _loss(net, table, b)
     if not net.kernel.parametric:
         # No learnable parameter: descent is a no-op with a flat trace.
         return net, np.full(epochs + 1, loss)
     trace = [loss]
     for _ in range(epochs):
-        g = _cache_grad(cache, net.kernel, b, net.k)
+        g = _grad(net, table, b)
         step = lr
         for _attempt in range(_MAX_BACKTRACKS):
             cand = np.maximum(b - step * g, BANDWIDTH_FLOOR)
-            cand_loss = _cache_loss(cache, net.kernel, cand)
+            cand_loss = _loss(net, table, cand)
             if cand_loss <= loss:
                 b, loss = cand, cand_loss
                 break

@@ -5,12 +5,14 @@ one observation per line as either ``value`` or ``time,value`` (a literal
 ``time,value`` header row is tolerated). Times, when present, must be
 uniformly spaced integers.
 
-Model file: line-oriented ``key = value`` text under a ``belpm-model v1``
+Model file: line-oriented ``key = value`` text under a ``belpm-model v2``
 header, arrays as comma-separated 17-significant-digit numerals, matrices
 flattened row-major next to a ``*_shape`` key, and a trailing
-``checksum = <crc32 hex>`` over every preceding byte. The stored training
-data is part of the model (memory-based models), so a loaded model predicts
-bit-identically to the saved one.
+``checksum = <crc32 hex>`` over every preceding byte. v1 files also carry
+the constant ``lo_w`` and ``cm_wa`` weights; they still load, and those two
+keys are ignored. The stored training data is part of the model
+(memory-based models), so a loaded model predicts bit-identically to the
+saved one.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ from .errors import (
     ParseError,
     VersionMismatch,
 )
-from .model import BelpmConfig, BelpmModel, CmWeights, LoWeights
+from .model import BelpmConfig, BelpmModel, CmWeights
 from .network import AdaptiveNetwork, KernelKind
 from .series import TimeSeries
 
 MODEL_HEADER = "belpm-model"
-MODEL_VERSION = "v1"
+MODEL_VERSION = "v2"
+# v1 differs only by two constant fields that loading ignores.
+_READABLE_VERSIONS = ("v1", MODEL_VERSION)
 
 GAP_ERROR = "error"
 GAP_INTERPOLATE = "linear_interpolate"
@@ -47,13 +51,10 @@ class SeriesFile:
     """A CSV source plus its missing-value handling."""
 
     path: str
-    format: str = "csv"
     missing_sentinel: float | None = None
     gap_policy: str = GAP_ERROR
 
     def __post_init__(self):
-        if self.format != "csv":
-            raise InvalidParameter(f"unsupported series format {self.format!r}")
         if self.gap_policy not in (GAP_ERROR, GAP_INTERPOLATE):
             raise InvalidParameter(f"unknown gap policy {self.gap_policy!r}")
 
@@ -216,8 +217,6 @@ def save_model(model, path, embedding: tuple[int, int] | None = None) -> None:
         _network_fields(w, "bl", model.bl)
         _network_fields(w, "mo", model.mo)
         w.put_array("cm_w", np.array([model.cm.w1, model.cm.w2, model.cm.w3]))
-        w.put_array("cm_wa", np.array([model.cm.wa1, model.cm.wa2, model.cm.wa3]))
-        w.put_array("lo_w", np.array([model.lo.wo1, model.lo.wo2]))
         w.put_float("train_lr", model.config.lr)
         w.put("train_epochs", model.config.epochs)
         w.put_float("train_ridge", model.config.ridge)
@@ -252,9 +251,10 @@ def _parse_document(path) -> dict[str, str]:
     header = lines[0].split()
     if len(header) != 2 or header[0] != MODEL_HEADER:
         raise CorruptFile(f"{path}: missing '{MODEL_HEADER}' header")
-    if header[1] != MODEL_VERSION:
+    if header[1] not in _READABLE_VERSIONS:
         raise VersionMismatch(
-            f"{path}: format {header[1]} unsupported, expected {MODEL_VERSION}"
+            f"{path}: format {header[1]} unsupported, expected one of "
+            f"{', '.join(_READABLE_VERSIONS)}"
         )
     if not lines[-1].startswith("checksum = "):
         raise CorruptFile(f"{path}: missing trailing checksum")
@@ -282,15 +282,25 @@ def _get(fields: dict[str, str], key: str, path) -> str:
         raise CorruptFile(f"{path}: missing field {key!r}") from None
 
 
-def _read_array(fields: dict[str, str], key: str, path) -> np.ndarray:
+def _parse(fields: dict[str, str], key: str, path, convert):
+    """``convert`` applied to a field's text; a malformed value is a corrupt file."""
     raw = _get(fields, key, path)
-    return np.array([float(tok) for tok in raw.split(",")], dtype=np.float64)
+    try:
+        return convert(raw)
+    except ValueError:
+        raise CorruptFile(f"{path}: field {key!r} has malformed value {raw!r}") from None
+
+
+def _read_array(fields: dict[str, str], key: str, path) -> np.ndarray:
+    return _parse(fields, key, path,
+                  lambda raw: np.array([float(tok) for tok in raw.split(",")]))
 
 
 def _read_matrix(fields: dict[str, str], key: str, path) -> np.ndarray:
-    shape = tuple(int(tok) for tok in _get(fields, f"{key}_shape", path).split(","))
+    shape = _parse(fields, f"{key}_shape", path,
+                   lambda raw: tuple(int(tok) for tok in raw.split(",")))
     flat = _read_array(fields, key, path)
-    if flat.size != shape[0] * shape[1]:
+    if len(shape) != 2 or flat.size != shape[0] * shape[1]:
         raise CorruptFile(f"{path}: field {key!r} does not match its shape")
     return flat.reshape(shape)
 
@@ -299,7 +309,7 @@ def _read_network(fields: dict[str, str], prefix: str, path) -> AdaptiveNetwork:
     return AdaptiveNetwork(
         train_inputs=_read_matrix(fields, f"{prefix}_inputs", path),
         train_targets=_read_array(fields, f"{prefix}_targets", path),
-        k=int(_get(fields, f"{prefix}_k", path)),
+        k=_parse(fields, f"{prefix}_k", path, int),
         kernel=KernelKind.from_name(_get(fields, f"{prefix}_kernel", path)),
         bandwidths=_read_array(fields, f"{prefix}_bandwidths", path),
     )
@@ -309,11 +319,10 @@ def load_model_file(path) -> LoadedModel:
     """Read a model file, verify its checksum, and rebuild the model."""
     fields = _parse_document(path)
     kind = _get(fields, "kind", path)
-    r = int(_get(fields, "embedding_r", path))
-    horizon = int(_get(fields, "embedding_horizon", path))
+    r = _parse(fields, "embedding_r", path, int)
+    horizon = _parse(fields, "embedding_horizon", path, int)
     if kind == "belpm":
         cm_w = _read_array(fields, "cm_w", path)
-        lo_w = _read_array(fields, "lo_w", path)
         bl = _read_network(fields, "bl", path)
         model = BelpmModel(
             r=r,
@@ -321,29 +330,28 @@ def load_model_file(path) -> LoadedModel:
             bl=bl,
             mo=_read_network(fields, "mo", path),
             cm=CmWeights(w1=cm_w[0], w2=cm_w[1], w3=cm_w[2]),
-            lo=LoWeights(wo1=lo_w[0], wo2=lo_w[1]),
             config=BelpmConfig(
                 k_a=bl.k,
-                k_o=int(_get(fields, "mo_k", path)),
+                k_o=_parse(fields, "mo_k", path, int),
                 bl_kernel=KernelKind.from_name(_get(fields, "bl_kernel", path)),
                 mo_kernel=KernelKind.from_name(_get(fields, "mo_kernel", path)),
-                lr=float(_get(fields, "train_lr", path)),
-                epochs=int(_get(fields, "train_epochs", path)),
-                ridge=float(_get(fields, "train_ridge", path)),
+                lr=_parse(fields, "train_lr", path, float),
+                epochs=_parse(fields, "train_epochs", path, int),
+                ridge=_parse(fields, "train_ridge", path, float),
             ),
         )
     elif kind == "wknn":
         model = WknnModel(
             train_inputs=_read_matrix(fields, "inputs", path),
             train_targets=_read_array(fields, "targets", path),
-            k=int(_get(fields, "k", path)),
+            k=_parse(fields, "k", path, int),
         )
     elif kind == "classic_bel":
         model = ClassicBelModel(
             v=_read_array(fields, "v", path),
             w=_read_array(fields, "w", path),
-            alpha=float(_get(fields, "alpha", path)),
-            beta=float(_get(fields, "beta", path)),
+            alpha=_parse(fields, "alpha", path, float),
+            beta=_parse(fields, "beta", path, float),
         )
     else:
         raise CorruptFile(f"{path}: unknown model kind {kind!r}")

@@ -5,6 +5,7 @@ no shared code with the package) so agreement is meaningful.
 """
 
 import math
+import zlib
 
 
 def euclid(a, b):
@@ -102,3 +103,10 @@ def lse_3x3(ra, ro, ru, lam):
             mm[i][col] = b[i]
         out.append(det3(mm) / d)
     return out
+
+
+def rechecksum(text):
+    """Model-file text with its trailing checksum line recomputed (CRC32 of
+    every byte before that line), so edited fields pass the integrity check."""
+    body = text[: text.rindex("checksum = ")].encode("utf-8")
+    return body + f"checksum = {zlib.crc32(body) & 0xFFFFFFFF:08x}\n".encode("utf-8")

@@ -99,12 +99,11 @@ def test_criterion_2_gradient_matches_finite_differences():
         k_store = min(k, n)
         bw = rng.uniform(0.5, 2.0, size=k_store)
         net = AdaptiveNetwork(inputs, targets, k=k, kernel=kind, bandwidths=bw)
-        ds = EmbeddedDataset(inputs, targets, r=r, horizon=1)
-        grad = grad_bandwidths(net, ds)
+        grad = grad_bandwidths(net)
 
         def loss(b):
             probe = AdaptiveNetwork(inputs, targets, k=k, kernel=kind, bandwidths=b)
-            resid = loo_predictions(probe, ds) - targets
+            resid = loo_predictions(probe) - targets
             return float(resid @ resid)
 
         h = 1e-6

@@ -7,6 +7,8 @@ from belpm.model import predict
 from belpm.series import embed, gen_logistic
 from belpm.storage import SeriesFile, load_model, load_series_csv
 
+from oracles import rechecksum
+
 
 def run(*args):
     return main(list(args))
@@ -89,6 +91,26 @@ def test_exit_code_1_for_config_errors(tmp_path):
                "--n-train", "10", "--out", str(tmp_path / "m.txt")) == 1
     assert run("nonsense-command") == 1
     assert run("bench", "--config", str(tmp_path / "missing.json")) == 1
+
+
+def test_exit_code_1_for_missing_model(tmp_path):
+    series = tmp_path / "series.csv"
+    run("gen", "--kind", "logistic", "--n", "30", "--out", str(series))
+    assert run("predict", "--model", str(tmp_path / "missing.txt"),
+               "--data", str(series), "--out", str(tmp_path / "p.csv")) == 1
+
+
+def test_exit_code_2_for_malformed_model_field(tmp_path):
+    series = tmp_path / "series.csv"
+    model = tmp_path / "model.txt"
+    run("gen", "--kind", "logistic", "--n", "60", "--out", str(series))
+    assert run("train", "--data", str(series), "--n-train", "40", "--k-a", "8",
+               "--epochs", "1", "--out", str(model)) == 0
+    text = model.read_text()
+    assert "bl_k = 8" in text
+    model.write_bytes(rechecksum(text.replace("bl_k = 8", "bl_k = x8", 1)))
+    assert run("predict", "--model", str(model), "--data", str(series),
+               "--out", str(tmp_path / "p.csv")) == 2
 
 
 def test_exit_code_2_for_data_errors(tmp_path):

@@ -5,19 +5,17 @@ import pytest
 
 from belpm.errors import (
     DimensionMismatch,
-    EmptyInput,
+    InvalidParameter,
     LengthMismatch,
     TooFewSamples,
 )
 from belpm.model import (
     BelpmConfig,
     CmWeights,
-    bl_features,
+    _bl_feature_matrix,
     cm_lse_fit,
     predict,
     predict_series,
-    punishments,
-    thalamus,
     train,
 )
 from belpm.network import AdaptiveNetwork, forward, loo_predictions
@@ -33,68 +31,67 @@ def logistic_sets(n=160, n_train=120, r=3, horizon=1):
     return split(ds, n_train)
 
 
+def widened(q):
+    """Primary-network features written out: the window, its max, its min."""
+    q = np.asarray(q, dtype=np.float64)
+    return np.concatenate([q, [q.max(), q.min()]])
+
+
 class TestThalamus:
     def test_basic(self):
-        out = thalamus([3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(out.th_maxmin, [3.0, 1.0])
-        np.testing.assert_array_equal(out.th_agg, [3.0, 1.0, 2.0])
+        np.testing.assert_array_equal(_bl_feature_matrix(np.array([3.0, 1.0, 2.0])),
+                                      [3.0, 1.0, 2.0, 3.0, 1.0])
 
     def test_singleton(self):
-        out = thalamus([5.0])
-        np.testing.assert_array_equal(out.th_maxmin, [5.0, 5.0])
+        np.testing.assert_array_equal(_bl_feature_matrix(np.array([5.0])), [5.0, 5.0, 5.0])
 
     def test_negatives(self):
-        out = thalamus([-1.0, -4.0])
-        np.testing.assert_array_equal(out.th_maxmin, [-1.0, -4.0])
+        np.testing.assert_array_equal(_bl_feature_matrix(np.array([-1.0, -4.0])),
+                                      [-1.0, -4.0, -1.0, -4.0])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            thalamus([])
+        train_set, _ = logistic_sets()
+        model = train(train_set, FAST)
+        with pytest.raises(DimensionMismatch):
+            predict(model, [])
 
 
 class TestBlFeatures:
     def test_concatenation(self):
         np.testing.assert_array_equal(
-            bl_features([3.0, 1.0, 2.0], [3.0, 1.0]), [3, 1, 2, 3, 1])
+            _bl_feature_matrix(np.array([[3.0, 1.0, 2.0], [0.0, 5.0, -1.0]])),
+            [[3, 1, 2, 3, 1], [0, 5, -1, 5, -1]])
 
     def test_zeros(self):
-        np.testing.assert_array_equal(bl_features([0.0], [0.0, 0.0]), [0, 0, 0])
+        np.testing.assert_array_equal(_bl_feature_matrix(np.zeros((1, 1))), [[0, 0, 0]])
 
     def test_width_is_r_plus_two(self):
+        # train (matrix) and predict (one window) build the same rows
         rng = np.random.default_rng(0)
         for r in (1, 2, 5):
-            s = rng.normal(size=r)
-            th = thalamus(s)
-            assert bl_features(s, th.th_maxmin).shape == (r + 2,)
+            windows = rng.normal(size=(4, r))
+            feats = _bl_feature_matrix(windows)
+            assert feats.shape == (4, r + 2)
+            for window, row in zip(windows, feats):
+                np.testing.assert_array_equal(_bl_feature_matrix(window), row)
+                np.testing.assert_array_equal(widened(window), row)
 
     def test_bad_maxmin(self):
-        with pytest.raises(DimensionMismatch):
-            bl_features([1.0], [1.0, 2.0, 3.0])
+        # a primary network without the two appended features is rejected
+        train_set, _ = logistic_sets()
+        model = train(train_set, FAST)
+        with pytest.raises(InvalidParameter):
+            dataclasses.replace(model, bl=model.mo)
 
 
 class TestPunishments:
-    def test_substitution(self):
-        p_a, p_a_e, p_o = punishments(1.0, 0.6, 0.3)
-        assert p_a == pytest.approx(0.4, abs=1e-15)
-        assert p_a_e == p_a
-        assert p_o == pytest.approx(-0.1, abs=1e-15)
-
-    def test_zero_primary_error(self):
-        p_a, _, p_o = punishments(0.7, 0.7, 0.25)
-        assert p_a == 0.0
-        assert p_o == 0.25
-
-    def test_secondary_exact(self):
-        _, p_a_e, p_o = punishments(1.0, 0.4, 0.6)
-        assert p_a_e == pytest.approx(0.6, abs=1e-15)
-        assert p_o == pytest.approx(0.0, abs=1e-15)
-
     def test_identity_reconstructs_target(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            r_u, r_a, r_o = rng.normal(size=3)
-            p_a, _, _ = punishments(r_u, r_a, r_o)
-            assert p_a + r_a == pytest.approx(r_u, rel=5e-15, abs=5e-15)
+        # the secondary network stores the primary leave-one-out error, so
+        # adding the primary response back recovers each training target
+        train_set, _ = logistic_sets()
+        model = train(train_set, FAST)
+        np.testing.assert_allclose(model.mo.train_targets + loo_predictions(model.bl),
+                                   train_set.targets, rtol=5e-15, atol=5e-15)
 
 
 class TestCmLseFit:
@@ -193,14 +190,8 @@ class TestTrain:
     def test_cm_fit_beats_trivial_fusions_on_training(self):
         train_set, _ = logistic_sets()
         model = train(train_set, FAST)
-        feats = np.column_stack([train_set.inputs,
-                                 train_set.inputs.max(axis=1),
-                                 train_set.inputs.min(axis=1)])
-        bl_ds = EmbeddedDataset(feats, train_set.targets, r=5, horizon=1)
-        mo_ds = EmbeddedDataset(train_set.inputs, model.mo.train_targets,
-                                r=3, horizon=1)
-        r_a = loo_predictions(model.bl, bl_ds)
-        r_o = loo_predictions(model.mo, mo_ds)
+        r_a = loo_predictions(model.bl)
+        r_o = loo_predictions(model.mo)
         t = train_set.targets
         w = cm_lse_fit(r_a, r_o, t, ridge=0.0)
         fitted = w.w1 * r_a + w.w2 * r_o + w.w3
@@ -219,8 +210,7 @@ class TestPredict:
         model = train(train_set, FAST)
         forced = dataclasses.replace(model, cm=CmWeights(1.0, 0.0, 0.0))
         for q in test_set.inputs[:10]:
-            th = thalamus(q)
-            bl_out, _ = forward(model.bl, bl_features(th.th_agg, th.th_maxmin))
+            bl_out, _ = forward(model.bl, widened(q))
             assert predict(forced, q) == bl_out
 
     def test_exact_recall_with_k1(self):
@@ -237,8 +227,7 @@ class TestPredict:
         train_set, test_set = logistic_sets()
         model = train(train_set, FAST)
         for q in test_set.inputs[:10]:
-            th = thalamus(q)
-            r_a, _ = forward(model.bl, bl_features(th.th_agg, th.th_maxmin))
+            r_a, _ = forward(model.bl, widened(q))
             r_o, _ = forward(model.mo, q)
             manual = model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3
             assert predict(model, q) == manual
@@ -248,6 +237,13 @@ class TestPredict:
         model = train(train_set, FAST)
         with pytest.raises(DimensionMismatch):
             predict(model, [1.0])
+
+    def test_non_finite_query_rejected(self):
+        train_set, _ = logistic_sets()
+        model = train(train_set, FAST)
+        for bad in ([0.1, np.nan, 0.3], [np.inf, 0.2, 0.3]):
+            with pytest.raises(InvalidParameter):
+                predict(model, bad)
 
     def test_wknn_degeneracy_with_constant_maxmin(self):
         # every stored vector and the query pin max=1 and min=0, so the two

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from belpm.errors import (
-    DegenerateStats,
     DimensionMismatch,
     InvalidParameter,
     NoEligibleSamples,
@@ -14,14 +13,12 @@ from belpm.network import (
     euclidean_distances,
     forward,
     grad_bandwidths,
-    kernel_eval,
     loo_predictions,
     select_k_min,
     train_bandwidths_sd,
 )
-from belpm.series import EmbeddedDataset
 
-from oracles import forward_direct
+from oracles import forward_direct, kernel_value
 
 ALL_KERNELS = list(KernelKind)
 PARAMETRIC = [KernelKind.EXPONENTIAL, KernelKind.INVERSE_QUADRATIC]
@@ -36,13 +33,11 @@ def random_instance(rng, n=None, r=None, k=None, kind=None):
     targets = rng.normal(size=n)
     k_eff = min(k, n)
     bw = rng.uniform(0.5, 2.0, size=k_eff)
-    net = AdaptiveNetwork(inputs, targets, k=k, kernel=kind, bandwidths=bw)
-    return net, EmbeddedDataset(inputs, targets, r=r, horizon=1)
+    return AdaptiveNetwork(inputs, targets, k=k, kernel=kind, bandwidths=bw)
 
 
-def loo_loss(net, dataset):
-    preds = loo_predictions(net, dataset)
-    resid = preds - dataset.targets
+def loo_loss(net):
+    resid = loo_predictions(net) - net.train_targets
     return float(resid @ resid)
 
 
@@ -109,21 +104,35 @@ class TestSelectKMin:
             select_k_min([1.0], k=1, exclude=0)
 
 
+def two_neighbor_output(kind, d1, d2, bandwidths=None):
+    """Forward output for a query at 0 with neighbors at distances d1 < d2
+    holding targets 1 and 0: the first neighbor's normalized weight."""
+    net = AdaptiveNetwork(np.array([[d1], [d2]]), np.array([1.0, 0.0]), k=2,
+                          kernel=kind, bandwidths=bandwidths)
+    out, _ = forward(net, [0.0])
+    return out
+
+
 class TestKernelEval:
     def test_exponential_at_zero(self):
-        assert kernel_eval(KernelKind.EXPONENTIAL, 0.0, 5.0) == 1.0
+        # kernel values exp(0) = 1 and exp(-1 * 5) at bandwidth 5
+        out = two_neighbor_output(KernelKind.EXPONENTIAL, 0.0, 1.0, [5.0, 5.0])
+        assert out == pytest.approx(1.0 / (1.0 + np.exp(-5.0)), abs=1e-15)
 
     def test_inverse_quadratic_substitution(self):
-        assert kernel_eval(KernelKind.INVERSE_QUADRATIC, 1.0, 1.0) == 0.5
+        # kernel values 1/(1+0) = 1 and 1/(1+1) = 0.5
+        out = two_neighbor_output(KernelKind.INVERSE_QUADRATIC, 0.0, 1.0)
+        assert out == pytest.approx(1.0 / 1.5, abs=1e-15)
 
     def test_linear_rescale_substitution(self):
-        stats = (1.0, 4.0)
-        assert kernel_eval(KernelKind.LINEAR_RESCALE, 1.0, 1.0, stats) == 1.0
-        assert kernel_eval(KernelKind.LINEAR_RESCALE, 4.0, 1.0, stats) == 0.25
+        # (min, max) = (1, 4): kernel values (4 - 0)/4 = 1 and (4 - 3)/4 = 0.25
+        out = two_neighbor_output(KernelKind.LINEAR_RESCALE, 1.0, 4.0)
+        assert out == pytest.approx(1.0 / 1.25, abs=1e-15)
 
     def test_linear_rescale_degenerate(self):
-        with pytest.raises(DegenerateStats):
-            kernel_eval(KernelKind.LINEAR_RESCALE, 0.0, 1.0, (0.0, 0.0))
+        # all selected distances zero: no kernel mass, uniform weights
+        out = two_neighbor_output(KernelKind.LINEAR_RESCALE, 0.0, 0.0)
+        assert out == 0.5
 
 
 class TestForward:
@@ -149,7 +158,7 @@ class TestForward:
     def test_matches_direct_oracle_on_random_instances(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            net, _ = random_instance(rng)
+            net = random_instance(rng)
             q = rng.normal(size=net.dim)
             out, _ = forward(net, q)
             ref = forward_direct(net.train_inputs.tolist(),
@@ -161,28 +170,27 @@ class TestForward:
     def test_normalized_weights_keep_output_in_target_hull(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
-            net, _ = random_instance(rng)
+            net = random_instance(rng)
             q = rng.normal(size=net.dim)
             out, nb = forward(net, q)
             selected = net.train_targets[nb.indices]
             assert selected.min() - 1e-12 <= out <= selected.max() + 1e-12
 
     def test_normalized_weights_sum_to_one(self):
-        # rebuild the layer outputs through kernel_eval and check both the
-        # normalization and the final weighted sum against forward()
+        # rebuild the layer outputs from the independent scalar kernel and
+        # check both the normalization and the final weighted sum
         rng = np.random.default_rng(40)
         for _ in range(20):
-            net, _ = random_instance(rng)
+            net = random_instance(rng)
             q = rng.normal(size=net.dim)
             out, nb = forward(net, q)
-            stats = (float(nb.distances.min()), float(nb.distances.max()))
-            try:
-                raw = np.array([
-                    kernel_eval(net.kernel, float(d), float(b), stats)
-                    for d, b in zip(nb.distances, net.bandwidths)
-                ])
-            except DegenerateStats:
+            d_min, d_max = float(nb.distances.min()), float(nb.distances.max())
+            if d_max == 0.0:
                 continue
+            raw = np.array([
+                kernel_value(net.kernel.value, float(d), float(b), d_min, d_max)
+                for d, b in zip(nb.distances, net.bandwidths)
+            ])
             if raw.sum() == 0.0:
                 continue
             norm = raw / raw.sum()
@@ -192,8 +200,8 @@ class TestForward:
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(5)
-        net, _ = random_instance(rng, n=12, r=3, k=4,
-                                 kind=KernelKind.EXPONENTIAL)
+        net = random_instance(rng, n=12, r=3, k=4,
+                             kind=KernelKind.EXPONENTIAL)
         q = rng.normal(size=3)
         shift = rng.normal(size=3)
         shifted = AdaptiveNetwork(net.train_inputs + shift, net.train_targets,
@@ -225,40 +233,51 @@ class TestLooPredictions:
         X = np.array([[0.0], [1.0]])
         y = np.array([3.0, 9.0])
         net = AdaptiveNetwork(X, y, k=1)
-        ds = EmbeddedDataset(X, y, r=1, horizon=1)
-        np.testing.assert_array_equal(loo_predictions(net, ds), [9.0, 3.0])
+        np.testing.assert_array_equal(loo_predictions(net), [9.0, 3.0])
 
     def test_constant_targets(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(10, 2))
         y = np.zeros(10)
         net = AdaptiveNetwork(X, y, k=4)
-        ds = EmbeddedDataset(X, y, r=2, horizon=1)
-        np.testing.assert_array_equal(loo_predictions(net, ds), np.zeros(10))
+        np.testing.assert_array_equal(loo_predictions(net), np.zeros(10))
 
     def test_matches_per_point_brute_force(self):
         rng = np.random.default_rng(7)
-        net, ds = random_instance(rng, n=15, r=3, k=4)
-        preds = loo_predictions(net, ds)
-        for j in range(15):
-            ref = forward_direct(net.train_inputs.tolist(),
-                                 net.train_targets.tolist(),
-                                 net.k, net.kernel.value,
-                                 net.bandwidths.tolist(),
-                                 net.train_inputs[j].tolist(), exclude=j)
-            assert preds[j] == pytest.approx(ref, abs=1e-12)
+        duplicates = np.repeat(rng.normal(size=(3, 2)), [3, 2, 1], axis=0)
+        underflow = rng.normal(size=(12, 2))
+        nets = [
+            random_instance(rng, n=15, r=3, k=4),
+            # rows whose selected distances are all zero: uniform fallback
+            AdaptiveNetwork(duplicates, rng.normal(size=6), k=2,
+                            kernel=KernelKind.LINEAR_RESCALE),
+            # exp(-d * 1e4) underflows to zero mass on most rows: uniform fallback
+            AdaptiveNetwork(underflow, rng.normal(size=12), k=3,
+                            kernel=KernelKind.EXPONENTIAL,
+                            bandwidths=np.full(3, 1e4)),
+        ]
+        for net in nets:
+            preds = loo_predictions(net)
+            for j in range(net.n_samples):
+                ref = forward_direct(net.train_inputs.tolist(),
+                                     net.train_targets.tolist(),
+                                     net.k, net.kernel.value,
+                                     net.bandwidths.tolist(),
+                                     net.train_inputs[j].tolist(), exclude=j)
+                assert preds[j] == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ALL_KERNELS)
+    def test_matches_forward_with_exclusion(self, kind):
+        net = random_instance(np.random.default_rng(16), n=20, r=2, k=5, kind=kind)
+        preds = loo_predictions(net)
+        for j in range(net.n_samples):
+            out, _ = forward(net, net.train_inputs[j], exclude=j)
+            assert abs(preds[j] - out) <= 1e-12
 
     def test_needs_two_samples(self):
         net = AdaptiveNetwork(np.zeros((1, 2)), np.zeros(1), k=1)
-        ds = EmbeddedDataset(np.zeros((1, 2)), np.zeros(1), r=2, horizon=1)
         with pytest.raises(TooFewSamples):
-            loo_predictions(net, ds)
-
-    def test_rejects_mismatched_dataset(self):
-        net, ds = random_instance(np.random.default_rng(8), n=6, r=2, k=2)
-        other = EmbeddedDataset(ds.inputs + 1.0, ds.targets, r=2, horizon=1)
-        with pytest.raises(InvalidParameter):
-            loo_predictions(net, other)
+            loo_predictions(net)
 
 
 class TestGradient:
@@ -267,21 +286,20 @@ class TestGradient:
         X = rng.normal(size=(12, 3))
         y = np.zeros(12)
         net = AdaptiveNetwork(X, y, k=5, kernel=KernelKind.EXPONENTIAL)
-        ds = EmbeddedDataset(X, y, r=3, horizon=1)
-        np.testing.assert_array_equal(grad_bandwidths(net, ds), np.zeros(5))
+        np.testing.assert_array_equal(grad_bandwidths(net), np.zeros(5))
 
     def test_linear_rescale_zero_vector(self):
         rng = np.random.default_rng(10)
-        net, ds = random_instance(rng, n=10, r=2, k=3,
-                                  kind=KernelKind.LINEAR_RESCALE)
-        np.testing.assert_array_equal(grad_bandwidths(net, ds), np.zeros(3))
+        net = random_instance(rng, n=10, r=2, k=3,
+                             kind=KernelKind.LINEAR_RESCALE)
+        np.testing.assert_array_equal(grad_bandwidths(net), np.zeros(3))
 
     @pytest.mark.parametrize("kind", PARAMETRIC)
     def test_matches_central_finite_differences(self, kind):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            net, ds = random_instance(rng, kind=kind)
-            g = grad_bandwidths(net, ds)
+            net = random_instance(rng, kind=kind)
+            g = grad_bandwidths(net)
             h = 1e-6
             k_eff = min(net.k, net.n_samples - 1)
             for m in range(net.k):
@@ -293,7 +311,7 @@ class TestGradient:
                                      k=net.k, kernel=kind, bandwidths=bp)
                 dn = AdaptiveNetwork(net.train_inputs, net.train_targets,
                                      k=net.k, kernel=kind, bandwidths=bm)
-                fd = (loo_loss(up, ds) - loo_loss(dn, ds)) / (2 * h)
+                fd = (loo_loss(up) - loo_loss(dn)) / (2 * h)
                 if m >= k_eff:
                     assert g[m] == 0.0
                 else:
@@ -303,37 +321,36 @@ class TestGradient:
 class TestTrainBandwidths:
     def test_zero_epochs_is_identity(self):
         rng = np.random.default_rng(12)
-        net, ds = random_instance(rng, n=10, r=2, k=3,
-                                  kind=KernelKind.EXPONENTIAL)
-        trained, trace = train_bandwidths_sd(net, ds, lr=0.1, epochs=0)
+        net = random_instance(rng, n=10, r=2, k=3,
+                             kind=KernelKind.EXPONENTIAL)
+        trained, trace = train_bandwidths_sd(net, lr=0.1, epochs=0)
         np.testing.assert_array_equal(trained.bandwidths, net.bandwidths)
         assert trace.shape == (1,)
-        assert trace[0] == pytest.approx(loo_loss(net, ds), rel=1e-12)
+        assert trace[0] == pytest.approx(loo_loss(net), rel=1e-12)
 
     def test_constant_targets_flat_zero_trace(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(8, 2))
         y = np.zeros(8)
         net = AdaptiveNetwork(X, y, k=3, kernel=KernelKind.EXPONENTIAL)
-        ds = EmbeddedDataset(X, y, r=2, horizon=1)
-        trained, trace = train_bandwidths_sd(net, ds, lr=0.1, epochs=5)
+        trained, trace = train_bandwidths_sd(net, lr=0.1, epochs=5)
         np.testing.assert_array_equal(trace, np.zeros(6))
         np.testing.assert_array_equal(trained.bandwidths, net.bandwidths)
 
     def test_loss_never_ends_above_start(self):
         rng = np.random.default_rng(14)
         for kind in PARAMETRIC:
-            net, ds = random_instance(rng, n=25, r=3, k=6, kind=kind)
-            _, trace = train_bandwidths_sd(net, ds, lr=0.5, epochs=20)
+            net = random_instance(rng, n=25, r=3, k=6, kind=kind)
+            _, trace = train_bandwidths_sd(net, lr=0.5, epochs=20)
             assert trace.shape == (21,)
             assert trace[-1] <= trace[0]
             assert np.all(np.diff(trace) <= 1e-12)
 
     def test_linear_rescale_noop(self):
         rng = np.random.default_rng(15)
-        net, ds = random_instance(rng, n=10, r=2, k=3,
-                                  kind=KernelKind.LINEAR_RESCALE)
-        trained, trace = train_bandwidths_sd(net, ds, lr=0.1, epochs=4)
+        net = random_instance(rng, n=10, r=2, k=3,
+                             kind=KernelKind.LINEAR_RESCALE)
+        trained, trace = train_bandwidths_sd(net, lr=0.1, epochs=4)
         assert trained is net
         assert trace.shape == (5,)
         assert np.all(trace == trace[0])
@@ -345,7 +362,7 @@ class TestTrainBandwidths:
         assert len(ds) == 200
         net = AdaptiveNetwork(ds.inputs, ds.targets, k=8,
                               kernel=KernelKind.EXPONENTIAL)
-        _, trace = train_bandwidths_sd(net, ds, lr=0.05, epochs=50)
+        _, trace = train_bandwidths_sd(net, lr=0.05, epochs=50)
         assert trace.shape == (51,)
         assert trace[-1] <= trace[0]
 
@@ -353,6 +370,5 @@ class TestTrainBandwidths:
         X = np.array([[0.0], [0.2], [0.4], [0.9]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
         net = AdaptiveNetwork(X, y, k=2, kernel=KernelKind.EXPONENTIAL)
-        ds = EmbeddedDataset(X, y, r=1, horizon=1)
-        trained, _ = train_bandwidths_sd(net, ds, lr=100.0, epochs=40)
+        trained, _ = train_bandwidths_sd(net, lr=100.0, epochs=40)
         assert np.all(trained.bandwidths >= 1e-8)

@@ -21,6 +21,8 @@ from belpm.storage import (
     save_series_csv,
 )
 
+from oracles import rechecksum
+
 
 class TestSeriesCsv:
     def test_plain_values(self, tmp_path):
@@ -143,18 +145,47 @@ class TestModelPersistence:
         path = tmp_path / "m.belpm"
         save_model(model, path)
         text = path.read_text()
-        assert "cm_w = " in text and "lo_w = " in text and "cm_wa = " in text
+        assert "cm_w = " in text and "lo_w" not in text and "cm_wa" not in text
         loaded = load_model(path)
         assert (loaded.cm.w1, loaded.cm.w2, loaded.cm.w3) == \
             (model.cm.w1, model.cm.w2, model.cm.w3)
-        assert (loaded.cm.wa1, loaded.cm.wa2, loaded.cm.wa3) == (1.0, -1.0, 0.0)
-        assert (loaded.lo.wo1, loaded.lo.wo2) == (model.lo.wo1, model.lo.wo2)
+
+    def test_v1_file_loads_bit_identically(self, tmp_path):
+        # v1 = the v2 document plus the constant fused-punishment weights
+        model, _, _ = trained_models()
+        v2 = tmp_path / "m2.belpm"
+        save_model(model, v2)
+        lines = v2.read_text().splitlines(keepends=True)
+        assert lines[0] == "belpm-model v2\n"
+        lines[0] = "belpm-model v1\n"
+        at = next(i for i, line in enumerate(lines) if line.startswith("cm_w = ")) + 1
+        lines[at:at] = ["cm_wa = 1,-1,0\n", "lo_w = 1,0\n"]
+        v1 = tmp_path / "m1.belpm"
+        v1.write_bytes(rechecksum("".join(lines)))
+        from_v1, from_v2 = load_model(v1), load_model(v2)
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            q = rng.uniform(0, 1, size=3)
+            assert predict(from_v1, q) == predict(from_v2, q) == predict(model, q)
+
+    def test_malformed_number_is_corrupt(self, tmp_path):
+        model, _, _ = trained_models()
+        path = tmp_path / "m.belpm"
+        save_model(model, path)
+        for old, new in (("bl_k = 4", "bl_k = x8"), ("train_lr = ", "train_lr = x"),
+                         ("bl_inputs_shape = 60,5", "bl_inputs_shape = 300")):
+            text = path.read_text()
+            assert old in text
+            bad = tmp_path / "bad.belpm"
+            bad.write_bytes(rechecksum(text.replace(old, new, 1)))
+            with pytest.raises(CorruptFile):
+                load_model(bad)
 
     def test_version_mismatch(self, tmp_path):
         model, _, _ = trained_models()
         path = tmp_path / "m.belpm"
         save_model(model, path)
-        content = path.read_text().replace("belpm-model v1", "belpm-model v2", 1)
+        content = path.read_text().replace("belpm-model v2", "belpm-model v3", 1)
         path.write_text(content)
         with pytest.raises(VersionMismatch):
             load_model(path)
