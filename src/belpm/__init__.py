@@ -30,7 +30,7 @@ from .errors import (
     VersionMismatch,
     ZeroVariance,
 )
-from .experiment import ExperimentConfig, run_bench, run_experiment
+from .experiment import ExperimentConfig, run_experiment
 from .metrics import (
     EvaluationReport,
     PeakReport,
@@ -71,7 +71,6 @@ from .series import (
 from .storage import (
     LoadedModel,
     SeriesFile,
-    load_model,
     load_model_file,
     load_series_csv,
     save_model,

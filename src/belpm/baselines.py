@@ -4,10 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DimensionMismatch, InvalidParameter
-from .network import select_k_min
+from .network import StoredPairs, euclidean_distances, select_k_min
 from .series import EmbeddedDataset
 
 # Guard added to distances so an exact match dominates without dividing by zero.
@@ -15,47 +12,17 @@ DISTANCE_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
-class WknnModel:
+class WknnModel(StoredPairs):
     """Stored training pairs plus a neighbor count (clamped to the sample count)."""
-
-    train_inputs: np.ndarray
-    train_targets: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        inputs = np.array(self.train_inputs, dtype=np.float64, copy=True)
-        targets = np.array(self.train_targets, dtype=np.float64, copy=True)
-        if inputs.ndim != 2 or inputs.shape[0] < 1:
-            raise InvalidParameter("train_inputs must be a non-empty (n, d) array")
-        if targets.shape != (inputs.shape[0],):
-            raise InvalidParameter("train_targets must align with train_inputs")
-        if self.k < 1:
-            raise InvalidParameter(f"k must be >= 1, got {self.k}")
-        inputs.flags.writeable = False
-        targets.flags.writeable = False
-        object.__setattr__(self, "train_inputs", inputs)
-        object.__setattr__(self, "train_targets", targets)
-        object.__setattr__(self, "k", min(self.k, inputs.shape[0]))
 
     @classmethod
     def from_dataset(cls, dataset: EmbeddedDataset, k: int) -> "WknnModel":
         return cls(dataset.inputs, dataset.targets, k)
 
-    @property
-    def dim(self) -> int:
-        return self.train_inputs.shape[1]
-
 
 def wknn_predict(model: WknnModel, query) -> float:
     """Inverse-distance weighted mean of the k nearest neighbors' targets."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (model.dim,):
-        raise DimensionMismatch(
-            f"query has shape {q.shape}, stored features have dimension {model.dim}"
-        )
-    diff = model.train_inputs - q
-    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    nb = select_k_min(d, model.k)
+    nb = select_k_min(euclidean_distances(query, model), model.k)
     raw = 1.0 / (nb.distances + DISTANCE_EPSILON)
     weights = raw / raw.sum()  # normalize first so k=1 recalls targets exactly
     return float(weights @ model.train_targets[nb.indices])

@@ -10,27 +10,38 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, DataError, NumericError
 from .experiment import (
+    GENERATORS,
     ExperimentConfig,
+    evaluate,
+    predict_with,
     render_peak_report,
     render_report,
-    run_bench,
+    resolve_series,
+    run_experiment,
     train_model,
-    predict_with,
 )
-from .metrics import EvaluationReport, correlation, find_peaks, match_peaks, mse, nmse
-from .series import TimeSeries, embed, gen_logistic, gen_mackey_glass, split
+from .metrics import find_peaks, match_peaks
+from .series import TimeSeries, embed, split
 from .storage import (
+    GAP_ERROR,
+    GAP_INTERPOLATE,
+    MODEL_KINDS,
     SeriesFile,
-    _fmt,
+    format_float,
     load_model_file,
+    load_predictions_csv,
     load_series_csv,
+    read_text,
     save_model,
+    save_pairs_csv,
+    save_predictions_csv,
     save_series_csv,
+    write_text,
 )
+
+_DEFAULTS = ExperimentConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,22 +52,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", required=True, help="series CSV path")
-    p.add_argument("--sentinel", type=float, default=None,
-                   help="missing-value sentinel in the CSV")
-    p.add_argument("--gap-policy", choices=["error", "linear_interpolate"],
-                   default="error")
+    # Destinations are ExperimentConfig field names.
+    p.add_argument("--data", dest="data_path", metavar="DATA", required=True,
+                   help="series CSV path")
+    p.add_argument("--sentinel", dest="missing_sentinel", metavar="SENTINEL",
+                   type=float, default=None, help="missing-value sentinel in the CSV")
+    p.add_argument("--gap-policy", choices=[GAP_ERROR, GAP_INTERPOLATE],
+                   default=_DEFAULTS.gap_policy)
 
 
-def _load_series(args) -> TimeSeries:
-    path = Path(args.data)
-    if not path.exists():
-        raise ConfigError(f"data file not found: {args.data}")
-    return load_series_csv(SeriesFile(
-        path=str(path),
-        missing_sentinel=args.sentinel,
-        gap_policy=args.gap_policy,
-    ))
+def _add_config_args(p: argparse.ArgumentParser, *names: str) -> None:
+    """One ``--field-name`` flag per ExperimentConfig field, typed and
+    defaulted by the field's default."""
+    for name in names:
+        default = getattr(_DEFAULTS, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+
+
+def _config(args) -> ExperimentConfig:
+    """The ExperimentConfig of the parsed flags named after its fields."""
+    names = ExperimentConfig.field_names()
+    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,49 +81,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a synthetic benchmark series")
-    p.add_argument("--kind", choices=["mackey_glass", "logistic"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", type=int, default=17)
-    p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--warmup", type=int, default=0)
-    p.add_argument("--rate", type=float, default=3.9,
-                   help="logistic map growth rate")
+    p.add_argument("--kind", dest="generator", choices=list(GENERATORS), required=True)
+    p.add_argument("--n", dest="gen_n", metavar="N", type=int, required=True)
+    p.add_argument("--tau", dest="gen_tau", metavar="TAU", type=int, default=_DEFAULTS.gen_tau)
+    p.add_argument("--x0", dest="gen_x0", metavar="X0", type=float, default=None)
+    p.add_argument("--warmup", dest="gen_warmup", metavar="WARMUP", type=int, default=0)
+    p.add_argument("--rate", dest="gen_rate", metavar="RATE", type=float,
+                   default=_DEFAULTS.gen_rate, help="logistic map growth rate")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("embed", help="write the delay-embedded pairs of a series")
     _add_data_args(p)
-    p.add_argument("--embed-r", type=int, default=3)
-    p.add_argument("--horizon", type=int, default=1)
+    _add_config_args(p, "embed_r", "horizon")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a model on a chronological prefix")
     _add_data_args(p)
-    p.add_argument("--embed-r", type=int, default=3)
-    p.add_argument("--horizon", type=int, default=1)
+    _add_config_args(p, "embed_r", "horizon")
     p.add_argument("--n-train", type=int, required=True)
-    p.add_argument("--model", choices=["belpm", "wknn", "classic_bel"],
-                   default="belpm")
-    p.add_argument("--k-a", type=int, default=8)
-    p.add_argument("--k-o", type=int, default=8)
-    p.add_argument("--bl-kernel", default="exponential")
-    p.add_argument("--mo-kernel", default="exponential")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--ridge", type=float, default=1e-8)
-    p.add_argument("--wknn-k", type=int, default=2)
-    p.add_argument("--bel-alpha", type=float, default=0.1)
-    p.add_argument("--bel-beta", type=float, default=0.1)
-    p.add_argument("--bel-epochs", type=int, default=10)
+    p.add_argument("--model", choices=list(MODEL_KINDS), default=_DEFAULTS.model)
+    _add_config_args(p, "k_a", "k_o", "bl_kernel", "mo_kernel", "lr", "epochs", "ridge",
+                     "wknn_k", "bel_alpha", "bel_beta", "bel_epochs")
     p.add_argument("--out", required=True, help="model file path")
 
     p = sub.add_parser("predict", help="predict a series with a saved model")
     _add_data_args(p)
-    p.add_argument("--model", required=True, help="model file path")
+    p.add_argument("--model", dest="model_path", metavar="MODEL", required=True,
+                   help="model file path")
     p.add_argument("--out", required=True, help="predictions CSV path")
 
     p = sub.add_parser("eval", help="score a time,observed,predicted CSV")
     p.add_argument("--predictions", required=True)
-    p.add_argument("--peak-window", type=int, default=2)
+    p.add_argument("--peak-window", type=int, default=_DEFAULTS.peak_window)
     p.add_argument("--peak-top-m", type=int, default=None)
     p.add_argument("--out", default=None, help="optional report path")
 
@@ -126,122 +131,56 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "mackey_glass":
-        series = gen_mackey_glass(args.n, tau=args.tau,
-                                  x0=1.2 if args.x0 is None else args.x0,
-                                  warmup=args.warmup)
-    else:
-        series = gen_logistic(args.n, r=args.rate,
-                              x0=0.3 if args.x0 is None else args.x0)
+    series = resolve_series(_config(args))
     save_series_csv(series, args.out)
     print(f"wrote {len(series)} values to {args.out}")
     return 0
 
 
 def _cmd_embed(args) -> int:
-    series = _load_series(args)
-    dataset = embed(series, args.embed_r, args.horizon)
-    lines = [f"# embedded pairs r={dataset.r} horizon={dataset.horizon}"]
-    for x, t in zip(dataset.inputs, dataset.targets):
-        lines.append(",".join(_fmt(v) for v in x) + "," + _fmt(t))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    dataset = embed(resolve_series(_config(args)), args.embed_r, args.horizon)
+    save_pairs_csv(dataset, args.out)
     print(f"wrote {len(dataset)} pairs to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    series = _load_series(args)
-    dataset = embed(series, args.embed_r, args.horizon)
-    train_set, _ = split(dataset, args.n_train)
-    config = ExperimentConfig(
-        data_path=args.data,
-        embed_r=args.embed_r, horizon=args.horizon, n_train=args.n_train,
-        model=args.model, k_a=args.k_a, k_o=args.k_o,
-        bl_kernel=args.bl_kernel, mo_kernel=args.mo_kernel,
-        lr=args.lr, epochs=args.epochs, ridge=args.ridge,
-        wknn_k=args.wknn_k, bel_alpha=args.bel_alpha, bel_beta=args.bel_beta,
-        bel_epochs=args.bel_epochs,
-    )
+    config = _config(args)
+    dataset = embed(resolve_series(config), config.embed_r, config.horizon)
+    train_set, _ = split(dataset, config.n_train)
     model = train_model(config, train_set)
-    save_model(model, args.out, embedding=(args.embed_r, args.horizon))
-    print(f"trained {args.model} on {len(train_set)} pairs -> {args.out}")
+    save_model(model, args.out, embedding=(config.embed_r, config.horizon))
+    print(f"trained {config.model} on {len(train_set)} pairs -> {args.out}")
     return 0
 
 
 def _cmd_predict(args) -> int:
-    if not Path(args.model).exists():
-        raise ConfigError(f"model file not found: {args.model}")
-    loaded = load_model_file(args.model)
-    series = _load_series(args)
+    loaded = load_model_file(args.model_path)
+    series = resolve_series(_config(args))
     dataset = embed(series, loaded.r, loaded.horizon)
     preds = predict_with(loaded.model, dataset.inputs)
-    start = series.start_time + (loaded.r - 1 + loaded.horizon) * series.step
-    rows = ["time,observed,predicted"]
-    for j in range(len(dataset)):
-        rows.append(f"{start + j * series.step},"
-                    f"{_fmt(dataset.targets[j])},{_fmt(preds[j])}")
-    Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    observed = TimeSeries(dataset.targets, step=series.step,
+                          start_time=series.time_at(loaded.r - 1 + loaded.horizon))
+    save_predictions_csv(observed, preds, args.out)
     print(f"wrote {len(dataset)} predictions to {args.out}")
     return 0
 
 
-def _read_predictions_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    from .errors import ParseError, EmptyFile
-
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"predictions file not found: {path}")
-    times, obs, pred = [], [], []
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [tok.strip() for tok in line.split(",")]
-        if parts and parts[0].lower() == "time":
-            continue
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 'time,observed,predicted'")
-        try:
-            times.append(int(parts[0]))
-            obs.append(float(parts[1]))
-            pred.append(float(parts[2]))
-        except ValueError:
-            raise ParseError(f"line {lineno}: cannot parse row {line!r}") from None
-    if not obs:
-        raise EmptyFile(f"{path}: no prediction rows")
-    return np.asarray(times), np.asarray(obs), np.asarray(pred)
-
-
 def _cmd_eval(args) -> int:
-    times, obs, pred = _read_predictions_csv(args.predictions)
-    peak_report = None
-    if obs.size >= 3:
-        step = int(times[1] - times[0]) if times.size > 1 else 1
-        observed_ts = TimeSeries(obs, start_time=int(times[0]), step=max(step, 1))
-        predicted_ts = TimeSeries(pred, start_time=int(times[0]), step=max(step, 1))
-        obs_peaks = find_peaks(observed_ts, top_m=args.peak_top_m)
-        peak_report = match_peaks(obs_peaks, predicted_ts,
-                                  window=args.peak_window, top_m=args.peak_top_m)
-    report = EvaluationReport(
-        nmse=nmse(obs, pred),
-        mse=mse(obs, pred),
-        correlation=correlation(obs, pred),
-        n=obs.size,
-        peak_report=peak_report,
-    )
-    text = render_report(report)
+    observed, predicted = load_predictions_csv(args.predictions)
+    text = render_report(evaluate(observed, predicted, args.peak_window, args.peak_top_m))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_text(args.out, text)
     print(text, end="")
     return 0
 
 
 def _cmd_peaks(args) -> int:
-    series = _load_series(args)
+    series = resolve_series(_config(args))
     peaks = find_peaks(series, top_m=args.top_m)
     print("index,time,value")
     for t in peaks:
-        print(f"{int(t)},{series.time_at(int(t))},{_fmt(series.values[t])}")
+        print(f"{int(t)},{series.time_at(int(t))},{format_float(series.values[t])}")
     if args.predicted is not None:
         pred_path = Path(args.predicted)
         if not pred_path.exists():
@@ -254,11 +193,8 @@ def _cmd_peaks(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {args.config}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(args.config, "config file", ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}: invalid JSON ({exc})") from None
     if isinstance(doc, dict) and "experiments" in doc:
@@ -276,11 +212,12 @@ def _cmd_bench(args) -> int:
             raw["out_dir"] = str(Path(args.out_dir) / str(i)) \
                 if len(raw_list) > 1 else args.out_dir
         configs.append(ExperimentConfig.from_mapping(raw))
-    for label, report in run_bench(configs):
+    for i, config in enumerate(configs):
+        report = run_experiment(config)
         peak = report.peak_report
         peak_str = (f" peaks {peak.identified_exact}/{peak.identified_delayed}"
                     f"/{peak.missed}" if peak else "")
-        print(f"{label}: n={report.n} nmse={report.nmse:.6g} "
+        print(f"{i}:{config.model}: n={report.n} nmse={report.nmse:.6g} "
               f"mse={report.mse:.6g} corr={report.correlation:.6g}{peak_str}")
     return 0
 

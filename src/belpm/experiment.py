@@ -18,13 +18,25 @@ from .baselines import WknnModel, wknn_predict
 from .classic import ClassicBelModel, bel_predict, bel_train
 from .errors import ConfigError
 from .metrics import EvaluationReport, PeakReport, correlation, find_peaks, match_peaks, mse, nmse
-from .model import BelpmConfig, predict as belpm_predict, train as belpm_train
+from .model import BelpmConfig, BelpmModel, predict as belpm_predict, train as belpm_train
 from .network import KernelKind
 from .series import EmbeddedDataset, TimeSeries, embed, gen_logistic, gen_mackey_glass, split
-from .storage import SeriesFile, _fmt, load_series_csv
+from .storage import (
+    MODEL_KINDS,
+    SeriesFile,
+    format_float,
+    kind_of,
+    load_series_csv,
+    save_predictions_csv,
+    write_text,
+)
 
-MODEL_KINDS = ("belpm", "wknn", "classic_bel")
-GENERATORS = ("mackey_glass", "logistic")
+# Generator name -> the series a config asks of it; x0 is passed when set.
+GENERATORS = {
+    "mackey_glass": lambda config, **x0: gen_mackey_glass(
+        config.gen_n, tau=config.gen_tau, warmup=config.gen_warmup, **x0),
+    "logistic": lambda config, **x0: gen_logistic(config.gen_n, r=config.gen_rate, **x0),
+}
 
 
 @dataclass(frozen=True)
@@ -38,7 +50,7 @@ class ExperimentConfig:
     generator: str | None = None
     gen_n: int = 600
     gen_tau: int = 17
-    gen_x0: float | None = None    # per-generator default: 1.2 / 0.3
+    gen_x0: float | None = None    # None: the generator's default
     gen_warmup: int = 100
     gen_rate: float = 3.9          # logistic map growth rate
     # embedding and split
@@ -64,6 +76,10 @@ class ExperimentConfig:
     # artifacts (written when set)
     out_dir: str | None = None
 
+    def __post_init__(self):
+        if self.model not in MODEL_KINDS:
+            raise ConfigError(f"unknown model kind {self.model!r}")
+
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
         return tuple(f.name for f in dataclass_fields(cls))
@@ -76,31 +92,29 @@ class ExperimentConfig:
         return cls(**mapping)
 
 
-def _resolve_series(config: ExperimentConfig) -> TimeSeries:
+def resolve_series(config: ExperimentConfig) -> TimeSeries:
+    """The config's series: its data file with its gap handling, or its generator's output."""
     if (config.data_path is None) == (config.generator is None):
         raise ConfigError("exactly one of data_path / generator must be set")
     if config.data_path is not None:
-        if not Path(config.data_path).exists():
-            raise ConfigError(f"data file not found: {config.data_path}")
         return load_series_csv(SeriesFile(
             path=config.data_path,
             missing_sentinel=config.missing_sentinel,
             gap_policy=config.gap_policy,
         ))
-    if config.generator == "mackey_glass":
-        x0 = 1.2 if config.gen_x0 is None else config.gen_x0
-        return gen_mackey_glass(config.gen_n, tau=config.gen_tau,
-                                x0=x0, warmup=config.gen_warmup)
-    if config.generator == "logistic":
-        x0 = 0.3 if config.gen_x0 is None else config.gen_x0
-        return gen_logistic(config.gen_n, r=config.gen_rate, x0=x0)
-    raise ConfigError(f"unknown generator {config.generator!r}")
+    if config.generator not in GENERATORS:
+        raise ConfigError(f"unknown generator {config.generator!r}")
+    x0 = {} if config.gen_x0 is None else {"x0": config.gen_x0}
+    return GENERATORS[config.generator](config, **x0)
 
 
 def train_model(config: ExperimentConfig, train_set: EmbeddedDataset):
-    """Train the configured model kind on the given pairs."""
-    if config.model == "belpm":
-        return belpm_train(train_set, BelpmConfig(
+    """Train the configured model kind on the given pairs.
+
+    The one place that maps config fields onto each kind's trainer.
+    """
+    trainers = {
+        BelpmModel: lambda: belpm_train(train_set, BelpmConfig(
             k_a=config.k_a,
             k_o=config.k_o,
             bl_kernel=KernelKind.from_name(config.bl_kernel),
@@ -108,47 +122,51 @@ def train_model(config: ExperimentConfig, train_set: EmbeddedDataset):
             lr=config.lr,
             epochs=config.epochs,
             ridge=config.ridge,
-        ))
-    if config.model == "wknn":
-        return WknnModel.from_dataset(train_set, k=config.wknn_k)
-    if config.model == "classic_bel":
-        base = ClassicBelModel.zeros(train_set.r, alpha=config.bel_alpha,
-                                     beta=config.bel_beta)
-        return bel_train(base, train_set, epochs=config.bel_epochs)
-    raise ConfigError(f"unknown model kind {config.model!r}")
+        )),
+        WknnModel: lambda: WknnModel.from_dataset(train_set, k=config.wknn_k),
+        ClassicBelModel: lambda: bel_train(
+            ClassicBelModel.zeros(train_set.r, alpha=config.bel_alpha, beta=config.bel_beta),
+            train_set, epochs=config.bel_epochs),
+    }
+    return trainers[MODEL_KINDS[config.model].cls]()
 
 
 def predict_with(model, inputs: np.ndarray) -> np.ndarray:
-    """One prediction per input row, dispatched on the model type."""
-    from .model import BelpmModel  # local import to avoid cycle in type dispatch
-
-    if isinstance(model, BelpmModel):
-        fn = lambda x: belpm_predict(model, x)
-    elif isinstance(model, WknnModel):
-        fn = lambda x: wknn_predict(model, x)
-    elif isinstance(model, ClassicBelModel):
-        fn = lambda x: bel_predict(model, x)
-    else:
-        raise ConfigError(f"cannot predict with {type(model).__name__}")
-    return np.array([fn(x) for x in inputs])
+    """One prediction per input row, by the predict function of the model's kind."""
+    predict = {
+        BelpmModel: belpm_predict,
+        WknnModel: wknn_predict,
+        ClassicBelModel: bel_predict,
+    }[MODEL_KINDS[kind_of(model)].cls]
+    return np.array([predict(model, x) for x in inputs])
 
 
-def _peak_summary(config: ExperimentConfig, observed: TimeSeries,
-                  predicted: TimeSeries) -> PeakReport | None:
-    if len(observed) < 3:
-        return None
-    obs_peaks = find_peaks(observed, top_m=config.peak_top_m)
-    return match_peaks(obs_peaks, predicted,
-                       window=config.peak_window, top_m=config.peak_top_m)
+def evaluate(observed: TimeSeries, predicted, peak_window: int,
+             peak_top_m: int | None) -> EvaluationReport:
+    """Metrics of ``predicted`` against ``observed`` (aligned value for value),
+    plus the peak summary when the span holds at least three values."""
+    predicted_ts = TimeSeries(predicted, start_time=observed.start_time, step=observed.step)
+    peak_report = None
+    if len(observed) >= 3:
+        peak_report = match_peaks(find_peaks(observed, top_m=peak_top_m), predicted_ts,
+                                  window=peak_window, top_m=peak_top_m)
+    y, yhat = observed.values, predicted_ts.values
+    return EvaluationReport(
+        nmse=nmse(y, yhat),
+        mse=mse(y, yhat),
+        correlation=correlation(y, yhat),
+        n=len(observed),
+        peak_report=peak_report,
+    )
 
 
 def render_report(report: EvaluationReport) -> str:
     """Structured ``key = value`` text mirroring the report fields."""
     lines = [
         f"n = {report.n}",
-        f"nmse = {_fmt(report.nmse)}",
-        f"mse = {_fmt(report.mse)}",
-        f"correlation = {_fmt(report.correlation)}",
+        f"nmse = {format_float(report.nmse)}",
+        f"mse = {format_float(report.mse)}",
+        f"correlation = {format_float(report.correlation)}",
     ]
     pk = report.peak_report
     if pk is not None:
@@ -181,7 +199,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     ``report.txt`` (the rendered report), and ``peaks.txt`` when the test
     span is long enough to carry peaks.
     """
-    series = _resolve_series(config)
+    series = resolve_series(config)
     dataset = embed(series, config.embed_r, config.horizon)
     train_set, test_set = split(dataset, config.n_train)
     if len(test_set) == 0:
@@ -191,42 +209,16 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
 
     # Epoch of the first test target: offset past the embedding head plus the
     # training prefix.
-    first_target = config.embed_r - 1 + config.horizon + config.n_train
-    start = series.start_time + first_target * series.step
-    observed_ts = TimeSeries(test_set.targets, start_time=start, step=series.step)
-    predicted_ts = TimeSeries(preds, start_time=start, step=series.step)
-
-    peak_report = _peak_summary(config, observed_ts, predicted_ts)
-    report = EvaluationReport(
-        nmse=nmse(test_set.targets, preds),
-        mse=mse(test_set.targets, preds),
-        correlation=correlation(test_set.targets, preds),
-        n=len(test_set),
-        peak_report=peak_report,
-    )
+    start = series.time_at(config.embed_r - 1 + config.horizon + config.n_train)
+    observed = TimeSeries(test_set.targets, start_time=start, step=series.step)
+    report = evaluate(observed, preds, config.peak_window, config.peak_top_m)
 
     if config.out_dir is not None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        rows = ["time,observed,predicted"]
-        for j in range(len(test_set)):
-            rows.append(
-                f"{observed_ts.time_at(j)},{_fmt(test_set.targets[j])},{_fmt(preds[j])}"
-            )
-        (out / "predictions.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-        (out / "report.txt").write_text(render_report(report), encoding="utf-8")
-        if peak_report is not None:
-            obs_peaks = find_peaks(observed_ts, top_m=config.peak_top_m)
-            (out / "peaks.txt").write_text(
-                render_peak_report(peak_report, obs_peaks), encoding="utf-8"
-            )
+        save_predictions_csv(observed, preds, out / "predictions.csv")
+        write_text(out / "report.txt", render_report(report))
+        if report.peak_report is not None:
+            obs_peaks = find_peaks(observed, top_m=config.peak_top_m)
+            write_text(out / "peaks.txt", render_peak_report(report.peak_report, obs_peaks))
     return report
-
-
-def run_bench(configs: list[ExperimentConfig]) -> list[tuple[str, EvaluationReport]]:
-    """Run several experiment configs in order; label each by its model kind."""
-    results = []
-    for i, cfg in enumerate(configs):
-        report = run_experiment(cfg)
-        results.append((f"{i}:{cfg.model}", report))
-    return results

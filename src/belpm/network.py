@@ -61,20 +61,16 @@ class NeighborSet:
 
 
 @dataclass(frozen=True)
-class AdaptiveNetwork:
-    """Memory-based kernel regressor over stored (feature, target) pairs.
+class StoredPairs:
+    """Training pairs kept by a memory-based model, and its neighbor count.
 
-    ``k`` is clamped to the stored sample count at construction. ``bandwidths``
-    holds one positive value per neighbor rank; it defaults to all ones.
-    Instances are immutable, so concurrent forward passes are safe; training
-    returns a new network.
+    Inputs and targets become read-only float64 copies, and ``k`` is clamped
+    to the stored sample count at construction.
     """
 
     train_inputs: np.ndarray
     train_targets: np.ndarray
     k: int
-    kernel: KernelKind = KernelKind.EXPONENTIAL
-    bandwidths: np.ndarray | None = None
 
     def __post_init__(self):
         inputs = np.array(self.train_inputs, dtype=np.float64, copy=True)
@@ -85,21 +81,11 @@ class AdaptiveNetwork:
             raise InvalidParameter("train_targets must align with train_inputs")
         if self.k < 1:
             raise InvalidParameter(f"k must be >= 1, got {self.k}")
-        k = min(self.k, inputs.shape[0])
-        if self.bandwidths is None:
-            bw = np.ones(k)
-        else:
-            bw = np.array(self.bandwidths, dtype=np.float64, copy=True)
-            if bw.shape != (k,):
-                raise InvalidParameter(f"bandwidths must have length k={k}")
-            if self.kernel.parametric and not np.all(bw > 0):
-                raise InvalidParameter("bandwidths must be positive")
-        for arr in (inputs, targets, bw):
-            arr.flags.writeable = False
+        inputs.flags.writeable = False
+        targets.flags.writeable = False
         object.__setattr__(self, "train_inputs", inputs)
         object.__setattr__(self, "train_targets", targets)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "bandwidths", bw)
+        object.__setattr__(self, "k", min(self.k, inputs.shape[0]))
 
     @property
     def n_samples(self) -> int:
@@ -110,7 +96,33 @@ class AdaptiveNetwork:
         return self.train_inputs.shape[1]
 
 
-def euclidean_distances(query, net: AdaptiveNetwork) -> np.ndarray:
+@dataclass(frozen=True)
+class AdaptiveNetwork(StoredPairs):
+    """Memory-based kernel regressor over stored (feature, target) pairs.
+
+    ``bandwidths`` holds one positive value per neighbor rank; it defaults to
+    all ones. Instances are immutable, so concurrent forward passes are safe;
+    training returns a new network.
+    """
+
+    kernel: KernelKind = KernelKind.EXPONENTIAL
+    bandwidths: np.ndarray | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.bandwidths is None:
+            bw = np.ones(self.k)
+        else:
+            bw = np.array(self.bandwidths, dtype=np.float64, copy=True)
+            if bw.shape != (self.k,):
+                raise InvalidParameter(f"bandwidths must have length k={self.k}")
+            if self.kernel.parametric and not np.all(bw > 0):
+                raise InvalidParameter("bandwidths must be positive")
+        bw.flags.writeable = False
+        object.__setattr__(self, "bandwidths", bw)
+
+
+def euclidean_distances(query, net: StoredPairs) -> np.ndarray:
     """Distance from ``query`` to every stored sample, in storage order."""
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (net.dim,):

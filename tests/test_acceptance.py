@@ -34,7 +34,7 @@ from belpm import (
     forward,
     gen_mackey_glass,
     grad_bandwidths,
-    load_model,
+    load_model_file,
     load_series_csv,
     loo_predictions,
     match_peaks,
@@ -301,7 +301,7 @@ def test_criterion_10_persistence_and_determinism(tmp_path):
     model = train(train_set, BelpmConfig(k_a=4, k_o=4, epochs=5))
     path = tmp_path / "model.txt"
     save_model(model, path)
-    loaded = load_model(path)
+    loaded = load_model_file(path).model
     rng = np.random.default_rng(1010)
     for _ in range(100):
         q = rng.normal(size=3)

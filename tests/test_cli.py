@@ -5,7 +5,7 @@ import numpy as np
 from belpm.cli import main
 from belpm.model import predict
 from belpm.series import embed, gen_logistic
-from belpm.storage import SeriesFile, load_model, load_series_csv
+from belpm.storage import SeriesFile, load_model_file, load_series_csv
 
 from oracles import rechecksum
 
@@ -54,7 +54,7 @@ def test_cli_predictions_match_library(tmp_path):
     run("train", "--data", str(series_path), "--embed-r", "3", "--horizon", "1",
         "--n-train", "60", "--model", "belpm", "--k-a", "4", "--k-o", "4",
         "--epochs", "2", "--out", str(model_path))
-    model = load_model(model_path)
+    model = load_model_file(model_path).model
     series = load_series_csv(SeriesFile(path=str(series_path)))
     ds = embed(series, 3, 1)
     preds_path = tmp_path / "preds.csv"
@@ -92,6 +92,17 @@ def test_exit_code_1_for_config_errors(tmp_path):
     assert run("nonsense-command") == 1
     assert run("bench", "--config", str(tmp_path / "missing.json")) == 1
 
+    # an output path in a missing directory
+    series = tmp_path / "series.csv"
+    model = tmp_path / "model.txt"
+    run("gen", "--kind", "logistic", "--n", "30", "--out", str(series))
+    assert run("train", "--data", str(series), "--n-train", "20", "--model", "wknn",
+               "--out", str(tmp_path / "no" / "m.txt")) == 1
+    assert run("train", "--data", str(series), "--n-train", "20", "--model", "wknn",
+               "--out", str(model)) == 0
+    assert run("predict", "--model", str(model), "--data", str(series),
+               "--out", str(tmp_path / "no" / "p.csv")) == 1
+
 
 def test_exit_code_1_for_missing_model(tmp_path):
     series = tmp_path / "series.csv"
@@ -121,6 +132,40 @@ def test_exit_code_2_for_data_errors(tmp_path):
     short.write_text("1\n2\n")
     assert run("embed", "--data", str(short), "--embed-r", "3",
                "--out", str(tmp_path / "p.csv")) == 2
+
+    # bytes that are not UTF-8: a series CSV, a model file, a predictions CSV
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"1\n\xff\xfe2\n3\n")
+    assert run("embed", "--data", str(binary), "--out", str(tmp_path / "p.csv")) == 2
+    series = tmp_path / "series.csv"
+    run("gen", "--kind", "logistic", "--n", "30", "--out", str(series))
+    assert run("predict", "--model", str(binary), "--data", str(series),
+               "--out", str(tmp_path / "p.csv")) == 2
+    assert run("eval", "--predictions", str(binary)) == 2
+
+    # eval on a non-finite prediction
+    preds = tmp_path / "preds.csv"
+    preds.write_text("time,observed,predicted\n0,1.0,nan\n1,2.0,2.0\n2,1.5,1.0\n")
+    assert run("eval", "--predictions", str(preds)) == 2
+
+
+def test_eval_reproduces_bench_report(tmp_path, capsys):
+    cfg = {"experiments": [
+        {"generator": "logistic", "gen_n": 140, "n_train": 100, "model": kind,
+         "k_a": 4, "k_o": 4, "epochs": 2, "bel_epochs": 2}
+        for kind in ("belpm", "wknn", "classic_bel")]}
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run("bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "runs")) == 0
+    for i in range(3):
+        run_dir = tmp_path / "runs" / str(i)
+        capsys.readouterr()
+        assert run("eval", "--predictions", str(run_dir / "predictions.csv"),
+                   "--out", str(run_dir / "eval.txt")) == 0
+        report = (run_dir / "report.txt").read_text()
+        assert "peak_window = 2" in report
+        assert capsys.readouterr().out == report
+        assert (run_dir / "eval.txt").read_bytes() == (run_dir / "report.txt").read_bytes()
 
 
 def test_exit_code_3_for_numeric_errors(tmp_path):

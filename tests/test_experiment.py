@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 
 import pytest
 
+from belpm.cli import main
 from belpm.errors import ConfigError
-from belpm.experiment import ExperimentConfig, run_bench, run_experiment
+from belpm.experiment import ExperimentConfig, run_experiment
 
 MINIMAL = ExperimentConfig(
     generator="logistic", gen_n=120, gen_x0=0.3, gen_rate=3.9,
@@ -74,10 +76,17 @@ def test_all_three_model_kinds_run():
         assert math.isfinite(report.mse)
 
 
-def test_bench_labels_and_order():
+def test_bench_labels_and_order(tmp_path, capsys):
     configs = [
         dataclasses.replace(MINIMAL, model="wknn"),
         dataclasses.replace(MINIMAL, model="classic_bel", bel_epochs=2),
     ]
-    results = run_bench(configs)
-    assert [label for label, _ in results] == ["0:wknn", "1:classic_bel"]
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({"experiments": [
+        {k: v for k, v in dataclasses.asdict(c).items() if v is not None}
+        for c in configs]}))
+    assert main(["bench", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["0:wknn", "1:classic_bel"]
+    for line, cfg in zip(lines, configs):
+        assert f"n={run_experiment(cfg).n} " in line

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from belpm.model import BelpmConfig, predict, train
 from belpm.series import TimeSeries, embed, gen_logistic, split
 from belpm.storage import (
     SeriesFile,
-    load_model,
     load_model_file,
     load_series_csv,
     save_model,
@@ -114,7 +115,7 @@ class TestModelPersistence:
         model, _, _ = trained_models()
         path = tmp_path / "m.belpm"
         save_model(model, path)
-        loaded = load_model(path)
+        loaded = load_model_file(path).model
         rng = np.random.default_rng(1)
         for _ in range(100):
             q = rng.uniform(0, 1, size=3)
@@ -130,15 +131,22 @@ class TestModelPersistence:
         for _ in range(50):
             q = rng.uniform(0, 1, size=3)
             assert wknn_predict(loaded.model, q) == wknn_predict(model, q)
+        resaved = tmp_path / "again.wknn"
+        save_model(loaded.model, resaved, embedding=(loaded.r, loaded.horizon))
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_classic_round_trip(self, tmp_path):
         _, _, model = trained_models()
         path = tmp_path / "m.bel"
         save_model(model, path, embedding=(3, 1))
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.v, model.v)
-        np.testing.assert_array_equal(loaded.w, model.w)
-        assert bel_predict(loaded, [0.1, 0.2, 0.3]) == bel_predict(model, [0.1, 0.2, 0.3])
+        loaded = load_model_file(path)
+        np.testing.assert_array_equal(loaded.model.v, model.v)
+        np.testing.assert_array_equal(loaded.model.w, model.w)
+        assert bel_predict(loaded.model, [0.1, 0.2, 0.3]) == \
+            bel_predict(model, [0.1, 0.2, 0.3])
+        resaved = tmp_path / "again.bel"
+        save_model(loaded.model, resaved, embedding=(loaded.r, loaded.horizon))
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_fusion_weights_serialized_losslessly(self, tmp_path):
         model, _, _ = trained_models()
@@ -146,7 +154,7 @@ class TestModelPersistence:
         save_model(model, path)
         text = path.read_text()
         assert "cm_w = " in text and "lo_w" not in text and "cm_wa" not in text
-        loaded = load_model(path)
+        loaded = load_model_file(path).model
         assert (loaded.cm.w1, loaded.cm.w2, loaded.cm.w3) == \
             (model.cm.w1, model.cm.w2, model.cm.w3)
 
@@ -162,24 +170,48 @@ class TestModelPersistence:
         lines[at:at] = ["cm_wa = 1,-1,0\n", "lo_w = 1,0\n"]
         v1 = tmp_path / "m1.belpm"
         v1.write_bytes(rechecksum("".join(lines)))
-        from_v1, from_v2 = load_model(v1), load_model(v2)
+        from_v1, from_v2 = load_model_file(v1).model, load_model_file(v2).model
         rng = np.random.default_rng(3)
         for _ in range(100):
             q = rng.uniform(0, 1, size=3)
             assert predict(from_v1, q) == predict(from_v2, q) == predict(model, q)
 
     def test_malformed_number_is_corrupt(self, tmp_path):
-        model, _, _ = trained_models()
+        belpm, wknn, _ = trained_models()
         path = tmp_path / "m.belpm"
-        save_model(model, path)
-        for old, new in (("bl_k = 4", "bl_k = x8"), ("train_lr = ", "train_lr = x"),
-                         ("bl_inputs_shape = 60,5", "bl_inputs_shape = 300")):
-            text = path.read_text()
-            assert old in text
+        save_model(belpm, path)
+        text = path.read_text()
+        save_model(wknn, path, embedding=(3, 1))
+        wknn_text = path.read_text()
+
+        def first_value(text, key, token):
+            """``text`` with the first value of field ``key`` replaced by ``token``."""
+            return re.sub(rf"^{key} = [^,\n]+", f"{key} = {token}", text, count=1, flags=re.M)
+
+        cm_w = re.search(r"^cm_w = .*$", text, re.M).group()
+        bad_texts = [
+            text.replace("bl_k = 4", "bl_k = x8", 1),
+            text.replace("train_lr = ", "train_lr = x", 1),
+            text.replace("bl_inputs_shape = 60,5", "bl_inputs_shape = 300", 1),
+            text.replace(cm_w, cm_w.rsplit(",", 1)[0], 1),  # two fusion weights
+            text.replace("bl_inputs_shape = 60,5", "bl_inputs_shape = -60,-5", 1),
+            # parse, but the model constructors reject them
+            text.replace("bl_k = 4", "bl_k = 0", 1),
+            text.replace("bl_kernel = exponential", "bl_kernel = foo", 1),
+            # non-finite stored data or weights would predict NaN
+            first_value(text, "bl_targets", "nan"),
+            first_value(text, "mo_inputs", "nan"),
+            first_value(text, "bl_bandwidths", "nan"),
+            first_value(text, "cm_w", "nan"),
+            first_value(wknn_text, "targets", "nan"),
+            first_value(wknn_text, "inputs", "inf"),
+        ]
+        for bad_text in bad_texts:
+            assert bad_text not in (text, wknn_text)
             bad = tmp_path / "bad.belpm"
-            bad.write_bytes(rechecksum(text.replace(old, new, 1)))
+            bad.write_bytes(rechecksum(bad_text))
             with pytest.raises(CorruptFile):
-                load_model(bad)
+                load_model_file(bad)
 
     def test_version_mismatch(self, tmp_path):
         model, _, _ = trained_models()
@@ -188,7 +220,7 @@ class TestModelPersistence:
         content = path.read_text().replace("belpm-model v2", "belpm-model v3", 1)
         path.write_text(content)
         with pytest.raises(VersionMismatch):
-            load_model(path)
+            load_model_file(path)
 
     def test_truncated_file(self, tmp_path):
         model, _, _ = trained_models()
@@ -197,7 +229,7 @@ class TestModelPersistence:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CorruptFile):
-            load_model(path)
+            load_model_file(path)
 
     def test_tampered_payload(self, tmp_path):
         model, _, _ = trained_models()
@@ -206,4 +238,4 @@ class TestModelPersistence:
         content = path.read_text().replace("embedding_r = 3", "embedding_r = 4", 1)
         path.write_text(content)
         with pytest.raises(CorruptFile):
-            load_model(path)
+            load_model_file(path)
