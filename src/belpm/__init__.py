@@ -46,6 +46,7 @@ from .model import (
     CmWeights,
     cm_lse_fit,
     predict,
+    predict_many,
     predict_series,
     train,
 )

@@ -18,7 +18,7 @@ from .baselines import WknnModel, wknn_predict
 from .classic import ClassicBelModel, bel_predict, bel_train
 from .errors import ConfigError
 from .metrics import EvaluationReport, PeakReport, correlation, find_peaks, match_peaks, mse, nmse
-from .model import BelpmConfig, BelpmModel, predict as belpm_predict, train as belpm_train
+from .model import BelpmConfig, BelpmModel, predict_many as belpm_predict_many, train as belpm_train
 from .network import KernelKind
 from .series import EmbeddedDataset, TimeSeries, embed, gen_logistic, gen_mackey_glass, split
 from .storage import (
@@ -132,12 +132,14 @@ def train_model(config: ExperimentConfig, train_set: EmbeddedDataset):
 
 
 def predict_with(model, inputs: np.ndarray) -> np.ndarray:
-    """One prediction per input row, by the predict function of the model's kind."""
-    predict = {
-        BelpmModel: belpm_predict,
-        WknnModel: wknn_predict,
-        ClassicBelModel: bel_predict,
-    }[MODEL_KINDS[kind_of(model)].cls]
+    """One prediction per input row, by the predict function of the model's kind.
+
+    A BELPM model answers all rows in one batched neighbor search.
+    """
+    cls = MODEL_KINDS[kind_of(model)].cls
+    if cls is BelpmModel:
+        return belpm_predict_many(model, inputs)
+    predict = {WknnModel: wknn_predict, ClassicBelModel: bel_predict}[cls]
     return np.array([predict(model, x) for x in inputs])
 
 
@@ -215,7 +217,10 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
 
     if config.out_dir is not None:
         out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create {out}: {exc.strerror}") from None
         save_predictions_csv(observed, preds, out / "predictions.csv")
         write_text(out / "report.txt", render_report(report))
         if report.peak_report is not None:

@@ -22,7 +22,7 @@ from .errors import (
     SingularSystem,
     TooFewSamples,
 )
-from .network import AdaptiveNetwork, KernelKind, forward, loo_predictions, train_bandwidths_sd
+from .network import AdaptiveNetwork, KernelKind, _forward_many, _train_sd_loo, forward
 from .series import EmbeddedDataset, TimeSeries, embed
 
 # Relative tolerance for verifying an unregularized normal-equation solution;
@@ -141,15 +141,11 @@ def train(train_set: EmbeddedDataset, config: BelpmConfig = BelpmConfig()) -> Be
         raise TooFewSamples("training needs at least two embedded pairs")
     bl = AdaptiveNetwork(_bl_feature_matrix(train_set.inputs), train_set.targets,
                          k=config.k_a, kernel=config.bl_kernel)
-    bl, _ = train_bandwidths_sd(bl, lr=config.lr, epochs=config.epochs)
-
-    r_a = loo_predictions(bl)
+    bl, _, r_a = _train_sd_loo(bl, lr=config.lr, epochs=config.epochs)
     residuals = train_set.targets - r_a
 
     mo = AdaptiveNetwork(train_set.inputs, residuals, k=config.k_o, kernel=config.mo_kernel)
-    mo, _ = train_bandwidths_sd(mo, lr=config.lr, epochs=config.epochs)
-
-    r_o = loo_predictions(mo)
+    mo, _, r_o = _train_sd_loo(mo, lr=config.lr, epochs=config.epochs)
     cm = cm_lse_fit(r_a, r_o, train_set.targets, ridge=config.ridge)
     return BelpmModel(r=train_set.r, horizon=train_set.horizon,
                       bl=bl, mo=mo, cm=cm, config=config)
@@ -169,6 +165,21 @@ def predict(model: BelpmModel, i) -> float:
     return model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3
 
 
+def predict_many(model: BelpmModel, inputs) -> np.ndarray:
+    """``predict`` for each row of an (m, r) matrix of query vectors, bit for
+    bit, with the neighbor search run over blocks of rows."""
+    arr = np.asarray(inputs, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != model.r:
+        raise DimensionMismatch(
+            f"queries have shape {arr.shape}, model expects (m, {model.r})"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParameter("query must be finite")
+    r_a = _forward_many(model.bl, _bl_feature_matrix(arr))
+    r_o = _forward_many(model.mo, arr)
+    return model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3
+
+
 def predict_series(model: BelpmModel, series: TimeSeries) -> TimeSeries:
     """One prediction per embeddable window of ``series``.
 
@@ -178,6 +189,6 @@ def predict_series(model: BelpmModel, series: TimeSeries) -> TimeSeries:
     index-for-index with the observed values it forecasts.
     """
     dataset = embed(series, model.r, model.horizon)
-    preds = np.array([predict(model, x) for x in dataset.inputs])
+    preds = predict_many(model, dataset.inputs)
     start = series.start_time + (model.r - 1 + model.horizon) * series.step
     return TimeSeries(preds, start_time=start, step=series.step)

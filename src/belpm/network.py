@@ -28,6 +28,9 @@ from .errors import (
 # Lower bound keeping parametric kernels parametric during descent.
 BANDWIDTH_FLOOR = 1e-8
 _MAX_BACKTRACKS = 30
+# Distances computed at once by the batched neighbor search (8 query rows at
+# n = 2000). Larger blocks add memory and save little time.
+_BLOCK_DISTANCES = 2 ** 14
 
 
 class KernelKind(enum.Enum):
@@ -195,23 +198,73 @@ def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> tuple[fl
     return float(out), nb
 
 
+def _rank_smallest(d: np.ndarray, m: int) -> np.ndarray:
+    """Column indices of the m smallest entries of each row of ``d``, ranked
+    as a stable argsort ranks them: by value, ties to the lower index, NaN last."""
+    if m == d.shape[1]:
+        return np.argsort(d, axis=1, kind="stable")
+    part = np.argpartition(d, (m - 1, m), axis=1)
+    edge = np.take_along_axis(d, part[:, m - 1:m + 1], axis=1)
+    top = np.sort(part[:, :m], axis=1)
+    # argpartition breaks a tie at the m-th value arbitrarily, so a row whose
+    # m-th value recurs outside its winners is ranked in full instead.
+    tie = (edge[:, 0] == edge[:, 1]) | np.isnan(edge[:, 0])
+    top[tie] = np.argsort(d[tie], axis=1, kind="stable")[:, :m]
+    order = np.argsort(np.take_along_axis(d, top, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(top, order, axis=1)
+
+
+def _nearest(net: StoredPairs, queries: np.ndarray,
+             loo: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances (each (len(queries), kk)) of the ``net.k``
+    nearest stored samples to each query row, exactly as ``select_k_min``
+    over ``euclidean_distances`` picks and ranks them. With ``loo``, query
+    row j is stored sample j and is left out of its own neighbors.
+
+    Rows go in blocks of at most ``_BLOCK_DISTANCES`` distances, which bounds
+    the scratch memory whatever the number of queries.
+    """
+    x = net.train_inputs
+    n = x.shape[0]
+    kk = min(net.k, n - 1) if loo else net.k
+    rows = max(1, _BLOCK_DISTANCES // n)
+    indices = np.empty((len(queries), kk), dtype=np.intp)
+    dists = np.empty((len(queries), kk))
+    for lo in range(0, len(queries), rows):
+        diff = x - queries[lo:lo + rows, None, :]
+        d = np.einsum("bij,bij->bi", diff, diff)
+        del diff  # the largest buffer; gone before the next block's is made
+        np.sqrt(d, out=d)
+        if loo:
+            # Rank one extra, then drop the query's own index, or the extra
+            # one when the own index is not among them.
+            top = _rank_smallest(d, kk + 1)
+            keep = top != np.arange(lo, lo + len(d))[:, None]
+            keep[keep.all(axis=1), -1] = False
+            top = top[keep].reshape(len(d), kk)
+        else:
+            top = _rank_smallest(d, kk)
+        indices[lo:lo + len(d)] = top
+        dists[lo:lo + len(d)] = np.take_along_axis(d, top, axis=1)
+    return indices, dists
+
+
+def _forward_many(net: AdaptiveNetwork, queries: np.ndarray) -> np.ndarray:
+    """``forward``'s output for each query row, bit for bit."""
+    indices, dists = _nearest(net, queries)
+    return _outputs(net.kernel, dists, net.train_targets[indices], net.bandwidths)
+
+
 def _loo_table(net: AdaptiveNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Ranked neighbor distances and targets (each (n, kk)) for every stored
     sample, with the sample itself excluded.
 
     Selection depends only on distances, never on bandwidths, so one table
-    serves a whole descent.
+    serves a whole descent and the trained network's LOO responses.
     """
     if net.n_samples < 2:
         raise TooFewSamples("leave-one-out needs at least two stored samples")
-    n = net.n_samples
-    kk = min(net.k, n - 1)
-    dists = np.empty((n, kk))
-    indices = np.empty((n, kk), dtype=np.intp)
-    for j in range(n):
-        nb = select_k_min(euclidean_distances(net.train_inputs[j], net), net.k, exclude=j)
-        dists[j] = nb.distances
-        indices[j] = nb.indices
+    indices, dists = _nearest(net, net.train_inputs, loo=True)
     return dists, net.train_targets[indices]
 
 
@@ -278,6 +331,14 @@ def train_bandwidths_sd(
     halves the step until the loss stops increasing; if no step helps, the
     bandwidths stay put for that epoch. Returns the trained network and the
     loss trace (initial loss first, one entry per epoch after)."""
+    trained, trace, _ = _train_sd_loo(net, lr, epochs)
+    return trained, trace
+
+
+def _train_sd_loo(net: AdaptiveNetwork, lr: float,
+                  epochs: int) -> tuple[AdaptiveNetwork, np.ndarray, np.ndarray]:
+    """``train_bandwidths_sd``, plus the trained network's leave-one-out
+    responses (``loo_predictions``) from the same neighbor table."""
     if lr <= 0:
         raise InvalidParameter(f"lr must be positive, got {lr}")
     if epochs < 0:
@@ -287,7 +348,7 @@ def train_bandwidths_sd(
     loss = _loss(net, table, b)
     if not net.kernel.parametric:
         # No learnable parameter: descent is a no-op with a flat trace.
-        return net, np.full(epochs + 1, loss)
+        return net, np.full(epochs + 1, loss), _outputs(net.kernel, *table, b)
     trace = [loss]
     for _ in range(epochs):
         g = _grad(net, table, b)
@@ -300,5 +361,4 @@ def train_bandwidths_sd(
                 break
             step *= 0.5
         trace.append(loss)
-    trained = replace(net, bandwidths=b)
-    return trained, np.asarray(trace)
+    return replace(net, bandwidths=b), np.asarray(trace), _outputs(net.kernel, *table, b)

@@ -151,19 +151,23 @@ def load_series_csv(source: SeriesFile) -> TimeSeries:
 
     start_time, step = 0, 1
     if times[0] is not None:
-        start_time = times[0]
-        if len(times) > 1:
-            step = times[1] - times[0]
-            if step <= 0:
-                raise ParseError("time column must be strictly increasing")
-            for i in range(1, len(times)):
-                if times[i] - times[i - 1] != step:
-                    raise ParseError(
-                        f"non-uniform time step at row {i + 1} of the data"
-                    )
+        start_time, step = times[0], _uniform_step(times)
 
     filled = _fill_gaps(values, source)
     return TimeSeries(np.asarray(filled), start_time=start_time, step=step)
+
+
+def _uniform_step(times: list[int]) -> int:
+    """The one positive step between consecutive times (1 for a single row)."""
+    if len(times) < 2:
+        return 1
+    step = times[1] - times[0]
+    if step <= 0:
+        raise ParseError("time column must be strictly increasing")
+    for i in range(2, len(times)):
+        if times[i] - times[i - 1] != step:
+            raise ParseError(f"non-uniform time step at row {i + 1} of the data")
+    return step
 
 
 def _fill_gaps(values: list[float | None], source: SeriesFile) -> list[float]:
@@ -205,8 +209,8 @@ def save_predictions_csv(observed: TimeSeries, predicted, path) -> None:
 
 
 def load_predictions_csv(path) -> tuple[TimeSeries, np.ndarray]:
-    """The observed series (stepping by its first time difference) and the
-    predictions of a predictions CSV."""
+    """The observed series and the predictions of a predictions CSV, whose
+    times must be uniformly spaced like a series CSV's."""
     times, observed, predicted = [], [], []
     for lineno, parts in _csv_rows(path, "predictions file"):
         if parts[0].lower() == "time":
@@ -218,8 +222,7 @@ def load_predictions_csv(path) -> tuple[TimeSeries, np.ndarray]:
         predicted.append(_parse_float(parts[2], lineno))
     if not observed:
         raise EmptyFile(f"{path}: no prediction rows")
-    step = times[1] - times[0] if len(times) > 1 else 1
-    return (TimeSeries(np.asarray(observed), start_time=times[0], step=max(step, 1)),
+    return (TimeSeries(np.asarray(observed), start_time=times[0], step=_uniform_step(times)),
             np.asarray(predicted))
 
 

@@ -103,6 +103,12 @@ def test_exit_code_1_for_config_errors(tmp_path):
     assert run("predict", "--model", str(model), "--data", str(series),
                "--out", str(tmp_path / "no" / "p.csv")) == 1
 
+    # an output directory below a regular file
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"experiments": [
+        {"generator": "logistic", "gen_n": 40, "n_train": 30, "model": "wknn"}]}))
+    assert run("bench", "--config", str(cfg), "--out-dir", str(model / "x")) == 1
+
 
 def test_exit_code_1_for_missing_model(tmp_path):
     series = tmp_path / "series.csv"
@@ -146,6 +152,10 @@ def test_exit_code_2_for_data_errors(tmp_path):
     # eval on a non-finite prediction
     preds = tmp_path / "preds.csv"
     preds.write_text("time,observed,predicted\n0,1.0,nan\n1,2.0,2.0\n2,1.5,1.0\n")
+    assert run("eval", "--predictions", str(preds)) == 2
+
+    # eval on predictions whose times are not uniformly spaced
+    preds.write_text("time,observed,predicted\n0,1.0,1.1\n1,2.0,2.0\n5,1.5,1.0\n6,1.0,1.2\n")
     assert run("eval", "--predictions", str(preds)) == 2
 
 

@@ -18,7 +18,8 @@ from belpm.model import (
     predict_series,
     train,
 )
-from belpm.network import AdaptiveNetwork, forward, loo_predictions
+from belpm import network
+from belpm.network import AdaptiveNetwork, KernelKind, forward, loo_predictions
 from belpm.series import EmbeddedDataset, TimeSeries, embed, gen_logistic, split
 
 from oracles import lse_3x3
@@ -282,11 +283,14 @@ class TestPredictSeries:
         assert out.start_time == 100 + (3 - 1 + 1) * 5
         assert out.step == 5
 
-    def test_elementwise_matches_predict(self):
+    def test_elementwise_matches_predict(self, monkeypatch):
         train_set, _ = logistic_sets()
-        model = train(train_set, FAST)
         series = gen_logistic(30, r=3.9, x0=0.52)
         ds = embed(series, 3, 1)
-        out = predict_series(model, series)
-        for j in range(len(ds)):
-            assert out.values[j] == predict(model, ds.inputs[j])
+        # 2 query rows per block at n = 120, so the 27 windows end on a part block.
+        monkeypatch.setattr(network, "_BLOCK_DISTANCES", 250)
+        for kind in KernelKind:
+            model = train(train_set, dataclasses.replace(FAST, bl_kernel=kind, mo_kernel=kind))
+            out = predict_series(model, series)
+            for j in range(len(ds)):
+                assert out.values[j] == predict(model, ds.inputs[j])

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from belpm import network
 from belpm.errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -10,6 +15,8 @@ from belpm.errors import (
 from belpm.network import (
     AdaptiveNetwork,
     KernelKind,
+    StoredPairs,
+    _nearest,
     euclidean_distances,
     forward,
     grad_bandwidths,
@@ -102,6 +109,36 @@ class TestSelectKMin:
     def test_exclusion_empties_candidates(self):
         with pytest.raises(NoEligibleSamples):
             select_k_min([1.0], k=1, exclude=0)
+
+
+# Few distinct coordinates make duplicate windows and ties at the k-th
+# distance; the 1e200 scale makes squared differences overflow to inf.
+COORD = st.integers(-2, 2).map(float) | st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_batched_nearest_matches_select_k_min(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    dim = data.draw(st.integers(1, 3), label="dim")
+    scale = data.draw(st.sampled_from([1.0, 1e-3, 1e200]), label="scale")
+    inputs = data.draw(arrays(np.float64, (n, dim), elements=COORD), label="inputs") * scale
+    net = StoredPairs(inputs, np.zeros(n), data.draw(st.integers(1, n + 1), label="k"))
+    loo = data.draw(st.booleans(), label="loo")
+    if loo:
+        queries = inputs
+    else:
+        m = data.draw(st.integers(0, 7), label="m")
+        queries = data.draw(arrays(np.float64, (m, dim), elements=COORD),
+                            label="queries") * scale
+    block = data.draw(st.integers(1, 3 * n), label="block distances")
+    with mock.patch.object(network, "_BLOCK_DISTANCES", block):
+        indices, dists = _nearest(net, queries, loo=loo)
+    assert indices.shape[0] == dists.shape[0] == len(queries)
+    for j, q in enumerate(queries):
+        ref = select_k_min(euclidean_distances(q, net), net.k, exclude=j if loo else None)
+        np.testing.assert_array_equal(indices[j], ref.indices)
+        np.testing.assert_array_equal(dists[j], ref.distances)
 
 
 def two_neighbor_output(kind, d1, d2, bandwidths=None):
