@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import InvalidParameter
 from .network import StoredPairs, euclidean_distances, select_k_min
 from .series import EmbeddedDataset
 
@@ -21,8 +24,12 @@ class WknnModel(StoredPairs):
 
 
 def wknn_predict(model: WknnModel, query) -> float:
-    """Inverse-distance weighted mean of the k nearest neighbors' targets."""
-    nb = select_k_min(euclidean_distances(query, model), model.k)
+    """Inverse-distance weighted mean of the k nearest neighbors' targets.
+    A query holding NaN or inf raises ``InvalidParameter``."""
+    distances = euclidean_distances(query, model)
+    if not np.isfinite(query).all():
+        raise InvalidParameter("query must be finite")
+    nb = select_k_min(distances, model.k)
     raw = 1.0 / (nb.distances + DISTANCE_EPSILON)
     weights = raw / raw.sum()  # normalize first so k=1 recalls targets exactly
     return float(weights @ model.train_targets[nb.indices])

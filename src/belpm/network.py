@@ -173,17 +173,17 @@ def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
 
 
 def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray,
-             bw: np.ndarray) -> np.ndarray:
-    """Network output per row: kernel values normalized to sum to one, then
-    applied to the neighbors' targets. When a row's kernel mass vanishes
-    (underflow, or the rescale kernel with all-zero distances) its weights
-    fall back to uniform. Normalizing before the weighted sum keeps k=1
-    recalling a stored target exactly."""
+             bw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw kernel values, their row sums (axis kept) and the network outputs:
+    kernel values normalized to sum to one, then applied to the neighbors'
+    targets. A row whose kernel mass vanishes (underflow, or the rescale
+    kernel with all-zero distances) falls back to uniform weights. Normalizing
+    first keeps k=1 recalling a stored target exactly."""
     raw = _kernel(kind, dists, bw)
     total = raw.sum(axis=-1, keepdims=True)
     dead = total == 0.0
     weights = np.where(dead, 1.0 / dists.shape[-1], raw / np.where(dead, 1.0, total))
-    return (weights * targets).sum(axis=-1)
+    return raw, total, (weights * targets).sum(axis=-1)
 
 
 def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> tuple[float, NeighborSet]:
@@ -194,24 +194,27 @@ def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> tuple[fl
     mass vanishes, applied to the neighbors' targets.
     """
     nb = select_k_min(euclidean_distances(query, net), net.k, exclude=exclude)
-    out = _outputs(net.kernel, nb.distances, net.train_targets[nb.indices], net.bandwidths)
+    *_, out = _outputs(net.kernel, nb.distances, net.train_targets[nb.indices], net.bandwidths)
     return float(out), nb
 
 
-def _rank_smallest(d: np.ndarray, m: int) -> np.ndarray:
-    """Column indices of the m smallest entries of each row of ``d``, ranked
+def _rank_smallest(d: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of the m smallest entries in each row of ``d``, ranked
     as a stable argsort ranks them: by value, ties to the lower index, NaN last."""
-    if m == d.shape[1]:
-        return np.argsort(d, axis=1, kind="stable")
-    part = np.argpartition(d, (m - 1, m), axis=1)
-    edge = np.take_along_axis(d, part[:, m - 1:m + 1], axis=1)
-    top = np.sort(part[:, :m], axis=1)
-    # argpartition breaks a tie at the m-th value arbitrarily, so a row whose
-    # m-th value recurs outside its winners is ranked in full instead.
-    tie = (edge[:, 0] == edge[:, 1]) | np.isnan(edge[:, 0])
-    top[tie] = np.argsort(d[tie], axis=1, kind="stable")[:, :m]
-    order = np.argsort(np.take_along_axis(d, top, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(top, order, axis=1)
+    rows = np.arange(len(d))[:, None]
+    if m < d.shape[1]:
+        part = np.argpartition(d, m, axis=1)
+        top = np.sort(part[:, :m], axis=1)
+        largest = d[rows, top].max(axis=1)
+        # argpartition breaks a tie at the m-th value arbitrarily, so a row whose
+        # largest winner recurs at position m (or is NaN) is ranked in full instead.
+        tie = (largest == d[rows[:, 0], part[:, m]]) | np.isnan(largest)
+        top[tie] = np.argsort(d[tie], axis=1, kind="stable")[:, :m]
+    else:
+        top = np.broadcast_to(np.arange(m), d.shape)
+    vals = d[rows, top]
+    order = np.argsort(vals, axis=1, kind="stable")
+    return top[rows, order], vals[rows, order]
 
 
 def _nearest(net: StoredPairs, queries: np.ndarray,
@@ -238,21 +241,21 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
         if loo:
             # Rank one extra, then drop the query's own index, or the extra
             # one when the own index is not among them.
-            top = _rank_smallest(d, kk + 1)
+            top, near = _rank_smallest(d, kk + 1)
             keep = top != np.arange(lo, lo + len(d))[:, None]
             keep[keep.all(axis=1), -1] = False
-            top = top[keep].reshape(len(d), kk)
+            top, near = top[keep].reshape(len(d), kk), near[keep].reshape(len(d), kk)
         else:
-            top = _rank_smallest(d, kk)
+            top, near = _rank_smallest(d, kk)
         indices[lo:lo + len(d)] = top
-        dists[lo:lo + len(d)] = np.take_along_axis(d, top, axis=1)
+        dists[lo:lo + len(d)] = near
     return indices, dists
 
 
 def _forward_many(net: AdaptiveNetwork, queries: np.ndarray) -> np.ndarray:
     """``forward``'s output for each query row, bit for bit."""
     indices, dists = _nearest(net, queries)
-    return _outputs(net.kernel, dists, net.train_targets[indices], net.bandwidths)
+    return _outputs(net.kernel, dists, net.train_targets[indices], net.bandwidths)[2]
 
 
 def _loo_table(net: AdaptiveNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -272,17 +275,17 @@ def loo_predictions(net: AdaptiveNetwork) -> np.ndarray:
     """Prediction for each stored sample with that sample excluded from its
     own neighbor set. Needed so training residuals are not trivially zero."""
     dists, targets = _loo_table(net)
-    return _outputs(net.kernel, dists, targets, net.bandwidths)
+    return _outputs(net.kernel, dists, targets, net.bandwidths)[2]
 
 
-def _loss(net: AdaptiveNetwork, table: tuple[np.ndarray, np.ndarray], bw: np.ndarray) -> float:
-    resid = _outputs(net.kernel, *table, bw) - net.train_targets
+def _loss(net: AdaptiveNetwork, outputs: np.ndarray) -> float:
+    resid = outputs - net.train_targets
     return float(resid @ resid)
 
 
-def _grad(net: AdaptiveNetwork, table: tuple[np.ndarray, np.ndarray], bw: np.ndarray) -> np.ndarray:
+def _grad(net: AdaptiveNetwork, table: tuple, bw: np.ndarray, weighed: tuple) -> np.ndarray:
     """Gradient of the leave-one-out squared error with respect to each
-    rank's bandwidth.
+    rank's bandwidth, at ``bw`` whose ``_outputs`` over ``table`` is ``weighed``.
 
     Only rank m's kernel value depends on b_m, so with raw values n1, mass
     S = sum(n1) and output y = sum(n1 * t) / S,
@@ -293,17 +296,16 @@ def _grad(net: AdaptiveNetwork, table: tuple[np.ndarray, np.ndarray], bw: np.nda
     fallback have constant weights and contribute nothing.
     """
     dists, targets = table
+    raw, total, y = weighed
     kk = dists.shape[1]
-    raw = _kernel(net.kernel, dists, bw)
     if net.kernel is KernelKind.EXPONENTIAL:
         draw = -dists * raw
     else:
         draw = -2.0 * dists ** 2 * bw[:kk] * raw ** 2
-    total = raw.sum(axis=1)
-    live = total > 0.0
-    y = _outputs(net.kernel, dists, targets, bw)[live]
+    live = total[:, 0] > 0.0
+    y = y[live]
     resid = y - net.train_targets[live]
-    contrib = 2.0 * resid[:, None] * draw[live] * (targets[live] - y[:, None]) / total[live, None]
+    contrib = 2.0 * resid[:, None] * draw[live] * (targets[live] - y[:, None]) / total[live]
     grad = np.zeros(net.k)
     grad[:kk] = contrib.sum(axis=0)
     return grad
@@ -317,7 +319,8 @@ def grad_bandwidths(net: AdaptiveNetwork) -> np.ndarray:
     """
     if not net.kernel.parametric:
         return np.zeros(net.k)
-    return _grad(net, _loo_table(net), net.bandwidths)
+    table = _loo_table(net)
+    return _grad(net, table, net.bandwidths, _outputs(net.kernel, *table, net.bandwidths))
 
 
 def train_bandwidths_sd(
@@ -345,20 +348,24 @@ def _train_sd_loo(net: AdaptiveNetwork, lr: float,
         raise InvalidParameter(f"epochs must be >= 0, got {epochs}")
     table = _loo_table(net)
     b = net.bandwidths
-    loss = _loss(net, table, b)
+    # One kernel evaluation per candidate: the accepted candidate's values
+    # serve the next gradient and the returned responses.
+    weighed = _outputs(net.kernel, *table, b)
+    loss = _loss(net, weighed[2])
     if not net.kernel.parametric:
         # No learnable parameter: descent is a no-op with a flat trace.
-        return net, np.full(epochs + 1, loss), _outputs(net.kernel, *table, b)
+        return net, np.full(epochs + 1, loss), weighed[2]
     trace = [loss]
     for _ in range(epochs):
-        g = _grad(net, table, b)
+        g = _grad(net, table, b, weighed)
         step = lr
         for _attempt in range(_MAX_BACKTRACKS):
             cand = np.maximum(b - step * g, BANDWIDTH_FLOOR)
-            cand_loss = _loss(net, table, cand)
+            cand_weighed = _outputs(net.kernel, *table, cand)
+            cand_loss = _loss(net, cand_weighed[2])
             if cand_loss <= loss:
-                b, loss = cand, cand_loss
+                b, loss, weighed = cand, cand_loss, cand_weighed
                 break
             step *= 0.5
         trace.append(loss)
-    return replace(net, bandwidths=b), np.asarray(trace), _outputs(net.kernel, *table, b)
+    return replace(net, bandwidths=b), np.asarray(trace), weighed[2]

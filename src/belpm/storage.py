@@ -195,7 +195,7 @@ def _fill_gaps(values: list[float | None], source: SeriesFile) -> list[float]:
 def save_series_csv(series: TimeSeries, path) -> None:
     """Write a ``time,value`` CSV that parses back to the same values."""
     lines = ["time,value"]
-    for j, v in enumerate(series.values):
+    for j, v in enumerate(series.values.tolist()):
         lines.append(f"{series.time_at(j)},{format_float(v)}")
     write_text(path, "\n".join(lines) + "\n")
 
@@ -203,7 +203,7 @@ def save_series_csv(series: TimeSeries, path) -> None:
 def save_predictions_csv(observed: TimeSeries, predicted, path) -> None:
     """Write one ``time,observed,predicted`` row per observed value."""
     rows = ["time,observed,predicted"]
-    for j, (obs, pred) in enumerate(zip(observed.values, predicted)):
+    for j, (obs, pred) in enumerate(zip(observed.values.tolist(), np.asarray(predicted).tolist())):
         rows.append(f"{observed.time_at(j)},{format_float(obs)},{format_float(pred)}")
     write_text(path, "\n".join(rows) + "\n")
 
@@ -229,8 +229,8 @@ def load_predictions_csv(path) -> tuple[TimeSeries, np.ndarray]:
 def save_pairs_csv(dataset: EmbeddedDataset, path) -> None:
     """Write each embedded pair as its window values followed by its target."""
     lines = [f"# embedded pairs r={dataset.r} horizon={dataset.horizon}"]
-    for x, t in zip(dataset.inputs, dataset.targets):
-        lines.append(",".join(format_float(v) for v in (*x, t)))
+    for x, t in zip(dataset.inputs.tolist(), dataset.targets.tolist()):
+        lines.append(",".join(map(format_float, (*x, t))))
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -255,7 +255,7 @@ def _render(fields: dict) -> str:
         if isinstance(value, np.ndarray):
             if value.ndim == 2:
                 lines.append(f"{key}_shape = {value.shape[0]},{value.shape[1]}")
-            value = ",".join(format_float(v) for v in value.ravel())
+            value = ",".join(map(format_float, value.ravel().tolist()))
         elif isinstance(value, (float, np.floating)):
             value = format_float(value)
         lines.append(f"{key} = {value}")
@@ -274,7 +274,7 @@ def _field(fields: dict[str, str], key: str, convert: Callable[[str], Any] = flo
 
 
 def _array(fields: dict[str, str], key: str, finite: bool = True) -> np.ndarray:
-    arr = _field(fields, key, lambda raw: np.array([float(tok) for tok in raw.split(",")]))
+    arr = _field(fields, key, lambda raw: np.array(list(map(float, raw.split(",")))))
     if finite and not np.all(np.isfinite(arr)):
         raise CorruptFile(f"field {key!r} holds a non-finite value")
     return arr

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from belpm.baselines import WknnModel, wknn_predict
-from belpm.errors import DimensionMismatch
+from belpm.errors import DimensionMismatch, InvalidParameter
 from belpm.network import AdaptiveNetwork, KernelKind, forward
 
 from oracles import wknn_direct
@@ -80,3 +80,10 @@ def test_k_clamped_and_dim_checked():
     assert model.k == 3
     with pytest.raises(DimensionMismatch):
         wknn_predict(model, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_rejected(bad):
+    model = WknnModel(np.arange(6.0).reshape(3, 2), np.arange(3.0), k=2)
+    with pytest.raises(InvalidParameter, match="finite"):
+        wknn_predict(model, [1.0, bad])

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -112,10 +113,13 @@ class TestSelectKMin:
 
 
 # Few distinct coordinates make duplicate windows and ties at the k-th
-# distance; the 1e200 scale makes squared differences overflow to inf.
-COORD = st.integers(-2, 2).map(float) | st.floats(-3.0, 3.0)
+# distance; the 1e200 scale makes squared differences overflow to inf, and
+# infinite coordinates make inf - inf, so NaN distances reach the ranking.
+COORD = (st.integers(-2, 2).map(float) | st.floats(-3.0, 3.0)
+         | st.sampled_from([np.inf, -np.inf]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_batched_nearest_matches_select_k_min(data):
@@ -138,7 +142,7 @@ def test_batched_nearest_matches_select_k_min(data):
     for j, q in enumerate(queries):
         ref = select_k_min(euclidean_distances(q, net), net.k, exclude=j if loo else None)
         np.testing.assert_array_equal(indices[j], ref.indices)
-        np.testing.assert_array_equal(dists[j], ref.distances)
+        assert np.array_equal(dists[j], ref.distances, equal_nan=True)
 
 
 def two_neighbor_output(kind, d1, d2, bandwidths=None):
@@ -402,6 +406,33 @@ class TestTrainBandwidths:
         _, trace = train_bandwidths_sd(net, lr=0.05, epochs=50)
         assert trace.shape == (51,)
         assert trace[-1] <= trace[0]
+
+    @pytest.mark.parametrize("kind", ALL_KERNELS)
+    def test_fused_loop_matches_public_steps(self, kind):
+        # The descent reuses each accepted candidate's kernel values for the
+        # next gradient and the returned responses; replay it from the
+        # public functions, with lr large enough that steps backtrack.
+        net = random_instance(np.random.default_rng(17), n=30, r=2, k=5, kind=kind)
+        lr, epochs = 20.0, 8
+        trained, trace, responses = network._train_sd_loo(net, lr, epochs)
+        b, loss = net.bandwidths, loo_loss(net)
+        ref_trace, backtracks = [loss], 0
+        for _ in range(epochs):
+            g = grad_bandwidths(replace(net, bandwidths=b))
+            step = lr
+            for _attempt in range(network._MAX_BACKTRACKS):
+                cand = np.maximum(b - step * g, network.BANDWIDTH_FLOOR)
+                cand_loss = loo_loss(replace(net, bandwidths=cand))
+                if cand_loss <= loss:
+                    b, loss = cand, cand_loss
+                    break
+                step *= 0.5
+                backtracks += 1
+            ref_trace.append(loss)
+        assert backtracks > 0 or not kind.parametric
+        np.testing.assert_array_equal(trace, ref_trace)
+        np.testing.assert_array_equal(trained.bandwidths, b)
+        np.testing.assert_array_equal(responses, loo_predictions(trained))
 
     def test_bandwidth_floor_respected(self):
         X = np.array([[0.0], [0.2], [0.4], [0.9]])
