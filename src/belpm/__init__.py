@@ -71,7 +71,6 @@ from .series import (
 )
 from .storage import (
     LoadedModel,
-    SeriesFile,
     load_model_file,
     load_series_csv,
     save_model,

@@ -23,14 +23,14 @@ from .experiment import (
     train_model,
 )
 from .metrics import find_peaks, match_peaks
-from .series import TimeSeries, embed, split
+from .series import TimeSeries, embed, shared_span, split
 from .storage import (
     GAP_ERROR,
     GAP_INTERPOLATE,
     MODEL_KINDS,
-    SeriesFile,
     format_float,
     load_model_file,
+    load_predicted_series,
     load_predictions_csv,
     load_series_csv,
     read_text,
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("peaks", help="list peaks; optionally match predictions")
     _add_data_args(p)
     p.add_argument("--top-m", type=int, default=None)
-    p.add_argument("--predicted", default=None, help="predicted series CSV")
+    p.add_argument("--predicted", default=None, help="series or predictions CSV")
     p.add_argument("--window", type=int, default=2)
 
     p = sub.add_parser("bench", help="run experiment config(s) end to end")
@@ -176,19 +176,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_peaks(args) -> int:
-    series = resolve_series(_config(args))
+    series = load_series_csv(args.data_path, args.missing_sentinel, args.gap_policy)
+    first = 0
+    if args.predicted is not None:
+        first, series, predicted = shared_span(series, load_predicted_series(args.predicted))
     peaks = find_peaks(series, top_m=args.top_m)
     print("index,time,value")
     for t in peaks:
-        print(f"{int(t)},{series.time_at(int(t))},{format_float(series.values[t])}")
+        print(f"{first + int(t)},{series.time_at(int(t))},{format_float(series.values[t])}")
     if args.predicted is not None:
-        pred_path = Path(args.predicted)
-        if not pred_path.exists():
-            raise ConfigError(f"predicted series not found: {args.predicted}")
-        predicted = load_series_csv(SeriesFile(path=str(pred_path)))
-        report = match_peaks(peaks, predicted, window=args.window,
-                             top_m=args.top_m)
-        print(render_peak_report(report, peaks), end="")
+        report = match_peaks(peaks, predicted, window=args.window, top_m=args.top_m)
+        print(render_peak_report(report, first + peaks), end="")
     return 0
 
 
@@ -197,20 +195,18 @@ def _cmd_bench(args) -> int:
         doc = json.loads(read_text(args.config, "config file", ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}: invalid JSON ({exc})") from None
-    if isinstance(doc, dict) and "experiments" in doc:
-        raw_list = doc["experiments"]
-    elif isinstance(doc, dict):
-        raw_list = [doc]
-    else:
+    if not isinstance(doc, dict):
         raise ConfigError("config must be an object or {'experiments': [...]}")
+    raw_list = doc.get("experiments", [doc])
+    if not isinstance(raw_list, list):
+        raise ConfigError("'experiments' must be a list")
     configs = []
     for i, raw in enumerate(raw_list):
         if not isinstance(raw, dict):
             raise ConfigError(f"experiment {i} must be a JSON object")
         if args.out_dir is not None:
-            raw = dict(raw)
-            raw["out_dir"] = str(Path(args.out_dir) / str(i)) \
-                if len(raw_list) > 1 else args.out_dir
+            out_dir = Path(args.out_dir) / str(i) if len(raw_list) > 1 else args.out_dir
+            raw = {**raw, "out_dir": str(out_dir)}
         configs.append(ExperimentConfig.from_mapping(raw))
     for i, config in enumerate(configs):
         report = run_experiment(config)

@@ -23,13 +23,15 @@ from .network import KernelKind
 from .series import EmbeddedDataset, TimeSeries, embed, gen_logistic, gen_mackey_glass, split
 from .storage import (
     MODEL_KINDS,
-    SeriesFile,
     format_float,
     kind_of,
     load_series_csv,
     save_predictions_csv,
     write_text,
 )
+
+# Field annotation -> the JSON value types it accepts.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 # Generator name -> the series a config asks of it; x0 is passed when set.
 GENERATORS = {
@@ -86,9 +88,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        unknown = set(mapping) - set(cls.field_names())
+        """The config of a JSON-style mapping; each value must have its field's
+        type (an int serves for a float, a bool for neither)."""
+        types = {field.name: field.type for field in dataclass_fields(cls)}
+        unknown = set(mapping) - set(types)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in mapping.items():
+            kind, _, optional = types[name].partition(" | ")
+            typed = isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
+            if not (typed or value is None and optional):
+                raise ConfigError(f"config field {name!r} must be {types[name]}, got {value!r}")
         return cls(**mapping)
 
 
@@ -97,11 +107,7 @@ def resolve_series(config: ExperimentConfig) -> TimeSeries:
     if (config.data_path is None) == (config.generator is None):
         raise ConfigError("exactly one of data_path / generator must be set")
     if config.data_path is not None:
-        return load_series_csv(SeriesFile(
-            path=config.data_path,
-            missing_sentinel=config.missing_sentinel,
-            gap_policy=config.gap_policy,
-        ))
+        return load_series_csv(config.data_path, config.missing_sentinel, config.gap_policy)
     if config.generator not in GENERATORS:
         raise ConfigError(f"unknown generator {config.generator!r}")
     x0 = {} if config.gen_x0 is None else {"x0": config.gen_x0}

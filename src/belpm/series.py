@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptyInput,
     IndexOutOfRange,
     InvalidParameter,
@@ -55,6 +56,20 @@ class TimeSeries:
     def time_at(self, index: int) -> int:
         """Epoch of the observation at ``index``."""
         return self.start_time + index * self.step
+
+
+def shared_span(a: TimeSeries, b: TimeSeries) -> tuple[int, TimeSeries, TimeSeries]:
+    """The two series cut to the times they share, and the index in ``a``
+    where those times begin. ``b``'s times must lie on ``a``'s grid."""
+    shift, off_grid = divmod(b.start_time - a.start_time, a.step)
+    if off_grid or b.step != a.step:
+        raise DataError(f"times {b.start_time} + j*{b.step} are off the grid "
+                        f"{a.start_time} + j*{a.step}")
+    lo, hi = max(0, shift), min(len(a), shift + len(b))
+    if lo >= hi:
+        raise DataError("the two series share no time")
+    cut = lambda s, i: TimeSeries(s.values[i:i + hi - lo], start_time=s.time_at(i), step=s.step)
+    return lo, cut(a, lo), cut(b, lo - shift)
 
 
 @dataclass(frozen=True)
@@ -122,15 +137,9 @@ def split(dataset: EmbeddedDataset, n_train: int) -> tuple[EmbeddedDataset, Embe
         raise IndexOutOfRange(
             f"n_train={n_train} outside [0, {len(dataset)}]"
         )
-    head = EmbeddedDataset(
-        dataset.inputs[:n_train], dataset.targets[:n_train],
-        r=dataset.r, horizon=dataset.horizon,
-    )
-    tail = EmbeddedDataset(
-        dataset.inputs[n_train:], dataset.targets[n_train:],
-        r=dataset.r, horizon=dataset.horizon,
-    )
-    return head, tail
+    part = lambda rows: EmbeddedDataset(dataset.inputs[rows], dataset.targets[rows],
+                                        r=dataset.r, horizon=dataset.horizon)
+    return part(slice(n_train)), part(slice(n_train, None))
 
 
 def gen_mackey_glass(n: int, tau: int = 17, x0: float = 1.2, warmup: int = 0) -> TimeSeries:

@@ -1,10 +1,9 @@
 """File formats: the series, predictions and embedded-pairs CSVs, and model files.
 
-Series CSV: UTF-8, LF or CRLF, '#' comment lines and blank lines ignored,
-one observation per line as either ``value`` or ``time,value`` (a literal
-``time,value`` header row is tolerated). Times, when present, must be
-uniformly spaced integers. A predictions CSV follows the same line rules
-with ``time,observed,predicted`` rows.
+CSV tables: UTF-8, LF or CRLF, '#' comment lines and blank lines ignored,
+a leading ``time,...`` header row skipped, and one row per line in a single
+form: a series CSV holds ``value`` or ``time,value`` rows, a predictions CSV
+``time,observed,predicted`` rows. Times are integers with one uniform step.
 
 Model file: line-oriented ``key = value`` text under a ``belpm-model v2``
 header, arrays as comma-separated 17-significant-digit numerals, matrices
@@ -21,8 +20,9 @@ written is a config error."""
 
 from __future__ import annotations
 
+import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -53,19 +53,6 @@ GAP_ERROR = "error"
 GAP_INTERPOLATE = "linear_interpolate"
 
 
-@dataclass(frozen=True)
-class SeriesFile:
-    """A CSV source plus its missing-value handling."""
-
-    path: str
-    missing_sentinel: float | None = None
-    gap_policy: str = GAP_ERROR
-
-    def __post_init__(self):
-        if self.gap_policy not in (GAP_ERROR, GAP_INTERPOLATE):
-            raise InvalidParameter(f"unknown gap policy {self.gap_policy!r}")
-
-
 def format_float(x: float) -> str:
     """The 17-significant-digit numeral every format writes; it parses back exactly."""
     return format(float(x), ".17g")
@@ -94,136 +81,105 @@ def write_text(path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _csv_rows(path, what: str):
-    """(line number, stripped comma-separated fields) of every line that is
-    neither blank nor a '#' comment."""
+def _read_table(path, what: str, forms: tuple[str, ...]) -> list[TimeSeries]:
+    """One series per value column of a CSV table whose rows all follow the
+    one of ``forms`` (say ``value`` or ``time,value``) that the first row
+    picks. Rows without times are timed 0, 1, 2, ..."""
+    form_of = {form.count(",") + 1: form for form in forms}
+    width, times, values = 0, [], []
     for lineno, raw in enumerate(read_text(path, what).splitlines(), start=1):
         line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, [p.strip() for p in line.split(",")]
-
-
-def _parse_float(token: str, lineno: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: cannot parse number {token!r}") from None
-    if not np.isfinite(value):
-        raise ParseError(f"line {lineno}: non-finite value {token!r}")
-    return value
-
-
-def _parse_time(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: cannot parse time {token!r}") from None
-
-
-def load_series_csv(source: SeriesFile) -> TimeSeries:
-    """Parse a series CSV, applying the sentinel/gap policy."""
-    path = Path(source.path)
-    times: list[int | None] = []
-    values: list[float | None] = []
-    timed: bool | None = None
-    for lineno, parts in _csv_rows(path, "data file"):
-        if timed is None and [p.lower() for p in parts] == ["time", "value"]:
+        if not line or line.startswith("#"):
             continue
-        if len(parts) == 1:
-            t: int | None = None
-            v = _parse_float(parts[0], lineno)
-        elif len(parts) == 2:
-            t = _parse_time(parts[0], lineno)
-            v = _parse_float(parts[1], lineno)
-        else:
-            raise ParseError(f"line {lineno}: expected 'value' or 'time,value'")
-        if timed is None:
-            timed = t is not None
-        elif timed != (t is not None):
-            raise ParseError(f"line {lineno}: mixed timed and untimed rows")
-        times.append(t)
-        if source.missing_sentinel is not None and v == source.missing_sentinel:
-            values.append(None)
-        else:
-            values.append(v)
-    if not values:
+        parts = line.split(",")
+        if not width:
+            if parts[0].strip().lower() == "time":
+                continue  # the header
+            if len(parts) not in form_of:
+                raise ParseError(f"line {lineno}: expected {' or '.join(map(repr, forms))}")
+            width = len(parts)
+            timed = form_of[width].startswith("time,")
+        elif len(parts) != width:
+            raise ParseError(f"line {lineno}: expected {form_of[width]!r} like the first row")
+        if timed:
+            try:
+                times.append(int(parts[0]))
+            except ValueError:
+                raise ParseError(f"line {lineno}: cannot parse time {parts[0].strip()!r}") from None
+        for token in parts[1:] if timed else parts:
+            try:
+                value = float(token)
+            except ValueError:
+                raise ParseError(f"line {lineno}: cannot parse number {token.strip()!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(f"line {lineno}: non-finite value {token.strip()!r}")
+            values.append(value)
+    if not width:
         raise EmptyFile(f"{path}: no observations")
-
-    start_time, step = 0, 1
-    if times[0] is not None:
-        start_time, step = times[0], _uniform_step(times)
-
-    filled = _fill_gaps(values, source)
-    return TimeSeries(np.asarray(filled), start_time=start_time, step=step)
-
-
-def _uniform_step(times: list[int]) -> int:
-    """The one positive step between consecutive times (1 for a single row)."""
-    if len(times) < 2:
-        return 1
-    step = times[1] - times[0]
-    if step <= 0:
-        raise ParseError("time column must be strictly increasing")
-    for i in range(2, len(times)):
-        if times[i] - times[i - 1] != step:
-            raise ParseError(f"non-uniform time step at row {i + 1} of the data")
-    return step
+    start, step = 0, 1
+    if timed:
+        start = times[0]
+        step = times[1] - start if len(times) > 1 else 1
+        if step <= 0:
+            raise ParseError("time column must be strictly increasing")
+        grid = range(start, start + step * len(times), step)
+        if times != list(grid):
+            row = next(i for i, (t, g) in enumerate(zip(times, grid), start=1) if t != g)
+            raise ParseError(f"non-uniform time step at row {row} of the data")
+    columns = np.array(values).reshape(-1, width - timed).T
+    return [TimeSeries(column, start_time=start, step=step) for column in columns]
 
 
-def _fill_gaps(values: list[float | None], source: SeriesFile) -> list[float]:
-    gaps = [i for i, v in enumerate(values) if v is None]
-    if not gaps:
-        return values  # type: ignore[return-value]
-    if source.gap_policy == GAP_ERROR:
-        raise GapError(
-            f"missing-value sentinel at observation {gaps[0] + 1} "
-            f"and gap policy is '{GAP_ERROR}'"
-        )
-    known = [i for i, v in enumerate(values) if v is not None]
-    if not known:
-        raise GapError("every observation is a missing-value sentinel")
-    if gaps[0] < known[0] or gaps[-1] > known[-1]:
-        raise GapError("cannot interpolate a gap at the start or end of the series")
-    filled = np.interp(
-        np.arange(len(values), dtype=float),
-        np.asarray(known, dtype=float),
-        np.asarray([values[i] for i in known], dtype=float),
-    )
-    return list(filled)
+def load_series_csv(path, missing_sentinel: float | None = None,
+                    gap_policy: str = GAP_ERROR) -> TimeSeries:
+    """Parse a series CSV. A value equal to ``missing_sentinel`` is a gap:
+    an error, or linearly interpolated from its neighbours, per ``gap_policy``."""
+    if gap_policy not in (GAP_ERROR, GAP_INTERPOLATE):
+        raise InvalidParameter(f"unknown gap policy {gap_policy!r}")
+    (series,) = _read_table(path, "data file", ("value", "time,value"))
+    values = series.values
+    if missing_sentinel is not None and (gaps := values == missing_sentinel).any():
+        if gap_policy == GAP_ERROR:
+            raise GapError(f"missing-value sentinel at observation {np.argmax(gaps) + 1} "
+                           f"and gap policy is '{GAP_ERROR}'")
+        if gaps.all():
+            raise GapError("every observation is a missing-value sentinel")
+        if gaps[0] or gaps[-1]:
+            raise GapError("cannot interpolate a gap at the start or end of the series")
+        known = np.flatnonzero(~gaps)
+        series = replace(series, values=np.interp(np.arange(values.size, dtype=float),
+                                                  known, values[known]))
+    return series
+
+
+def load_predictions_csv(path) -> tuple[TimeSeries, np.ndarray]:
+    """The observed series and the predictions of a predictions CSV."""
+    observed, predicted = _read_table(path, "predictions file", ("time,observed,predicted",))
+    return observed, predicted.values
+
+
+def load_predicted_series(path) -> TimeSeries:
+    """The series of a series CSV, or the ``predicted`` column of a predictions CSV."""
+    forms = ("value", "time,value", "time,observed,predicted")
+    return _read_table(path, "predicted series", forms)[-1]
+
+
+def _write_table(path, series: TimeSeries, header: str, *columns) -> None:
+    """A ``header`` line, then per value of ``series`` its time and ``columns``."""
+    times = range(series.start_time, series.time_at(len(series)), series.step)
+    cells = [map(format_float, np.asarray(column).tolist()) for column in columns]
+    rows = map(",".join, zip(map(str, times), *cells))
+    write_text(path, "\n".join([header, *rows]) + "\n")
 
 
 def save_series_csv(series: TimeSeries, path) -> None:
     """Write a ``time,value`` CSV that parses back to the same values."""
-    lines = ["time,value"]
-    for j, v in enumerate(series.values.tolist()):
-        lines.append(f"{series.time_at(j)},{format_float(v)}")
-    write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, series, "time,value", series.values)
 
 
 def save_predictions_csv(observed: TimeSeries, predicted, path) -> None:
     """Write one ``time,observed,predicted`` row per observed value."""
-    rows = ["time,observed,predicted"]
-    for j, (obs, pred) in enumerate(zip(observed.values.tolist(), np.asarray(predicted).tolist())):
-        rows.append(f"{observed.time_at(j)},{format_float(obs)},{format_float(pred)}")
-    write_text(path, "\n".join(rows) + "\n")
-
-
-def load_predictions_csv(path) -> tuple[TimeSeries, np.ndarray]:
-    """The observed series and the predictions of a predictions CSV, whose
-    times must be uniformly spaced like a series CSV's."""
-    times, observed, predicted = [], [], []
-    for lineno, parts in _csv_rows(path, "predictions file"):
-        if parts[0].lower() == "time":
-            continue
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 'time,observed,predicted'")
-        times.append(_parse_time(parts[0], lineno))
-        observed.append(_parse_float(parts[1], lineno))
-        predicted.append(_parse_float(parts[2], lineno))
-    if not observed:
-        raise EmptyFile(f"{path}: no prediction rows")
-    return (TimeSeries(np.asarray(observed), start_time=times[0], step=_uniform_step(times)),
-            np.asarray(predicted))
+    _write_table(path, observed, "time,observed,predicted", observed.values, predicted)
 
 
 def save_pairs_csv(dataset: EmbeddedDataset, path) -> None:

@@ -22,7 +22,6 @@ from belpm import (
     EmbeddedDataset,
     ExperimentConfig,
     KernelKind,
-    SeriesFile,
     TimeSeries,
     WknnModel,
     bel_forward,
@@ -171,7 +170,7 @@ def test_criterion_5_ae_march_1992_if_supplied():
         print("ACCEPTANCE 5: SKIP - no 1-minute AE data for March 1992 supplied "
               f"(set {AE_DATA_ENV} or place {AE_DATA_DEFAULT})")
         pytest.skip("AE March 1992 data not supplied")
-    series = load_series_csv(SeriesFile(path=path))
+    series = load_series_csv(path)
     minutes_per_day = 1440
     assert len(series) >= 9 * minutes_per_day, "need at least 9 days of 1-min data"
 

@@ -1,11 +1,14 @@
 import json
 
 import numpy as np
+import pytest
 
 from belpm.cli import main
+from belpm.experiment import render_peak_report
+from belpm.metrics import find_peaks, match_peaks
 from belpm.model import predict
-from belpm.series import embed, gen_logistic
-from belpm.storage import SeriesFile, load_model_file, load_series_csv
+from belpm.series import TimeSeries, embed, gen_logistic
+from belpm.storage import format_float, load_model_file, load_series_csv, save_series_csv
 
 from oracles import rechecksum
 
@@ -22,7 +25,7 @@ def test_gen_writes_deterministic_csv(tmp_path):
     assert run("gen", "--kind", "logistic", "--n", "50", "--x0", "0.3",
                "--rate", "3.9", "--out", str(out)) == 0
     assert out.read_bytes() == first
-    series = load_series_csv(SeriesFile(path=str(out)))
+    series = load_series_csv(str(out))
     np.testing.assert_array_equal(series.values, gen_logistic(50, 3.9, 0.3).values)
 
 
@@ -55,7 +58,7 @@ def test_cli_predictions_match_library(tmp_path):
         "--n-train", "60", "--model", "belpm", "--k-a", "4", "--k-o", "4",
         "--epochs", "2", "--out", str(model_path))
     model = load_model_file(model_path).model
-    series = load_series_csv(SeriesFile(path=str(series_path)))
+    series = load_series_csv(str(series_path))
     ds = embed(series, 3, 1)
     preds_path = tmp_path / "preds.csv"
     run("predict", "--model", str(model_path), "--data", str(series_path),
@@ -182,3 +185,97 @@ def test_exit_code_3_for_numeric_errors(tmp_path):
     preds = tmp_path / "preds.csv"
     preds.write_text("time,observed,predicted\n0,1.0,1.0\n1,1.0,2.0\n")
     assert run("eval", "--predictions", str(preds)) == 3
+
+
+def peak_lines(series, peaks, first=0):
+    return [f"{first + int(t)},{series.time_at(int(t))},{format_float(series.values[t])}"
+            for t in peaks]
+
+
+def test_peaks_reads_what_predict_writes(tmp_path, capsys):
+    series_path = tmp_path / "mg.csv"
+    model = tmp_path / "model.txt"
+    preds = tmp_path / "preds.csv"
+    run("gen", "--kind", "mackey_glass", "--n", "600", "--tau", "17", "--warmup", "100",
+        "--out", str(series_path))
+    run("train", "--data", str(series_path), "--n-train", "400", "--model", "wknn",
+        "--out", str(model))
+    run("predict", "--model", str(model), "--data", str(series_path), "--out", str(preds))
+    capsys.readouterr()
+    assert run("peaks", "--data", str(series_path), "--top-m", "10",
+               "--predicted", str(preds), "--window", "2") == 0
+
+    # Predictions start at time 3 (r=3, horizon 1): both sides are cut to 3..599.
+    observed = load_series_csv(str(series_path))
+    span = TimeSeries(observed.values[3:], start_time=3)
+    predicted = TimeSeries([float(row.split(",")[2]) for row
+                            in preds.read_text().splitlines()[1:]], start_time=3)
+    peaks = find_peaks(span, top_m=10)
+    report = match_peaks(peaks, predicted, window=2, top_m=10)
+    assert capsys.readouterr().out.splitlines() == (
+        ["index,time,value", *peak_lines(span, peaks, first=3)]
+        + render_peak_report(report, peaks + 3).splitlines())
+
+
+def test_peaks_matches_on_shared_times(tmp_path, capsys):
+    observed = gen_logistic(120, 3.9, 0.3).values
+    obs_path, pred_path = tmp_path / "observed.csv", tmp_path / "predicted.csv"
+    save_series_csv(TimeSeries(observed, start_time=100, step=5), obs_path)
+
+    # A perfect prediction of times 115..695 scores every peak exact.
+    save_series_csv(TimeSeries(observed[3:], start_time=115, step=5), pred_path)
+    assert run("peaks", "--data", str(obs_path), "--top-m", "5",
+               "--predicted", str(pred_path)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "identified_exact = 5" in out and "missed = 0" in out
+    for row in out[1:6]:  # the index column counts rows of --data
+        index, time, _ = row.split(",")
+        assert int(time) == 100 + 5 * int(index)
+
+    # Same start, step and length: the whole series, matched index for index.
+    predicted = observed + 0.01 * np.sin(np.arange(observed.size))
+    save_series_csv(TimeSeries(predicted, start_time=100, step=5), pred_path)
+    assert run("peaks", "--data", str(obs_path), "--top-m", "5",
+               "--predicted", str(pred_path)) == 0
+    series = TimeSeries(observed, start_time=100, step=5)
+    peaks = find_peaks(series, top_m=5)
+    report = match_peaks(peaks, TimeSeries(predicted), window=2, top_m=5)
+    assert capsys.readouterr().out.splitlines() == (
+        ["index,time,value", *peak_lines(series, peaks)]
+        + render_peak_report(report, peaks).splitlines())
+
+
+@pytest.mark.parametrize("start, step", [(102, 5), (100, 10), (1000, 5)])
+def test_peaks_rejects_times_off_grid_or_disjoint(tmp_path, capsys, start, step):
+    values = gen_logistic(60, 3.9, 0.3).values
+    obs_path, pred_path = tmp_path / "observed.csv", tmp_path / "predicted.csv"
+    save_series_csv(TimeSeries(values, start_time=100, step=5), obs_path)
+    save_series_csv(TimeSeries(values, start_time=start, step=step), pred_path)
+    capsys.readouterr()
+    assert run("peaks", "--data", str(obs_path), "--predicted", str(pred_path)) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_peaks_missing_predicted_file(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    run("gen", "--kind", "logistic", "--n", "30", "--out", str(series))
+    capsys.readouterr()
+    assert run("peaks", "--data", str(series), "--predicted", str(tmp_path / "no.csv")) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"experiments": 5}, "experiments"),
+    ({"generator": "logistic", "gen_n": "x"}, "gen_n"),
+    ({"generator": "logistic", "embed_r": "3"}, "embed_r"),
+    ({"generator": "logistic", "model": ["belpm"]}, "model"),
+    ({"generator": "logistic", "epochs": True}, "epochs"),
+    ({"generator": "logistic", "lr": "0.05"}, "lr"),
+    ({"generator": "logistic", "peak_top_m": 2.5}, "peak_top_m"),
+    ({"experiments": [{"generator": "logistic", "missing_sentinel": "NA"}]}, "missing_sentinel"),
+])
+def test_bench_rejects_wrongly_typed_config(tmp_path, capsys, doc, field):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(doc))
+    assert run("bench", "--config", str(cfg)) == 1
+    assert repr(field) in capsys.readouterr().err

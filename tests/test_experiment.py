@@ -55,6 +55,16 @@ def test_unknown_config_field_rejected():
         ExperimentConfig.from_mapping({"modle": "belpm"})
 
 
+def test_config_values_checked_against_field_types():
+    config = ExperimentConfig.from_mapping(
+        {"generator": "logistic", "lr": 1, "gen_x0": None, "peak_top_m": 3})
+    assert config.lr == 1 and config.gen_x0 is None and config.peak_top_m == 3
+    for bad in ({"gen_n": 600.0}, {"k_a": False}, {"ridge": True}, {"gen_rate": None},
+                {"data_path": 3}):
+        with pytest.raises(ConfigError, match=repr(next(iter(bad)))):
+            ExperimentConfig.from_mapping(bad)
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
