@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .series import EmbeddedDataset
+from .series import EmbeddedDataset, _frozen_f64
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,12 @@ class ClassicBelModel:
     beta: float
 
     def __post_init__(self):
-        v = np.array(self.v, dtype=np.float64, copy=True)
-        w = np.array(self.w, dtype=np.float64, copy=True)
-        if v.ndim != 1 or v.shape != w.shape:
+        # Training can diverge to non-finite weights; they are kept as they are.
+        v, w = _frozen_f64(self.v, ndim=1), _frozen_f64(self.w, ndim=1)
+        if v.shape != w.shape:
             raise InvalidParameter("v and w must be 1-D arrays of equal length")
         if not 0.0 < self.alpha <= 1.0 or not 0.0 < self.beta <= 1.0:
             raise InvalidParameter("alpha and beta must lie in (0, 1]")
-        v.flags.writeable = False
-        w.flags.writeable = False
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
 

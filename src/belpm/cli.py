@@ -198,8 +198,8 @@ def _cmd_bench(args) -> int:
     if not isinstance(doc, dict):
         raise ConfigError("config must be an object or {'experiments': [...]}")
     raw_list = doc.get("experiments", [doc])
-    if not isinstance(raw_list, list):
-        raise ConfigError("'experiments' must be a list")
+    if not isinstance(raw_list, list) or not raw_list:
+        raise ConfigError("'experiments' must be a non-empty list")
     configs = []
     for i, raw in enumerate(raw_list):
         if not isinstance(raw, dict):
@@ -233,6 +233,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():  # Python 3.11's argparse reads ``--flag=--`` as []
+            raise ConfigError("'--' is not a flag value")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,8 +30,8 @@ from .storage import (
     write_text,
 )
 
-# Field annotation -> the JSON value types it accepts.
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+# Field annotation -> the value types it accepts.
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 # Generator name -> the series a config asks of it; x0 is passed when set.
 GENERATORS = {
@@ -43,7 +43,9 @@ GENERATORS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; exactly one of ``data_path``/``generator``."""
+    """Everything a run needs; exactly one of ``data_path``/``generator``.
+    Each value must have its field's type (an int serves for a float, a bool
+    for neither), however the config is built."""
 
     # data source
     data_path: str | None = None
@@ -79,6 +81,12 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for field in dataclass_fields(self):
+            value = getattr(self, field.name)
+            kind, _, optional = field.type.partition(" | ")
+            typed = isinstance(value, _FIELD_TYPES[kind]) and not isinstance(value, bool)
+            if not (typed or value is None and optional):
+                raise ConfigError(f"config field {field.name!r} must be {field.type}, got {value!r}")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model!r}")
 
@@ -88,17 +96,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        """The config of a JSON-style mapping; each value must have its field's
-        type (an int serves for a float, a bool for neither)."""
-        types = {field.name: field.type for field in dataclass_fields(cls)}
-        unknown = set(mapping) - set(types)
+        """The config of a JSON-style mapping; a key that names no field is an error."""
+        unknown = set(mapping) - set(cls.field_names())
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in mapping.items():
-            kind, _, optional = types[name].partition(" | ")
-            typed = isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
-            if not (typed or value is None and optional):
-                raise ConfigError(f"config field {name!r} must be {types[name]}, got {value!r}")
         return cls(**mapping)
 
 

@@ -32,11 +32,15 @@ _NORMAL_EQ_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CmWeights:
-    """Fusion weights of the fused response w1 * r_a + w2 * r_o + w3."""
+    """Fusion weights of the fused response w1 * r_a + w2 * r_o + w3; all finite."""
 
     w1: float
     w2: float
     w3: float
+
+    def __post_init__(self):
+        if not np.isfinite([self.w1, self.w2, self.w3]).all():
+            raise InvalidParameter(f"fusion weights must be finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -54,12 +58,12 @@ class BelpmConfig:
     def __post_init__(self):
         if self.k_a < 1 or self.k_o < 1:
             raise InvalidParameter("neighbor counts must be >= 1")
-        if self.lr <= 0:
-            raise InvalidParameter(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise InvalidParameter(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 0:
             raise InvalidParameter(f"epochs must be >= 0, got {self.epochs}")
-        if self.ridge < 0:
-            raise InvalidParameter(f"ridge must be >= 0, got {self.ridge}")
+        if not 0 <= self.ridge < np.inf:
+            raise InvalidParameter(f"ridge must be >= 0 and finite, got {self.ridge}")
 
 
 @dataclass(frozen=True)
@@ -98,19 +102,22 @@ def cm_lse_fit(r_a_list, r_o_list, r_u_list, ridge: float = 1e-8) -> CmWeights:
 
     Minimizes sum((w1*r_a + w2*r_o + w3 - r_u)^2) + ridge * |w|^2 through the
     3x3 normal equations. Rank-deficient designs resolve to the minimum-norm
-    minimizer; ``SingularSystem`` is raised only when, at ridge=0, even that
-    fails to satisfy the normal equations numerically (retry with ridge > 0).
+    minimizer. ``SingularSystem`` means the normal equations are not finite,
+    or at ridge=0 even that minimizer fails them numerically (retry ridge > 0).
     """
     ra = np.asarray(r_a_list, dtype=np.float64)
     ro = np.asarray(r_o_list, dtype=np.float64)
     ru = np.asarray(r_u_list, dtype=np.float64)
     if not ra.shape == ro.shape == ru.shape or ra.ndim != 1 or ra.size < 1:
         raise LengthMismatch("response sequences must be equal-length and non-empty")
-    if ridge < 0:
-        raise InvalidParameter(f"ridge must be >= 0, got {ridge}")
+    if not 0 <= ridge < np.inf:
+        raise InvalidParameter(f"ridge must be >= 0 and finite, got {ridge}")
     x = np.column_stack([ra, ro, np.ones(ra.size)])
     a = x.T @ x + ridge * np.eye(3)
     b = x.T @ ru
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        # LAPACK's least squares can spin without end on a non-finite system.
+        raise SingularSystem("normal equations are not finite; rescale the data")
     try:
         w, *_ = np.linalg.lstsq(a, b, rcond=None)
     except np.linalg.LinAlgError as exc:
@@ -158,8 +165,6 @@ def predict(model: BelpmModel, i) -> float:
         raise DimensionMismatch(
             f"query has shape {arr.shape}, model expects ({model.r},)"
         )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameter("query must be finite")
     r_a, _ = forward(model.bl, _bl_feature_matrix(arr))
     r_o, _ = forward(model.mo, arr)
     return model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3

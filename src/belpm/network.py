@@ -24,6 +24,7 @@ from .errors import (
     TooFewSamples,
     UnsupportedKernel,
 )
+from .series import _frozen_f64
 
 # Lower bound keeping parametric kernels parametric during descent.
 BANDWIDTH_FLOOR = 1e-8
@@ -67,8 +68,8 @@ class NeighborSet:
 class StoredPairs:
     """Training pairs kept by a memory-based model, and its neighbor count.
 
-    Inputs and targets become read-only float64 copies, and ``k`` is clamped
-    to the stored sample count at construction.
+    Inputs and targets become read-only float64 copies and must be finite,
+    and ``k`` is clamped to the stored sample count at construction.
     """
 
     train_inputs: np.ndarray
@@ -76,16 +77,16 @@ class StoredPairs:
     k: int
 
     def __post_init__(self):
-        inputs = np.array(self.train_inputs, dtype=np.float64, copy=True)
-        targets = np.array(self.train_targets, dtype=np.float64, copy=True)
-        if inputs.ndim != 2 or inputs.shape[0] < 1:
+        inputs = _frozen_f64(self.train_inputs, ndim=2)
+        targets = _frozen_f64(self.train_targets, ndim=1)
+        if inputs.shape[0] < 1:
             raise InvalidParameter("train_inputs must be a non-empty (n, d) array")
         if targets.shape != (inputs.shape[0],):
             raise InvalidParameter("train_targets must align with train_inputs")
+        if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
+            raise InvalidParameter("stored inputs and targets must be finite")
         if self.k < 1:
             raise InvalidParameter(f"k must be >= 1, got {self.k}")
-        inputs.flags.writeable = False
-        targets.flags.writeable = False
         object.__setattr__(self, "train_inputs", inputs)
         object.__setattr__(self, "train_targets", targets)
         object.__setattr__(self, "k", min(self.k, inputs.shape[0]))
@@ -103,9 +104,9 @@ class StoredPairs:
 class AdaptiveNetwork(StoredPairs):
     """Memory-based kernel regressor over stored (feature, target) pairs.
 
-    ``bandwidths`` holds one positive value per neighbor rank; it defaults to
-    all ones. Instances are immutable, so concurrent forward passes are safe;
-    training returns a new network.
+    ``bandwidths`` holds one finite value per neighbor rank, positive for a
+    parametric kernel; it defaults to all ones. Instances are immutable, so
+    concurrent forward passes are safe; training returns a new network.
     """
 
     kernel: KernelKind = KernelKind.EXPONENTIAL
@@ -113,15 +114,11 @@ class AdaptiveNetwork(StoredPairs):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.bandwidths is None:
-            bw = np.ones(self.k)
-        else:
-            bw = np.array(self.bandwidths, dtype=np.float64, copy=True)
-            if bw.shape != (self.k,):
-                raise InvalidParameter(f"bandwidths must have length k={self.k}")
-            if self.kernel.parametric and not np.all(bw > 0):
-                raise InvalidParameter("bandwidths must be positive")
-        bw.flags.writeable = False
+        bw = _frozen_f64(np.ones(self.k) if self.bandwidths is None else self.bandwidths, ndim=1)
+        if bw.shape != (self.k,):
+            raise InvalidParameter(f"bandwidths must have length k={self.k}")
+        if not np.isfinite(bw).all() or self.kernel.parametric and not np.all(bw > 0):
+            raise InvalidParameter("bandwidths must be finite, and positive for a parametric kernel")
         object.__setattr__(self, "bandwidths", bw)
 
 
@@ -191,24 +188,27 @@ def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> tuple[fl
 
     The output is ``_outputs`` over the k nearest stored samples (skipping
     index ``exclude``): normalized kernel weights, uniform when the kernel
-    mass vanishes, applied to the neighbors' targets.
+    mass vanishes, applied to the neighbors' targets. The query must be finite.
     """
-    nb = select_k_min(euclidean_distances(query, net), net.k, exclude=exclude)
+    distances = euclidean_distances(query, net)
+    if not np.isfinite(query).all():
+        raise InvalidParameter("query must be finite")
+    nb = select_k_min(distances, net.k, exclude=exclude)
     *_, out = _outputs(net.kernel, nb.distances, net.train_targets[nb.indices], net.bandwidths)
     return float(out), nb
 
 
 def _rank_smallest(d: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and values of the m smallest entries in each row of ``d``, ranked
-    as a stable argsort ranks them: by value, ties to the lower index, NaN last."""
+    as a stable argsort ranks them: by value, ties to the lower index."""
     rows = np.arange(len(d))[:, None]
     if m < d.shape[1]:
         part = np.argpartition(d, m, axis=1)
         top = np.sort(part[:, :m], axis=1)
         largest = d[rows, top].max(axis=1)
         # argpartition breaks a tie at the m-th value arbitrarily, so a row whose
-        # largest winner recurs at position m (or is NaN) is ranked in full instead.
-        tie = (largest == d[rows[:, 0], part[:, m]]) | np.isnan(largest)
+        # largest winner recurs at position m is ranked in full instead.
+        tie = largest == d[rows[:, 0], part[:, m]]
         top[tie] = np.argsort(d[tie], axis=1, kind="stable")[:, :m]
     else:
         top = np.broadcast_to(np.arange(m), d.shape)
@@ -342,8 +342,8 @@ def _train_sd_loo(net: AdaptiveNetwork, lr: float,
                   epochs: int) -> tuple[AdaptiveNetwork, np.ndarray, np.ndarray]:
     """``train_bandwidths_sd``, plus the trained network's leave-one-out
     responses (``loo_predictions``) from the same neighbor table."""
-    if lr <= 0:
-        raise InvalidParameter(f"lr must be positive, got {lr}")
+    if not 0 < lr < np.inf:
+        raise InvalidParameter(f"lr must be positive and finite, got {lr}")
     if epochs < 0:
         raise InvalidParameter(f"epochs must be >= 0, got {epochs}")
     table = _loo_table(net)

@@ -229,11 +229,8 @@ def _field(fields: dict[str, str], key: str, convert: Callable[[str], Any] = flo
         raise CorruptFile(f"field {key!r} has malformed value {fields[key]!r}") from None
 
 
-def _array(fields: dict[str, str], key: str, finite: bool = True) -> np.ndarray:
-    arr = _field(fields, key, lambda raw: np.array(list(map(float, raw.split(",")))))
-    if finite and not np.all(np.isfinite(arr)):
-        raise CorruptFile(f"field {key!r} holds a non-finite value")
-    return arr
+def _array(fields: dict[str, str], key: str) -> np.ndarray:
+    return _field(fields, key, lambda raw: np.array(list(map(float, raw.split(",")))))
 
 
 def _matrix(fields: dict[str, str], key: str) -> np.ndarray:
@@ -320,9 +317,7 @@ def _classic_fields(model: ClassicBelModel, embedding) -> dict:
 
 
 def _read_classic(fields: dict[str, str]) -> ClassicBelModel:
-    # Training can diverge to non-finite weights; they load as saved.
-    return ClassicBelModel(v=_array(fields, "v", finite=False),
-                           w=_array(fields, "w", finite=False),
+    return ClassicBelModel(v=_array(fields, "v"), w=_array(fields, "w"),
                            alpha=_field(fields, "alpha"), beta=_field(fields, "beta"))
 
 

@@ -87,3 +87,11 @@ def test_non_finite_query_rejected(bad):
     model = WknnModel(np.arange(6.0).reshape(3, 2), np.arange(3.0), k=2)
     with pytest.raises(InvalidParameter, match="finite"):
         wknn_predict(model, [1.0, bad])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_stored_pairs_rejected(bad):
+    with pytest.raises(InvalidParameter, match="finite"):
+        WknnModel(np.arange(6.0).reshape(3, 2), np.array([0.0, bad, 2.0]), k=2)
+    with pytest.raises(InvalidParameter, match="finite"):
+        WknnModel(np.array([[0.0, 1.0], [bad, 3.0], [4.0, 5.0]]), np.arange(3.0), k=2)

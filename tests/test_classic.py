@@ -97,3 +97,11 @@ def test_dimension_and_rate_validation():
         ClassicBelModel.zeros(2, alpha=0.0)
     with pytest.raises(InvalidParameter):
         ClassicBelModel.zeros(2, beta=1.5)
+
+
+def test_non_finite_weights_kept():
+    # classic training can diverge; the model keeps such weights as they are
+    model = ClassicBelModel(v=[np.nan, 1.0], w=[np.inf, 0.0], alpha=0.5, beta=0.5)
+    assert np.isnan(model.v[0]) and np.isinf(model.w[0])
+    assert not model.v.flags.writeable and not model.w.flags.writeable
+    assert np.isnan(bel_predict(model, [1.0, 1.0]))

@@ -101,6 +101,9 @@ def test_exit_code_1_for_config_errors(tmp_path):
     run("gen", "--kind", "logistic", "--n", "30", "--out", str(series))
     assert run("train", "--data", str(series), "--n-train", "20", "--model", "wknn",
                "--out", str(tmp_path / "no" / "m.txt")) == 1
+    # '--' given as a value, which argparse hands back as []
+    assert run("peaks", "--data", str(series), "--top-m=--") == 1
+    assert run("predict", "--model=--", "--data", str(series), "--out", str(model)) == 1
     assert run("train", "--data", str(series), "--n-train", "20", "--model", "wknn",
                "--out", str(model)) == 0
     assert run("predict", "--model", str(model), "--data", str(series),
@@ -279,3 +282,24 @@ def test_bench_rejects_wrongly_typed_config(tmp_path, capsys, doc, field):
     cfg.write_text(json.dumps(doc))
     assert run("bench", "--config", str(cfg)) == 1
     assert repr(field) in capsys.readouterr().err
+
+
+def test_bench_rejects_empty_experiment_list(tmp_path, capsys):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"experiments": []}))
+    assert run("bench", "--config", str(cfg)) == 1
+    assert "'experiments' must be a non-empty list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("lr", "inf"), ("lr", "nan"), ("lr", "-inf"), ("ridge", "nan"), ("ridge", "inf"),
+])
+def test_train_rejects_non_finite_lr_and_ridge(tmp_path, capsys, flag, value):
+    series = tmp_path / "series.csv"
+    model = tmp_path / "model.txt"
+    run("gen", "--kind", "logistic", "--n", "40", "--out", str(series))
+    capsys.readouterr()
+    assert run("train", "--data", str(series), "--n-train", "30", "--epochs", "2",
+               f"--{flag}={value}", "--out", str(model)) == 1
+    assert f"{flag} must be" in capsys.readouterr().err
+    assert not model.exists()

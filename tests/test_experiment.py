@@ -65,6 +65,15 @@ def test_config_values_checked_against_field_types():
             ExperimentConfig.from_mapping(bad)
 
 
+def test_config_built_in_python_is_type_checked():
+    with pytest.raises(ConfigError, match="'gen_n'"):
+        ExperimentConfig(generator="logistic", gen_n="x")
+    with pytest.raises(ConfigError, match="'lr'"):
+        dataclasses.replace(MINIMAL, lr="0.05")
+    with pytest.raises(ConfigError, match="'data_path'"):
+        dataclasses.replace(MINIMAL, data_path=3)
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

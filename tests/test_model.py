@@ -7,6 +7,7 @@ from belpm.errors import (
     DimensionMismatch,
     InvalidParameter,
     LengthMismatch,
+    SingularSystem,
     TooFewSamples,
 )
 from belpm.model import (
@@ -95,6 +96,29 @@ class TestPunishments:
                                    train_set.targets, rtol=5e-15, atol=5e-15)
 
 
+class TestValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fusion_weights_rejected(self, bad):
+        for weights in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+            with pytest.raises(InvalidParameter, match="fusion weights must be finite"):
+                CmWeights(*weights)
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf])
+    def test_lr_must_be_positive_and_finite(self, lr):
+        with pytest.raises(InvalidParameter, match="lr must be positive and finite"):
+            BelpmConfig(lr=lr)
+        net = AdaptiveNetwork(np.arange(6.0).reshape(3, 2), np.arange(3.0), k=2)
+        with pytest.raises(InvalidParameter, match="lr must be positive and finite"):
+            network.train_bandwidths_sd(net, lr=lr, epochs=1)
+
+    @pytest.mark.parametrize("ridge", [-1e-8, np.nan, np.inf])
+    def test_ridge_must_be_non_negative_and_finite(self, ridge):
+        with pytest.raises(InvalidParameter, match="ridge must be >= 0 and finite"):
+            BelpmConfig(ridge=ridge)
+        with pytest.raises(InvalidParameter, match="ridge must be >= 0 and finite"):
+            cm_lse_fit([1.0, 2.0], [0.0, 1.0], [1.0, 3.0], ridge=ridge)
+
+
 class TestCmLseFit:
     def test_exact_three_sample_system(self):
         w = cm_lse_fit([1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 2.0, 3.0], ridge=0.0)
@@ -136,6 +160,13 @@ class TestCmLseFit:
         assert np.abs(resid).max() < 1e-9
         # the documented fallback also works
         cm_lse_fit(ra, ra, ru, ridge=1e-8)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_system_is_singular(self, monkeypatch):
+        # the check comes before the solver, which can spin on a non-finite system
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *_, **__: pytest.fail("solver called"))
+        with pytest.raises(SingularSystem, match="not finite"):
+            cm_lse_fit([1e200, 2e200, 3e200], [0.0, 1.0, 0.0], [1.0, 2.0, 3.0])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -64,6 +64,29 @@ class TestConstruction:
             AdaptiveNetwork(np.zeros((3, 2)), np.zeros(3), k=2,
                             bandwidths=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stored_pairs_rejected(self, bad):
+        inputs, targets = np.zeros((3, 2)), np.zeros(3)
+        for cls in (StoredPairs, AdaptiveNetwork):
+            with pytest.raises(InvalidParameter, match="finite"):
+                cls(inputs, np.where(np.arange(3) == 1, bad, targets), k=2)
+            with pytest.raises(InvalidParameter, match="finite"):
+                cls(np.where(inputs == 0, bad, inputs), targets, k=2)
+
+    @pytest.mark.parametrize("kind", ALL_KERNELS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bandwidths_rejected(self, kind, bad):
+        with pytest.raises(InvalidParameter, match="finite"):
+            AdaptiveNetwork(np.zeros((3, 2)), np.zeros(3), k=2, kernel=kind,
+                            bandwidths=np.array([1.0, bad]))
+
+    def test_stored_arrays_are_read_only_copies(self):
+        inputs, targets, bw = np.zeros((3, 2)), np.zeros(3), np.ones(2)
+        net = AdaptiveNetwork(inputs, targets, k=2, bandwidths=bw)
+        for stored, given in ((net.train_inputs, inputs), (net.train_targets, targets),
+                              (net.bandwidths, bw)):
+            assert not stored.flags.writeable and not np.shares_memory(stored, given)
+
 
 class TestDistances:
     def test_three_four_five(self):
@@ -114,12 +137,11 @@ class TestSelectKMin:
 
 # Few distinct coordinates make duplicate windows and ties at the k-th
 # distance; the 1e200 scale makes squared differences overflow to inf, and
-# infinite coordinates make inf - inf, so NaN distances reach the ranking.
-COORD = (st.integers(-2, 2).map(float) | st.floats(-3.0, 3.0)
-         | st.sampled_from([np.inf, -np.inf]))
+# so do infinite query coordinates (stored pairs must be finite).
+COORD = st.integers(-2, 2).map(float) | st.floats(-3.0, 3.0)
+QUERY_COORD = COORD | st.sampled_from([np.inf, -np.inf])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_batched_nearest_matches_select_k_min(data):
@@ -133,7 +155,7 @@ def test_batched_nearest_matches_select_k_min(data):
         queries = inputs
     else:
         m = data.draw(st.integers(0, 7), label="m")
-        queries = data.draw(arrays(np.float64, (m, dim), elements=COORD),
+        queries = data.draw(arrays(np.float64, (m, dim), elements=QUERY_COORD),
                             label="queries") * scale
     block = data.draw(st.integers(1, 3 * n), label="block distances")
     with mock.patch.object(network, "_BLOCK_DISTANCES", block):
@@ -142,7 +164,7 @@ def test_batched_nearest_matches_select_k_min(data):
     for j, q in enumerate(queries):
         ref = select_k_min(euclidean_distances(q, net), net.k, exclude=j if loo else None)
         np.testing.assert_array_equal(indices[j], ref.indices)
-        assert np.array_equal(dists[j], ref.distances, equal_nan=True)
+        assert np.array_equal(dists[j], ref.distances)
 
 
 def two_neighbor_output(kind, d1, d2, bandwidths=None):
@@ -177,6 +199,14 @@ class TestKernelEval:
 
 
 class TestForward:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        net = AdaptiveNetwork(np.arange(6.0).reshape(3, 2), np.arange(3.0), k=2)
+        with pytest.raises(InvalidParameter, match="query must be finite"):
+            forward(net, [1.0, bad])
+        with pytest.raises(DimensionMismatch):  # the shape is checked first
+            forward(net, [bad])
+
     def test_k1_returns_nearest_target(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(8, 3))
