@@ -24,12 +24,14 @@ class WknnModel(StoredPairs):
 
 
 def wknn_predict(model: WknnModel, query) -> float:
-    """Inverse-distance weighted mean of the k nearest neighbors' targets.
-    A query holding NaN or inf raises ``InvalidParameter``."""
+    """Inverse-distance weighted mean of the k nearest neighbors' targets, or
+    their plain mean when all k distances overflow to inf. A query holding
+    NaN or inf raises ``InvalidParameter``."""
     distances = euclidean_distances(query, model)
     if not np.isfinite(query).all():
         raise InvalidParameter("query must be finite")
     nb = select_k_min(distances, model.k)
     raw = 1.0 / (nb.distances + DISTANCE_EPSILON)
-    weights = raw / raw.sum()  # normalize first so k=1 recalls targets exactly
+    total = raw.sum()  # normalize first so k=1 recalls targets exactly
+    weights = raw / total if total > 0.0 else np.full(len(nb), 1.0 / len(nb))
     return float(weights @ model.train_targets[nb.indices])

@@ -69,7 +69,8 @@ class StoredPairs:
     """Training pairs kept by a memory-based model, and its neighbor count.
 
     Inputs and targets become read-only float64 copies and must be finite,
-    and ``k`` is clamped to the stored sample count at construction.
+    and ``k`` is clamped to the stored sample count at construction. Inputs
+    are stored column-major: ``train_inputs.T`` is a C-contiguous (d, n) array.
     """
 
     train_inputs: np.ndarray
@@ -77,9 +78,9 @@ class StoredPairs:
     k: int
 
     def __post_init__(self):
-        inputs = _frozen_f64(self.train_inputs, ndim=2)
+        inputs = _frozen_f64(np.asfortranarray(self.train_inputs, dtype=np.float64), ndim=2)
         targets = _frozen_f64(self.train_targets, ndim=1)
-        if inputs.shape[0] < 1:
+        if 0 in inputs.shape:
             raise InvalidParameter("train_inputs must be a non-empty (n, d) array")
         if targets.shape != (inputs.shape[0],):
             raise InvalidParameter("train_targets must align with train_inputs")
@@ -122,6 +123,28 @@ class AdaptiveNetwork(StoredPairs):
         object.__setattr__(self, "bandwidths", bw)
 
 
+def _distances(net: StoredPairs, queries: np.ndarray) -> np.ndarray:
+    """Euclidean distances (m, n) from each of the m query rows to every
+    stored sample: the one distance formula of every neighbor search.
+
+    Squares are summed in one fixed order, even coordinates ascending, then
+    odd ones ascending, then the two sums, so a distance has the same bits in
+    any block. An overflow gives an infinite distance without a warning.
+    """
+    lanes = []  # running sums of the even and of the odd coordinates' squares
+    with np.errstate(over="ignore"):
+        for j, col in enumerate(net.train_inputs.T):
+            sq = col - queries[:, j, None]  # (m, n): the inner loop runs over n
+            sq *= sq
+            if j < 2:
+                lanes.append(sq)
+            else:
+                lanes[j % 2] += sq
+        if len(lanes) == 2:
+            lanes[0] += lanes[1]
+    return np.sqrt(lanes[0], out=lanes[0])
+
+
 def euclidean_distances(query, net: StoredPairs) -> np.ndarray:
     """Distance from ``query`` to every stored sample, in storage order."""
     q = np.asarray(query, dtype=np.float64)
@@ -129,8 +152,7 @@ def euclidean_distances(query, net: StoredPairs) -> np.ndarray:
         raise DimensionMismatch(
             f"query has shape {q.shape}, stored features have dimension {net.dim}"
         )
-    diff = net.train_inputs - q
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return _distances(net, q[None])[0]
 
 
 def select_k_min(distances, k: int, exclude: int | None = None) -> NeighborSet:
@@ -179,7 +201,8 @@ def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray,
     raw = _kernel(kind, dists, bw)
     total = raw.sum(axis=-1, keepdims=True)
     dead = total == 0.0
-    weights = np.where(dead, 1.0 / dists.shape[-1], raw / np.where(dead, 1.0, total))
+    weights = raw / total if not dead.any() else np.where(
+        dead, 1.0 / dists.shape[-1], raw / np.where(dead, 1.0, total))
     return raw, total, (weights * targets).sum(axis=-1)
 
 
@@ -227,17 +250,13 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
     Rows go in blocks of at most ``_BLOCK_DISTANCES`` distances, which bounds
     the scratch memory whatever the number of queries.
     """
-    x = net.train_inputs
-    n = x.shape[0]
+    n = net.n_samples
     kk = min(net.k, n - 1) if loo else net.k
     rows = max(1, _BLOCK_DISTANCES // n)
     indices = np.empty((len(queries), kk), dtype=np.intp)
     dists = np.empty((len(queries), kk))
     for lo in range(0, len(queries), rows):
-        diff = x - queries[lo:lo + rows, None, :]
-        d = np.einsum("bij,bij->bi", diff, diff)
-        del diff  # the largest buffer; gone before the next block's is made
-        np.sqrt(d, out=d)
+        d = _distances(net, queries[lo:lo + rows])
         if loo:
             # Rank one extra, then drop the query's own index, or the extra
             # one when the own index is not among them.
@@ -302,10 +321,11 @@ def _grad(net: AdaptiveNetwork, table: tuple, bw: np.ndarray, weighed: tuple) ->
         draw = -dists * raw
     else:
         draw = -2.0 * dists ** 2 * bw[:kk] * raw ** 2
+    truth = net.train_targets
     live = total[:, 0] > 0.0
-    y = y[live]
-    resid = y - net.train_targets[live]
-    contrib = 2.0 * resid[:, None] * draw[live] * (targets[live] - y[:, None]) / total[live]
+    if not live.all():
+        y, truth, draw, targets, total = (a[live] for a in (y, truth, draw, targets, total))
+    contrib = 2.0 * (y - truth)[:, None] * draw * (targets - y[:, None]) / total
     grad = np.zeros(net.k)
     grad[:kk] = contrib.sum(axis=0)
     return grad

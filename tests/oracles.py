@@ -12,6 +12,22 @@ def euclid(a, b):
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
+def sq_distance_direct(row, query):
+    """Squared distance summed in the library's documented order: the even
+    coordinates in ascending order, then the odd ones, then the two sums.
+    Explicit loops, because ``sum`` may compensate its rounding."""
+    sq = [(a - b) * (a - b) for a, b in zip(row, query)]
+    even = sq[0]
+    for v in sq[2::2]:
+        even += v
+    if len(sq) == 1:
+        return even
+    odd = sq[1]
+    for v in sq[3::2]:
+        odd += v
+    return even + odd
+
+
 def kernel_value(kind, d, b, d_min, d_max):
     if kind == "exponential":
         return math.exp(-d * b)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,17 @@ def test_matches_independent_recomputation():
         q = rng.normal(size=3)
         ref = wknn_direct(X.tolist(), y.tolist(), 3, q.tolist())
         assert wknn_predict(model, q) == pytest.approx(ref, abs=1e-12)
+
+
+def test_all_distances_overflowing_give_mean_of_k_targets():
+    # Every squared distance overflows, so every inverse distance is 0.
+    X = np.array([[1e200, 1e200], [2e200, -1e200], [1.5e200, 0.0]])
+    y = np.array([1.0, 2.0, 4.0])
+    model = WknnModel(X, y, k=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = wknn_predict(model, [-1e200, 1e200])
+    assert np.isfinite(out) and out == np.mean(y[:2])
 
 
 def test_output_bounded_by_selected_targets():

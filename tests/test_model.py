@@ -16,6 +16,7 @@ from belpm.model import (
     _bl_feature_matrix,
     cm_lse_fit,
     predict,
+    predict_many,
     predict_series,
     train,
 )
@@ -294,6 +295,20 @@ class TestPredict:
             q = np.array([0.0, 1.0, rng.uniform(0.05, 0.95)])
             raw_out, _ = forward(raw_net, q)
             assert predict(forced, q) == pytest.approx(raw_out, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_single_query_equals_batch_row(r):
+    # The primary network sees r + 2 features, so r >= 6 gives 8 or more.
+    train_set, test_set = logistic_sets(r=r)
+    model = train(train_set, FAST)
+    batch = predict_many(model, test_set.inputs)
+    for j, x in enumerate(test_set.inputs):
+        assert predict(model, x) == batch[j]
+    for net in (model.bl, model.mo):
+        loo = loo_predictions(net)
+        for j in range(net.n_samples):
+            assert forward(net, net.train_inputs[j], exclude=j)[0] == loo[j]
 
 
 class TestPredictSeries:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -26,7 +27,7 @@ from belpm.network import (
     train_bandwidths_sd,
 )
 
-from oracles import forward_direct, kernel_value
+from oracles import forward_direct, kernel_value, sq_distance_direct
 
 ALL_KERNELS = list(KernelKind)
 PARAMETRIC = [KernelKind.EXPONENTIAL, KernelKind.INVERSE_QUADRATIC]
@@ -86,6 +87,18 @@ class TestConstruction:
         for stored, given in ((net.train_inputs, inputs), (net.train_targets, targets),
                               (net.bandwidths, bw)):
             assert not stored.flags.writeable and not np.shares_memory(stored, given)
+
+    def test_train_inputs_keep_row_shape_over_column_storage(self):
+        inputs = np.arange(12.0).reshape(4, 3)
+        for cls in (StoredPairs, AdaptiveNetwork):
+            stored = cls(inputs, np.zeros(4), k=2).train_inputs
+            assert stored.shape == (4, 3) and not stored.flags.writeable
+            assert np.array_equal(stored, inputs)
+            assert stored.T.flags.c_contiguous
+
+    def test_zero_width_inputs_rejected(self):
+        with pytest.raises(InvalidParameter, match="non-empty"):
+            StoredPairs(np.zeros((3, 0)), np.zeros(3), k=1)
 
 
 class TestDistances:
@@ -165,6 +178,26 @@ def test_batched_nearest_matches_select_k_min(data):
         ref = select_k_min(euclidean_distances(q, net), net.k, exclude=j if loo else None)
         np.testing.assert_array_equal(indices[j], ref.indices)
         assert np.array_equal(dists[j], ref.distances)
+
+
+# Finite coordinates (stored pairs must be finite); the 1e200 ones make
+# squared differences overflow to inf.
+DIST_COORD = st.floats(-1e3, 1e3) | st.sampled_from([1e200, -1e200])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_distances_sum_squares_in_documented_order(data):
+    dim = data.draw(st.integers(1, 12), label="dim")
+    n = data.draw(st.integers(1, 12), label="n")
+    m = data.draw(st.integers(1, 40), label="block rows")
+    inputs = data.draw(arrays(np.float64, (n, dim), elements=DIST_COORD), label="inputs")
+    queries = data.draw(arrays(np.float64, (m, dim), elements=DIST_COORD), label="queries")
+    d = network._distances(StoredPairs(inputs, np.zeros(n), 1), queries)
+    ref = [[math.sqrt(sq_distance_direct(row, q)) for row in inputs.tolist()]
+           for q in queries.tolist()]
+    assert np.array_equal(d, ref)
 
 
 def two_neighbor_output(kind, d1, d2, bandwidths=None):

@@ -221,6 +221,9 @@ class TestModelPersistence:
         for _ in range(100):
             q = rng.uniform(0, 1, size=3)
             assert predict(loaded, q) == predict(model, q)
+        resaved = tmp_path / "again.belpm"
+        save_model(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_wknn_round_trip(self, tmp_path):
         _, model, _ = trained_models()
