@@ -32,6 +32,8 @@ _MAX_BACKTRACKS = 30
 # Distances computed at once by the batched neighbor search (8 query rows at
 # n = 2000). Larger blocks add memory and save little time.
 _BLOCK_DISTANCES = 2 ** 14
+# Widest first-coordinate window, as a share of n, that `_nearest` ranks.
+_WINDOW_SHARE = 0.5
 
 
 class KernelKind(enum.Enum):
@@ -123,18 +125,19 @@ class AdaptiveNetwork(StoredPairs):
         object.__setattr__(self, "bandwidths", bw)
 
 
-def _distances(net: StoredPairs, queries: np.ndarray) -> np.ndarray:
-    """Euclidean distances (m, n) from each of the m query rows to every
-    stored sample: the one distance formula of every neighbor search.
+def _distances(cols: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Euclidean distances (m, c) from each of the m query rows to the stored
+    samples ``cols``, ``train_inputs.T`` or a column subset of it: the one
+    distance formula of every neighbor search.
 
     Squares are summed in one fixed order, even coordinates ascending, then
     odd ones ascending, then the two sums, so a distance has the same bits in
-    any block. An overflow gives an infinite distance without a warning.
+    any block and subset. An overflow gives inf without a warning.
     """
     lanes = []  # running sums of the even and of the odd coordinates' squares
     with np.errstate(over="ignore"):
-        for j, col in enumerate(net.train_inputs.T):
-            sq = col - queries[:, j, None]  # (m, n): the inner loop runs over n
+        for j, col in enumerate(cols):
+            sq = col - queries[:, j, None]  # (m, c): the inner loop runs over c
             sq *= sq
             if j < 2:
                 lanes.append(sq)
@@ -152,7 +155,7 @@ def euclidean_distances(query, net: StoredPairs) -> np.ndarray:
         raise DimensionMismatch(
             f"query has shape {q.shape}, stored features have dimension {net.dim}"
         )
-    return _distances(net, q[None])[0]
+    return _distances(net.train_inputs.T, q[None])[0]
 
 
 def select_k_min(distances, k: int, exclude: int | None = None) -> NeighborSet:
@@ -240,6 +243,37 @@ def _rank_smallest(d: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return top[rows, order], vals[rows, order]
 
 
+def _windows(cols: np.ndarray, order: np.ndarray, q: np.ndarray, m: int):
+    """Blocks ``(lo, hi, cand)`` of 32 rows of ``q``, sorted by first coordinate,
+    with the ascending indices ``cand`` of the samples that can be among a row's
+    m nearest, or None for all; 32 rows share a window without widening it much.
+    A guess widens the rows' sorted positions by the last window's reach (m
+    after a fallback); after f failed guesses in a row, f blocks skip theirs."""
+    x0 = cols[0][order]
+    pos = np.searchsorted(x0, q[:, 0]).tolist()  # ascending, as q[:, 0] is
+    reach, fails, skip, limit = m, 0, 0, _WINDOW_SHARE * len(x0)
+    for lo in range(0, len(q), 32):
+        hi = min(lo + 32, len(q))
+        a, b = max(pos[lo] - reach, 0), min(pos[hi - 1] + reach, len(x0))
+        if skip:
+            skip -= 1
+        elif b - a <= limit and np.isfinite(q[lo:hi]).all():
+            guess, step = cols[:, order[a:b]], max(1, _BLOCK_DISTANCES // (b - a))
+            bound = np.concatenate([np.partition(_distances(guess, q[s:min(s + step, hi)]), m - 1)
+                                    [:, m - 1] for s in range(lo, hi, step)])
+            # Finite distances are below 1.4e154, so this cannot overflow.
+            bound = bound * (1 + 1e-9) + 2.0 ** -500
+            a = np.searchsorted(x0, (q[lo:hi, 0] - bound).min(), "left")
+            b = np.searchsorted(x0, (q[lo:hi, 0] + bound).max(), "right")
+            if b - a <= limit:
+                yield lo, hi, np.sort(order[a:b])
+                reach, fails = max(m, pos[lo] - a, b - pos[hi - 1]), 0
+                continue
+            fails = skip = fails + 1
+        reach = m
+        yield lo, hi, None
+
+
 def _nearest(net: StoredPairs, queries: np.ndarray,
              loo: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances (each (len(queries), kk)) of the ``net.k``
@@ -247,27 +281,44 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
     over ``euclidean_distances`` picks and ranks them. With ``loo``, query
     row j is stored sample j and is left out of its own neighbors.
 
-    Rows go in blocks of at most ``_BLOCK_DISTANCES`` distances, which bounds
-    the scratch memory whatever the number of queries.
+    A block of queries ranks only the samples whose first coordinate x0 is
+    within R' = R * (1 + 1e-9) + 2**-500 of a query's q0, R bounding the
+    query's m-th distance (m = kk, or kk + 1 with ``loo``), as in Friedman,
+    Baskett & Shustek (1975). A distance is a rounded sqrt of rounded sums of
+    non-negative squares, each sum at least the first square, so by monotone
+    rounding it is at least fl(sqrt(fl(fl(x0 - q0)**2))). That square is
+    normal if |x0 - q0| >= 2**-500, and then rounding shrinks |x0 - q0| by a
+    relative 2**-51 at most; below, it may underflow to 0, which the absolute
+    term covers; q0 -/+ R' round monotonically too. So no sample within R is
+    left out, and ranked by index with ``_distances``' bits the window gives
+    the full scan's result, ties included. A block whose window spans over
+    ``_WINDOW_SHARE`` of the samples (as an infinite R' does) or holds a NaN
+    or inf query is ranked against all, in chunks of ``_BLOCK_DISTANCES``.
     """
     n = net.n_samples
     kk = min(net.k, n - 1) if loo else net.k
-    rows = max(1, _BLOCK_DISTANCES // n)
-    indices = np.empty((len(queries), kk), dtype=np.intp)
-    dists = np.empty((len(queries), kk))
-    for lo in range(0, len(queries), rows):
-        d = _distances(net, queries[lo:lo + rows])
-        if loo:
-            # Rank one extra, then drop the query's own index, or the extra
-            # one when the own index is not among them.
-            top, near = _rank_smallest(d, kk + 1)
-            keep = top != np.arange(lo, lo + len(d))[:, None]
-            keep[keep.all(axis=1), -1] = False
-            top, near = top[keep].reshape(len(d), kk), near[keep].reshape(len(d), kk)
-        else:
-            top, near = _rank_smallest(d, kk)
-        indices[lo:lo + len(d)] = top
-        dists[lo:lo + len(d)] = near
+    m = kk + 1 if loo else kk
+    cols = net.train_inputs.T
+    order = np.argsort(cols[0], kind="stable")
+    qorder = order if loo else np.argsort(queries[:, 0], kind="stable")
+    q = queries[qorder]
+    indices = np.empty((len(q), kk), dtype=np.intp)
+    dists = np.empty((len(q), kk))
+    for lo, hi, cand in _windows(cols, order, q, m):
+        sub = cols if cand is None else cols[:, cand]
+        step = max(1, _BLOCK_DISTANCES // sub.shape[1])
+        for r in (slice(s, min(s + step, hi)) for s in range(lo, hi, step)):
+            top, near = _rank_smallest(_distances(sub, q[r]), m)
+            if cand is not None:
+                top = cand[top]
+            if loo:
+                # Drop the query's own index, or the extra one when the own
+                # index is not among them.
+                keep = top != qorder[r, None]
+                keep[keep.all(axis=1), -1] = False
+                top, near = top[keep].reshape(len(top), kk), near[keep].reshape(len(top), kk)
+            indices[qorder[r]] = top
+            dists[qorder[r]] = near
     return indices, dists
 
 

@@ -180,6 +180,120 @@ def test_batched_nearest_matches_select_k_min(data):
         assert np.array_equal(dists[j], ref.distances)
 
 
+def _stored_family(data, n, dim):
+    """(n, dim) stored inputs from one of the data families the first-coordinate
+    window meets: sorted, periodic, uninformative, tied, underflowing and
+    overflowing."""
+    family = data.draw(st.sampled_from(["ramp", "sine", "constant first", "integer grid",
+                                        "tiny", "overflow"]), label="family")
+    t = np.arange(n + dim, dtype=np.float64)
+    if family == "ramp":
+        x = np.lib.stride_tricks.sliding_window_view(t, dim)[:n].copy()
+    elif family == "sine":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="noise seed"))
+        s = np.sin(0.3 * t) + rng.normal(0.0, 0.05, t.size)
+        x = np.lib.stride_tricks.sliding_window_view(s, dim)[:n].copy()
+    elif family == "tiny":
+        # Squares of these underflow to subnormals or to 0.
+        x = data.draw(arrays(np.float64, (n, dim), elements=st.sampled_from(
+            [0.0, 5e-324, -5e-324, 1e-310, 1e-170, -1e-170, 2e-170, 1.0])), label="inputs")
+    else:
+        x = data.draw(arrays(np.float64, (n, dim), elements=COORD), label="inputs")
+        if family == "integer grid":
+            x = np.round(x)
+        elif family == "constant first":
+            x[:, 0] = 1.0
+        elif family == "overflow":
+            x *= 1e200
+    if data.draw(st.booleans(), label="shuffle rows"):
+        x = x[data.draw(st.permutations(range(n)), label="row order")]
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_window_and_fallback_searches_match_select_k_min(data):
+    n = data.draw(st.integers(2, 60), label="n")
+    dim = data.draw(st.integers(1, 4), label="dim")
+    inputs = _stored_family(data, n, dim)
+    net = StoredPairs(inputs, np.zeros(n), data.draw(st.integers(1, 14), label="k"))
+    loo = data.draw(st.booleans(), label="loo")
+    if loo:
+        queries = inputs
+    else:
+        # Coordinates the stored samples hold, so queries tie with them, and
+        # infinities, which the window leaves to the full scan.
+        pool = sorted(set(inputs.ravel().tolist())) + [np.inf, -np.inf]
+        queries = data.draw(arrays(np.float64, (data.draw(st.integers(0, 70), label="m"), dim),
+                                   elements=st.sampled_from(pool)), label="queries")
+    # Share 1 forces the window wherever the queries are finite, 0 the full scan.
+    share = data.draw(st.sampled_from([0.0, network._WINDOW_SHARE, 1.0]), label="share")
+    block = data.draw(st.just(network._BLOCK_DISTANCES) | st.integers(1, 3 * n),
+                      label="block distances")
+    with mock.patch.object(network, "_WINDOW_SHARE", share), \
+            mock.patch.object(network, "_BLOCK_DISTANCES", block):
+        indices, dists = _nearest(net, queries, loo=loo)
+    assert indices.shape[0] == dists.shape[0] == len(queries)
+    for j, q in enumerate(queries):
+        ref = select_k_min(euclidean_distances(q, net), net.k, exclude=j if loo else None)
+        np.testing.assert_array_equal(indices[j], ref.indices)
+        assert np.array_equal(dists[j], ref.distances)
+
+
+# (1e-170 - 0)**2 underflows to 0, so sample 0 lies at distance 0 from a query
+# at [1e-170, 0] though its first coordinate is 1e-170 away. Only the window
+# margin's absolute term keeps it, and it wins the tie with a later sample.
+UNDERFLOW_ROWS = np.array([[0.0, 0.0], [1e-170, 0.0], [5.0, 0.0], [6.0, 0.0], [7.0, 1.0]])
+
+
+@pytest.mark.parametrize("inputs, loo", [
+    (UNDERFLOW_ROWS, False),
+    (UNDERFLOW_ROWS, True),
+    # The last query row's block starts past sample 0, so its window alone decides.
+    (np.array([[0.0, 0.0]] + [[1e-170, 0.0]] * 32), True),
+])
+def test_window_margin_keeps_samples_whose_squares_underflow(inputs, loo):
+    net = StoredPairs(inputs, np.zeros(len(inputs)), 1)
+    queries = inputs if loo else np.array([[1e-170, 0.0]])
+    with mock.patch.object(network, "_WINDOW_SHARE", 1.0):
+        indices, dists = _nearest(net, queries, loo=loo)
+    for j, q in enumerate(queries):
+        ref = select_k_min(euclidean_distances(q, net), 1, exclude=j if loo else None)
+        np.testing.assert_array_equal(indices[j], ref.indices)
+        assert np.array_equal(dists[j], ref.distances)
+
+
+def chaotic_mackey_glass(n: int, seed: int = 0) -> np.ndarray:
+    """The chaotic Mackey-Glass recursion (beta 0.2, gamma 0.1, tau 17) past
+    1000 warm-up steps, plus noise of std 1e-3."""
+    x = [1.2] * 18
+    for _ in range(1000 + n - 1):
+        x.append(x[-1] + 0.2 * x[-18] / (1.0 + x[-18] ** 10) - 0.1 * x[-1])
+    return np.asarray(x[1017:]) + np.random.default_rng(seed).normal(0.0, 1e-3, n)
+
+
+@pytest.mark.parametrize("k", [1, 8, 13])
+def test_window_search_engages_on_a_chaotic_series(k):
+    series = chaotic_mackey_glass(2002)
+    inputs = np.lib.stride_tricks.sliding_window_view(series, 3)[:2000]
+    net = StoredPairs(inputs, np.zeros(2000), k)
+    distances, computed = network._distances, []
+
+    def spy(cols, queries):
+        d = distances(cols, queries)
+        computed.append(d.size)
+        return d
+
+    with mock.patch.object(network, "_distances", spy):
+        indices, dists = _nearest(net, net.train_inputs, loo=True)
+    # A window that silently never engaged would still match the full scan.
+    assert sum(computed) < 0.25 * 2000 ** 2
+    with mock.patch.object(network, "_WINDOW_SHARE", 0.0):
+        full_indices, full_dists = _nearest(net, net.train_inputs, loo=True)
+    np.testing.assert_array_equal(indices, full_indices)
+    assert np.array_equal(dists, full_dists)
+
+
 # Finite coordinates (stored pairs must be finite); the 1e200 ones make
 # squared differences overflow to inf.
 DIST_COORD = st.floats(-1e3, 1e3) | st.sampled_from([1e200, -1e200])
@@ -194,7 +308,7 @@ def test_distances_sum_squares_in_documented_order(data):
     m = data.draw(st.integers(1, 40), label="block rows")
     inputs = data.draw(arrays(np.float64, (n, dim), elements=DIST_COORD), label="inputs")
     queries = data.draw(arrays(np.float64, (m, dim), elements=DIST_COORD), label="queries")
-    d = network._distances(StoredPairs(inputs, np.zeros(n), 1), queries)
+    d = network._distances(StoredPairs(inputs, np.zeros(n), 1).train_inputs.T, queries)
     ref = [[math.sqrt(sq_distance_direct(row, q)) for row in inputs.tolist()]
            for q in queries.tolist()]
     assert np.array_equal(d, ref)
