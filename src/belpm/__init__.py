@@ -20,7 +20,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     LengthMismatch,
-    NoEligibleSamples,
     NumericError,
     ParseError,
     SeriesTooShort,
@@ -53,12 +52,9 @@ from .model import (
 from .network import (
     AdaptiveNetwork,
     KernelKind,
-    NeighborSet,
-    euclidean_distances,
     forward,
     grad_bandwidths,
     loo_predictions,
-    select_k_min,
     train_bandwidths_sd,
 )
 from .series import (

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter
-from .network import StoredPairs, euclidean_distances, select_k_min
+from .network import StoredPairs, _nearest_one
 from .series import EmbeddedDataset
 
 # Guard added to distances so an exact match dominates without dividing by zero.
@@ -27,11 +26,8 @@ def wknn_predict(model: WknnModel, query) -> float:
     """Inverse-distance weighted mean of the k nearest neighbors' targets, or
     their plain mean when all k distances overflow to inf. A query holding
     NaN or inf raises ``InvalidParameter``."""
-    distances = euclidean_distances(query, model)
-    if not np.isfinite(query).all():
-        raise InvalidParameter("query must be finite")
-    nb = select_k_min(distances, model.k)
-    raw = 1.0 / (nb.distances + DISTANCE_EPSILON)
+    indices, distances = _nearest_one(model, query)
+    raw = 1.0 / (distances + DISTANCE_EPSILON)
     total = raw.sum()  # normalize first so k=1 recalls targets exactly
-    weights = raw / total if total > 0.0 else np.full(len(nb), 1.0 / len(nb))
-    return float(weights @ model.train_targets[nb.indices])
+    weights = raw / total if total > 0.0 else np.full(indices.size, 1.0 / indices.size)
+    return float(weights @ model.train_targets[indices])

@@ -49,10 +49,6 @@ class TooFewSamples(DataError):
     """Operation needs more stored samples than are available."""
 
 
-class NoEligibleSamples(DataError):
-    """Neighbor selection has no candidates left after exclusion."""
-
-
 class ParseError(DataError):
     """Malformed line in a data file; message carries the line number."""
 

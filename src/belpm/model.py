@@ -165,8 +165,8 @@ def predict(model: BelpmModel, i) -> float:
         raise DimensionMismatch(
             f"query has shape {arr.shape}, model expects ({model.r},)"
         )
-    r_a, _ = forward(model.bl, _bl_feature_matrix(arr))
-    r_o, _ = forward(model.mo, arr)
+    r_a = forward(model.bl, _bl_feature_matrix(arr))
+    r_o = forward(model.mo, arr)
     return model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3
 
 

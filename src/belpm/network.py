@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
-    NoEligibleSamples,
     TooFewSamples,
     UnsupportedKernel,
 )
@@ -53,17 +52,6 @@ class KernelKind(enum.Enum):
             return cls(name)
         except ValueError:
             raise UnsupportedKernel(f"unknown kernel {name!r}") from None
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """Indices of the selected training samples and their distances, ascending."""
-
-    indices: np.ndarray
-    distances: np.ndarray
-
-    def __len__(self) -> int:
-        return self.indices.size
 
 
 @dataclass(frozen=True)
@@ -148,43 +136,44 @@ def _distances(cols: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.sqrt(lanes[0], out=lanes[0])
 
 
-def euclidean_distances(query, net: StoredPairs) -> np.ndarray:
-    """Distance from ``query`` to every stored sample, in storage order."""
+def _nearest_one(net: StoredPairs, query,
+                 exclude: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``_nearest``'s indices and distances for one finite query, leaving out
+    stored sample ``exclude``. One stable argsort ranks all n distances: for a
+    single row that beats ``_nearest``, which sorts first coordinates per call
+    (moving it waits on ROADMAP item 1, the benchmark's per-query memory)."""
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (net.dim,):
-        raise DimensionMismatch(
-            f"query has shape {q.shape}, stored features have dimension {net.dim}"
-        )
-    return _distances(net.train_inputs.T, q[None])[0]
-
-
-def select_k_min(distances, k: int, exclude: int | None = None) -> NeighborSet:
-    """The k smallest distances with their indices; ties go to the lower index.
-
-    ``k`` larger than the eligible count is clamped, not an error.
-    """
-    if k < 1:
-        raise InvalidParameter(f"k must be >= 1, got {k}")
-    d = np.asarray(distances, dtype=np.float64)
+        raise DimensionMismatch(f"query has shape {q.shape}, stored features have "
+                                f"dimension {net.dim}")
+    if not np.isfinite(q).all():
+        raise InvalidParameter("query must be finite")
+    d = _distances(net.train_inputs.T, q[None])[0]
     order = np.argsort(d, kind="stable")
     if exclude is not None:
         if not 0 <= exclude < d.size:
             raise IndexOutOfRange(f"exclude index {exclude} outside [0, {d.size})")
+        if d.size < 2:
+            raise TooFewSamples("leaving a sample out needs at least two stored samples")
         order = order[order != exclude]
-    if order.size == 0:
-        raise NoEligibleSamples("no candidates left after exclusion")
-    chosen = order[: min(k, order.size)]
-    return NeighborSet(indices=chosen, distances=d[chosen])
+    chosen = order[: net.k]
+    return chosen, d[chosen]
 
 
 def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
     """Kernel values for rows of ranked neighbor distances (last axis = rank).
 
     A linear-rescale row whose distances are all zero gives zeros, which
-    ``_outputs`` turns into uniform weights.
+    ``_outputs`` turns into uniform weights. One whose largest distance is
+    inf takes the kernel's limit as that maximum grows: 1 at a finite
+    distance, 0 at an infinite one, so an all-inf row weighs uniformly too.
     """
     if kind is KernelKind.LINEAR_RESCALE:
         d_max = dists.max(axis=-1, keepdims=True)
+        over = d_max == np.inf
+        if over.any():
+            rest = _kernel(kind, np.where(over, 0.0, dists), bw)
+            return np.where(over, np.isfinite(dists), rest)
         # Distances are non-negative, so a zero max means a zero numerator.
         return (d_max - (dists - dists.min(axis=-1, keepdims=True))) / np.where(
             d_max == 0, 1.0, d_max)
@@ -209,19 +198,15 @@ def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray,
     return raw, total, (weights * targets).sum(axis=-1)
 
 
-def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> tuple[float, NeighborSet]:
-    """Predict the target for ``query``; also returns the selected neighbors.
+def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> float:
+    """Predict the target for ``query``, a finite vector.
 
     The output is ``_outputs`` over the k nearest stored samples (skipping
     index ``exclude``): normalized kernel weights, uniform when the kernel
-    mass vanishes, applied to the neighbors' targets. The query must be finite.
+    mass vanishes, applied to the neighbors' targets.
     """
-    distances = euclidean_distances(query, net)
-    if not np.isfinite(query).all():
-        raise InvalidParameter("query must be finite")
-    nb = select_k_min(distances, net.k, exclude=exclude)
-    *_, out = _outputs(net.kernel, nb.distances, net.train_targets[nb.indices], net.bandwidths)
-    return float(out), nb
+    indices, dists = _nearest_one(net, query, exclude)
+    return float(_outputs(net.kernel, dists, net.train_targets[indices], net.bandwidths)[2])
 
 
 def _rank_smallest(d: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,9 +262,9 @@ def _windows(cols: np.ndarray, order: np.ndarray, q: np.ndarray, m: int):
 def _nearest(net: StoredPairs, queries: np.ndarray,
              loo: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances (each (len(queries), kk)) of the ``net.k``
-    nearest stored samples to each query row, exactly as ``select_k_min``
-    over ``euclidean_distances`` picks and ranks them. With ``loo``, query
-    row j is stored sample j and is left out of its own neighbors.
+    nearest stored samples to each query row, exactly as a stable argsort
+    of all n distances picks and ranks them (``_nearest_one``). With ``loo``,
+    query row j is stored sample j and is left out of its own neighbors.
 
     A block of queries ranks only the samples whose first coordinate x0 is
     within R' = R * (1 + 1e-9) + 2**-500 of a query's q0, R bounding the
@@ -363,15 +348,18 @@ def _grad(net: AdaptiveNetwork, table: tuple, bw: np.ndarray, weighed: tuple) ->
         dy/db_m = (dK_m/db_m) * (t_m - y) / S
 
     and the loss contributions sum over samples. Samples on the uniform
-    fallback have constant weights and contribute nothing.
+    fallback have constant weights and contribute nothing. A kernel value
+    vanishing at a huge distance has derivative 0 there, not inf * 0 = NaN.
     """
     dists, targets = table
     raw, total, y = weighed
     kk = dists.shape[1]
-    if net.kernel is KernelKind.EXPONENTIAL:
-        draw = -dists * raw
-    else:
-        draw = -2.0 * dists ** 2 * bw[:kk] * raw ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        if net.kernel is KernelKind.EXPONENTIAL:
+            draw = -dists * raw
+        else:
+            draw = -2.0 * dists ** 2 * bw[:kk] * raw ** 2
+    draw[np.isnan(draw)] = 0.0
     truth = net.train_targets
     live = total[:, 0] > 0.0
     if not live.all():

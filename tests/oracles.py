@@ -28,6 +28,16 @@ def sq_distance_direct(row, query):
     return even + odd
 
 
+def nearest_direct(inputs, q, k, exclude=None):
+    """Indices and distances of the k nearest rows of ``inputs`` to ``q``,
+    leaving out row ``exclude``, ranked by (distance, index). Distances sum
+    squares in the library's order, so they match it bit for bit."""
+    dists = [math.sqrt(sq_distance_direct(row, q)) for row in inputs]
+    order = sorted((j for j in range(len(inputs)) if j != exclude),
+                   key=lambda j: (dists[j], j))[:k]
+    return order, [dists[j] for j in order]
+
+
 def kernel_value(kind, d, b, d_min, d_max):
     if kind == "exponential":
         return math.exp(-d * b)

@@ -73,7 +73,7 @@ def test_criterion_1_forward_oracle_equivalence():
         net = AdaptiveNetwork(inputs, targets, k=k, kernel=kind, bandwidths=bw)
         query = rng.normal(size=r)
         exclude = int(rng.integers(0, n)) if (n > 1 and i % 4 == 0) else None
-        got, _ = forward(net, query, exclude=exclude)
+        got = forward(net, query, exclude=exclude)
         ref = forward_direct(inputs.tolist(), targets.tolist(), net.k,
                              kind.value, bw.tolist(), query.tolist(),
                              exclude=exclude)
@@ -281,7 +281,7 @@ def test_criterion_9_reduction_tests():
         net = AdaptiveNetwork(inputs, targets, k=1, kernel=kind)
         for _ in range(20):
             q = rng.normal(size=3)
-            out, _ = forward(net, q)
+            out = forward(net, q)
             assert wknn_predict(wknn, q) == out
 
     # constant targets propagate to (numerically) zero test error

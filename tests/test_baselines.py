@@ -72,7 +72,7 @@ def test_k1_agrees_with_adaptive_network_any_kernel():
         net = AdaptiveNetwork(X, y, k=1, kernel=kind)
         for _ in range(10):
             q = rng.normal(size=3)
-            out, _ = forward(net, q)
+            out = forward(net, q)
             assert wknn_predict(wknn, q) == out
 
 

@@ -243,7 +243,7 @@ class TestPredict:
         model = train(train_set, FAST)
         forced = dataclasses.replace(model, cm=CmWeights(1.0, 0.0, 0.0))
         for q in test_set.inputs[:10]:
-            bl_out, _ = forward(model.bl, widened(q))
+            bl_out = forward(model.bl, widened(q))
             assert predict(forced, q) == bl_out
 
     def test_exact_recall_with_k1(self):
@@ -260,8 +260,8 @@ class TestPredict:
         train_set, test_set = logistic_sets()
         model = train(train_set, FAST)
         for q in test_set.inputs[:10]:
-            r_a, _ = forward(model.bl, widened(q))
-            r_o, _ = forward(model.mo, q)
+            r_a = forward(model.bl, widened(q))
+            r_o = forward(model.mo, q)
             manual = model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3
             assert predict(model, q) == manual
 
@@ -293,7 +293,7 @@ class TestPredict:
                                   bandwidths=model.bl.bandwidths)
         for _ in range(10):
             q = np.array([0.0, 1.0, rng.uniform(0.05, 0.95)])
-            raw_out, _ = forward(raw_net, q)
+            raw_out = forward(raw_net, q)
             assert predict(forced, q) == pytest.approx(raw_out, abs=1e-12)
 
 
@@ -308,7 +308,7 @@ def test_single_query_equals_batch_row(r):
     for net in (model.bl, model.mo):
         loo = loo_predictions(net)
         for j in range(net.n_samples):
-            assert forward(net, net.train_inputs[j], exclude=j)[0] == loo[j]
+            assert forward(net, net.train_inputs[j], exclude=j) == loo[j]
 
 
 class TestPredictSeries:

@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 from belpm import network
 from belpm.errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidParameter,
-    NoEligibleSamples,
     TooFewSamples,
 )
 from belpm.network import (
@@ -19,15 +19,14 @@ from belpm.network import (
     KernelKind,
     StoredPairs,
     _nearest,
-    euclidean_distances,
+    _nearest_one,
     forward,
     grad_bandwidths,
     loo_predictions,
-    select_k_min,
     train_bandwidths_sd,
 )
 
-from oracles import forward_direct, kernel_value, sq_distance_direct
+from oracles import forward_direct, kernel_value, nearest_direct, sq_distance_direct
 
 ALL_KERNELS = list(KernelKind)
 PARAMETRIC = [KernelKind.EXPONENTIAL, KernelKind.INVERSE_QUADRATIC]
@@ -102,50 +101,69 @@ class TestConstruction:
 
 
 class TestDistances:
+    """Distances as ``_nearest_one`` returns them for single queries."""
+
     def test_three_four_five(self):
         net = AdaptiveNetwork(np.array([[3.0, 4.0]]), np.array([1.0]), k=1)
-        np.testing.assert_array_equal(euclidean_distances([0.0, 0.0], net), [5.0])
+        indices, dists = _nearest_one(net, [0.0, 0.0])
+        np.testing.assert_array_equal(indices, [0])
+        np.testing.assert_array_equal(dists, [5.0])
 
     def test_identity_gives_zero(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(6, 3))
-        net = AdaptiveNetwork(X, np.arange(6.0), k=2)
-        d = euclidean_distances(X[4], net)
-        assert d[4] == 0.0
+        X = np.random.default_rng(0).normal(size=(6, 3))
+        indices, dists = _nearest_one(AdaptiveNetwork(X, np.arange(6.0), k=2), X[4])
+        assert indices[0] == 4 and dists[0] == 0.0
 
     def test_matches_per_element_recomputation(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(10, 3))
         q = rng.normal(size=3)
-        net = AdaptiveNetwork(X, np.zeros(10), k=3)
-        d = euclidean_distances(q, net)
-        for j in range(10):
+        indices, dists = _nearest_one(AdaptiveNetwork(X, np.zeros(10), k=10), q)
+        np.testing.assert_array_equal(np.sort(indices), np.arange(10))
+        for j, d in zip(indices, dists):
             manual = sum((q[i] - X[j, i]) ** 2 for i in range(3)) ** 0.5
-            assert d[j] == pytest.approx(manual, abs=1e-12)
+            assert d == pytest.approx(manual, abs=1e-12)
 
     def test_dimension_mismatch(self):
         net = AdaptiveNetwork(np.zeros((3, 2)), np.zeros(3), k=1)
         with pytest.raises(DimensionMismatch):
-            euclidean_distances([1.0, 2.0, 3.0], net)
+            _nearest_one(net, [1.0, 2.0, 3.0])
 
 
 class TestSelectKMin:
+    """Selection of the k smallest distances by ``_nearest_one``."""
+
     def test_two_smallest(self):
-        nb = select_k_min([3.0, 1.0, 2.0], k=2)
-        np.testing.assert_array_equal(nb.indices, [1, 2])
-        np.testing.assert_array_equal(nb.distances, [1.0, 2.0])
+        net = StoredPairs(np.array([[3.0], [1.0], [2.0]]), np.zeros(3), k=2)
+        indices, dists = _nearest_one(net, [0.0])
+        np.testing.assert_array_equal(indices, [1, 2])
+        np.testing.assert_array_equal(dists, [1.0, 2.0])
 
     def test_tie_goes_to_lowest_index(self):
-        nb = select_k_min([1.0, 1.0, 2.0], k=1)
-        assert nb.indices[0] == 0
+        net = StoredPairs(np.array([[1.0], [-1.0], [2.0]]), np.zeros(3), k=1)
+        np.testing.assert_array_equal(_nearest_one(net, [0.0])[0], [0])
 
     def test_k_clamped(self):
-        nb = select_k_min([1.0, 2.0, 3.0], k=5)
-        assert len(nb) == 3
+        net = StoredPairs(np.array([[1.0], [2.0], [3.0]]), np.zeros(3), k=5)
+        assert len(_nearest_one(net, [0.0])[0]) == 3
+        # Leaving a sample out leaves n - 1 candidates.
+        indices, dists = _nearest_one(net, [2.0], exclude=1)
+        np.testing.assert_array_equal(indices, [0, 2])
+        np.testing.assert_array_equal(dists, [1.0, 1.0])
 
     def test_exclusion_empties_candidates(self):
-        with pytest.raises(NoEligibleSamples):
-            select_k_min([1.0], k=1, exclude=0)
+        net = StoredPairs(np.zeros((1, 2)), np.zeros(1), k=1)
+        # The checks run in order: shape, finiteness, exclude index, sample count.
+        with pytest.raises(DimensionMismatch):
+            _nearest_one(net, [np.nan, 2.0, 3.0], exclude=5)
+        with pytest.raises(InvalidParameter, match="query must be finite"):
+            _nearest_one(net, [np.nan, 2.0], exclude=5)
+        for bad in (1, -1):
+            with pytest.raises(IndexOutOfRange):
+                _nearest_one(net, [1.0, 2.0], exclude=bad)
+        # The same error leave-one-out raises for a single stored sample.
+        with pytest.raises(TooFewSamples):
+            _nearest_one(net, [1.0, 2.0], exclude=0)
 
 
 # Few distinct coordinates make duplicate windows and ties at the k-th
@@ -174,10 +192,10 @@ def test_batched_nearest_matches_select_k_min(data):
     with mock.patch.object(network, "_BLOCK_DISTANCES", block):
         indices, dists = _nearest(net, queries, loo=loo)
     assert indices.shape[0] == dists.shape[0] == len(queries)
-    for j, q in enumerate(queries):
-        ref = select_k_min(euclidean_distances(q, net), net.k, exclude=j if loo else None)
-        np.testing.assert_array_equal(indices[j], ref.indices)
-        assert np.array_equal(dists[j], ref.distances)
+    for j, q in enumerate(queries.tolist()):
+        ref_indices, ref_dists = nearest_direct(inputs.tolist(), q, net.k, j if loo else None)
+        np.testing.assert_array_equal(indices[j], ref_indices)
+        assert np.array_equal(dists[j], ref_dists)
 
 
 def _stored_family(data, n, dim):
@@ -234,10 +252,10 @@ def test_window_and_fallback_searches_match_select_k_min(data):
             mock.patch.object(network, "_BLOCK_DISTANCES", block):
         indices, dists = _nearest(net, queries, loo=loo)
     assert indices.shape[0] == dists.shape[0] == len(queries)
-    for j, q in enumerate(queries):
-        ref = select_k_min(euclidean_distances(q, net), net.k, exclude=j if loo else None)
-        np.testing.assert_array_equal(indices[j], ref.indices)
-        assert np.array_equal(dists[j], ref.distances)
+    for j, q in enumerate(queries.tolist()):
+        ref_indices, ref_dists = nearest_direct(inputs.tolist(), q, net.k, j if loo else None)
+        np.testing.assert_array_equal(indices[j], ref_indices)
+        assert np.array_equal(dists[j], ref_dists)
 
 
 # (1e-170 - 0)**2 underflows to 0, so sample 0 lies at distance 0 from a query
@@ -257,10 +275,37 @@ def test_window_margin_keeps_samples_whose_squares_underflow(inputs, loo):
     queries = inputs if loo else np.array([[1e-170, 0.0]])
     with mock.patch.object(network, "_WINDOW_SHARE", 1.0):
         indices, dists = _nearest(net, queries, loo=loo)
-    for j, q in enumerate(queries):
-        ref = select_k_min(euclidean_distances(q, net), 1, exclude=j if loo else None)
-        np.testing.assert_array_equal(indices[j], ref.indices)
-        assert np.array_equal(dists[j], ref.distances)
+    for j, q in enumerate(queries.tolist()):
+        ref_indices, ref_dists = nearest_direct(inputs.tolist(), q, 1, j if loo else None)
+        np.testing.assert_array_equal(indices[j], ref_indices)
+        assert np.array_equal(dists[j], ref_dists)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_query_nearest_matches_direct_ranking(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    dim = data.draw(st.integers(1, 3), label="dim")
+    scale = data.draw(st.sampled_from([1.0, 1e-3, 1e200]), label="scale")
+    family = data.draw(st.sampled_from(["grid", "duplicates", "any"]), label="family")
+    if family == "duplicates":
+        rows = data.draw(arrays(np.float64, (2, dim), elements=COORD), label="rows")
+        inputs = rows[data.draw(arrays(np.intp, n, elements=st.integers(0, 1)), label="picks")]
+    else:
+        inputs = data.draw(arrays(np.float64, (n, dim), elements=COORD), label="inputs")
+        if family == "grid":
+            inputs = np.round(inputs)
+    inputs = inputs * scale
+    net = StoredPairs(inputs, np.zeros(n), data.draw(st.integers(1, n + 1), label="k"))
+    if data.draw(st.booleans(), label="stored query"):
+        q = inputs[data.draw(st.integers(0, n - 1), label="row")]
+    else:
+        q = data.draw(arrays(np.float64, dim, elements=COORD), label="query") * scale
+    exclude = data.draw(st.none() | st.integers(0, n - 1), label="exclude") if n > 1 else None
+    indices, dists = _nearest_one(net, q, exclude)
+    ref_indices, ref_dists = nearest_direct(inputs.tolist(), q.tolist(), net.k, exclude)
+    np.testing.assert_array_equal(indices, ref_indices)
+    assert np.array_equal(dists, ref_dists)
 
 
 def chaotic_mackey_glass(n: int, seed: int = 0) -> np.ndarray:
@@ -319,7 +364,7 @@ def two_neighbor_output(kind, d1, d2, bandwidths=None):
     holding targets 1 and 0: the first neighbor's normalized weight."""
     net = AdaptiveNetwork(np.array([[d1], [d2]]), np.array([1.0, 0.0]), k=2,
                           kernel=kind, bandwidths=bandwidths)
-    out, _ = forward(net, [0.0])
+    out = forward(net, [0.0])
     return out
 
 
@@ -344,6 +389,23 @@ class TestKernelEval:
         out = two_neighbor_output(KernelKind.LINEAR_RESCALE, 0.0, 0.0)
         assert out == 0.5
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_linear_rescale_limit_at_an_infinite_distance(self):
+        # 1e160 squared overflows, so sample 1 lies at distance inf from the
+        # others: it weighs 0 beside finite neighbors, and sample 1's own
+        # leave-one-out row (both distances inf) weighs uniformly.
+        net = AdaptiveNetwork(np.array([[0.0], [1e160], [2.0]]), np.array([1.0, 5.0, 3.0]),
+                              k=3, kernel=KernelKind.LINEAR_RESCALE)
+        assert forward(net, [0.0]) == 2.0
+        np.testing.assert_array_equal(loo_predictions(net), [3.0, 2.0, 1.0])
+        # Finite rows keep their bits beside a row that takes the limit.
+        finite = np.random.default_rng(41).uniform(0.0, 3.0, size=(4, 3))
+        rows = np.vstack([finite, [[1.0, np.inf, np.inf]]])
+        got = network._kernel(KernelKind.LINEAR_RESCALE, rows, np.ones(3))
+        assert np.array_equal(got[:4], network._kernel(KernelKind.LINEAR_RESCALE, finite,
+                                                       np.ones(3)))
+        np.testing.assert_array_equal(got[4], [1.0, 0.0, 0.0])
+
 
 class TestForward:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -362,15 +424,14 @@ class TestForward:
             net = AdaptiveNetwork(X, y, k=1, kernel=kind,
                                   bandwidths=np.array([3.7]) if kind.parametric else None)
             q = X[5] + 1e-4
-            out, nb = forward(net, q)
-            assert out == y[nb.indices[0]]
+            assert forward(net, q) == y[_nearest_one(net, q)[0][0]]
 
     def test_equidistant_neighbors_average(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
         y = np.array([2.0, 6.0])
         for kind in ALL_KERNELS:
             net = AdaptiveNetwork(X, y, k=2, kernel=kind)
-            out, _ = forward(net, [0.0, 0.0])
+            out = forward(net, [0.0, 0.0])
             assert out == pytest.approx(4.0, abs=1e-12)
 
     def test_matches_direct_oracle_on_random_instances(self):
@@ -378,7 +439,7 @@ class TestForward:
         for _ in range(50):
             net = random_instance(rng)
             q = rng.normal(size=net.dim)
-            out, _ = forward(net, q)
+            out = forward(net, q)
             ref = forward_direct(net.train_inputs.tolist(),
                                  net.train_targets.tolist(),
                                  net.k, net.kernel.value,
@@ -390,8 +451,8 @@ class TestForward:
         for _ in range(30):
             net = random_instance(rng)
             q = rng.normal(size=net.dim)
-            out, nb = forward(net, q)
-            selected = net.train_targets[nb.indices]
+            out = forward(net, q)
+            selected = net.train_targets[_nearest_one(net, q)[0]]
             assert selected.min() - 1e-12 <= out <= selected.max() + 1e-12
 
     def test_normalized_weights_sum_to_one(self):
@@ -401,20 +462,21 @@ class TestForward:
         for _ in range(20):
             net = random_instance(rng)
             q = rng.normal(size=net.dim)
-            out, nb = forward(net, q)
-            d_min, d_max = float(nb.distances.min()), float(nb.distances.max())
+            out = forward(net, q)
+            indices, dists = _nearest_one(net, q)
+            d_min, d_max = float(dists.min()), float(dists.max())
             if d_max == 0.0:
                 continue
             raw = np.array([
                 kernel_value(net.kernel.value, float(d), float(b), d_min, d_max)
-                for d, b in zip(nb.distances, net.bandwidths)
+                for d, b in zip(dists, net.bandwidths)
             ])
             if raw.sum() == 0.0:
                 continue
             norm = raw / raw.sum()
             assert abs(norm.sum() - 1.0) <= 1e-12
             assert out == pytest.approx(
-                float(norm @ net.train_targets[nb.indices]), abs=1e-12)
+                float(norm @ net.train_targets[indices]), abs=1e-12)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(5)
@@ -425,16 +487,15 @@ class TestForward:
         shifted = AdaptiveNetwork(net.train_inputs + shift, net.train_targets,
                                   k=net.k, kernel=net.kernel,
                                   bandwidths=net.bandwidths)
-        out0, nb0 = forward(net, q)
-        out1, nb1 = forward(shifted, q + shift)
-        np.testing.assert_array_equal(nb0.indices, nb1.indices)
-        assert out1 == pytest.approx(out0, abs=1e-9)
+        np.testing.assert_array_equal(_nearest_one(net, q)[0],
+                                      _nearest_one(shifted, q + shift)[0])
+        assert forward(shifted, q + shift) == pytest.approx(forward(net, q), abs=1e-9)
 
     def test_duplicate_points_all_zero_distances_rescale_fallback(self):
         X = np.zeros((4, 2))
         y = np.array([1.0, 2.0, 3.0, 4.0])
         net = AdaptiveNetwork(X, y, k=3, kernel=KernelKind.LINEAR_RESCALE)
-        out, _ = forward(net, [0.0, 0.0])
+        out = forward(net, [0.0, 0.0])
         assert out == pytest.approx(np.mean(y[:3]), abs=1e-12)
 
     def test_underflowed_kernel_mass_falls_back_to_uniform(self):
@@ -442,7 +503,7 @@ class TestForward:
         y = np.array([5.0, 7.0])
         net = AdaptiveNetwork(X, y, k=2, kernel=KernelKind.EXPONENTIAL,
                               bandwidths=np.array([50.0, 50.0]))
-        out, _ = forward(net, [500.0])
+        out = forward(net, [500.0])
         assert out == pytest.approx(6.0, abs=1e-12)
 
 
@@ -489,7 +550,7 @@ class TestLooPredictions:
         net = random_instance(np.random.default_rng(16), n=20, r=2, k=5, kind=kind)
         preds = loo_predictions(net)
         for j in range(net.n_samples):
-            out, _ = forward(net, net.train_inputs[j], exclude=j)
+            out = forward(net, net.train_inputs[j], exclude=j)
             assert abs(preds[j] - out) <= 1e-12
 
     def test_needs_two_samples(self):
@@ -534,6 +595,20 @@ class TestGradient:
                     assert g[m] == 0.0
                 else:
                     np.testing.assert_allclose(g[m], fd, rtol=1e-5, atol=1e-10)
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", PARAMETRIC)
+    def test_finite_at_an_infinite_distance(self, kind):
+        # 1e160 squared overflows: every other sample's 4th neighbor lies at
+        # distance inf, where the kernel value and its derivative are 0.
+        net = AdaptiveNetwork(np.array([[0.0], [1.0], [2.0], [1e160], [3.0]]),
+                              np.arange(5.0), k=4, kernel=kind)
+        g = grad_bandwidths(net)
+        assert np.isfinite(g).all() and g[3] == 0.0 and np.any(g != 0.0)
+        trained, trace = train_bandwidths_sd(net, lr=0.05, epochs=3)
+        assert trace[-1] < trace[0]
+        assert trained.bandwidths[3] == 1.0
 
 
 class TestTrainBandwidths:
