@@ -11,7 +11,7 @@ squares fits the fusion weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,26 +68,23 @@ class BelpmConfig:
 
 @dataclass(frozen=True)
 class BelpmModel:
-    """Trained artifact: both networks, fusion weights, and the embedding shape."""
+    """Trained artifact: both networks, fusion weights, and the embedding shape.
+    The primary network stores exactly the thalamic features of the secondary
+    network's windows, so the windows are the one copy of the training inputs."""
 
     r: int
     horizon: int
     bl: AdaptiveNetwork
     mo: AdaptiveNetwork
     cm: CmWeights
-    config: BelpmConfig = field(default_factory=BelpmConfig)
 
     def __post_init__(self):
-        if self.bl.dim != self.r + 2:
-            raise InvalidParameter(
-                f"primary network expects dimension r+2={self.r + 2}, got {self.bl.dim}"
-            )
         if self.mo.dim != self.r:
             raise InvalidParameter(
                 f"secondary network expects dimension r={self.r}, got {self.mo.dim}"
             )
-        if self.bl.n_samples != self.mo.n_samples:
-            raise InvalidParameter("both networks must store the same sample count")
+        if not np.array_equal(self.bl.train_inputs, _bl_feature_matrix(self.mo.train_inputs)):
+            raise InvalidParameter("primary network must store each window, its max and min")
 
 
 def _bl_feature_matrix(inputs: np.ndarray) -> np.ndarray:
@@ -113,8 +110,9 @@ def cm_lse_fit(r_a_list, r_o_list, r_u_list, ridge: float = 1e-8) -> CmWeights:
     if not 0 <= ridge < np.inf:
         raise InvalidParameter(f"ridge must be >= 0 and finite, got {ridge}")
     x = np.column_stack([ra, ro, np.ones(ra.size)])
-    a = x.T @ x + ridge * np.eye(3)
-    b = x.T @ ru
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        a = x.T @ x + ridge * np.eye(3)
+        b = x.T @ ru
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         # LAPACK's least squares can spin without end on a non-finite system.
         raise SingularSystem("normal equations are not finite; rescale the data")
@@ -155,7 +153,7 @@ def train(train_set: EmbeddedDataset, config: BelpmConfig = BelpmConfig()) -> Be
     mo, _, r_o = _train_sd_loo(mo, lr=config.lr, epochs=config.epochs)
     cm = cm_lse_fit(r_a, r_o, train_set.targets, ridge=config.ridge)
     return BelpmModel(r=train_set.r, horizon=train_set.horizon,
-                      bl=bl, mo=mo, cm=cm, config=config)
+                      bl=bl, mo=mo, cm=cm)
 
 
 def predict(model: BelpmModel, i) -> float:

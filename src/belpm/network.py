@@ -180,7 +180,8 @@ def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
     scaled = dists * bw[: dists.shape[-1]]
     if kind is KernelKind.EXPONENTIAL:
         return np.exp(-scaled)
-    return 1.0 / (1.0 + scaled ** 2)
+    with np.errstate(over="ignore"):  # a square past the float range: kernel 0
+        return 1.0 / (1.0 + scaled ** 2)
 
 
 def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray,
@@ -335,7 +336,8 @@ def loo_predictions(net: AdaptiveNetwork) -> np.ndarray:
 
 def _loss(net: AdaptiveNetwork, outputs: np.ndarray) -> float:
     resid = outputs - net.train_targets
-    return float(resid @ resid)
+    with np.errstate(over="ignore"):  # an overflowing sum is inf
+        return float(resid @ resid)
 
 
 def _grad(net: AdaptiveNetwork, table: tuple, bw: np.ndarray, weighed: tuple) -> np.ndarray:
@@ -390,9 +392,10 @@ def train_bandwidths_sd(
     """Steepest descent on the leave-one-out loss with per-epoch backtracking.
 
     Each epoch proposes ``b - lr * grad`` (floored at ``BANDWIDTH_FLOOR``) and
-    halves the step until the loss stops increasing; if no step helps, the
-    bandwidths stay put for that epoch. Returns the trained network and the
-    loss trace (initial loss first, one entry per epoch after)."""
+    halves the step until the loss stops increasing; once no step helps, the
+    bandwidths are at a fixed point and the trace repeats the loss. Returns
+    the trained network and the loss trace (initial loss first, one entry per
+    epoch after)."""
     trained, trace, _ = _train_sd_loo(net, lr, epochs)
     return trained, trace
 
@@ -426,5 +429,8 @@ def _train_sd_loo(net: AdaptiveNetwork, lr: float,
                 b, loss, weighed = cand, cand_loss, cand_weighed
                 break
             step *= 0.5
+        else:
+            break  # nothing moved, so every later epoch would reject the same steps
         trace.append(loss)
+    trace += [loss] * (epochs + 1 - len(trace))
     return replace(net, bandwidths=b), np.asarray(trace), weighed[2]

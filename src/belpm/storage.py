@@ -5,15 +5,17 @@ a leading ``time,...`` header row skipped, and one row per line in a single
 form: a series CSV holds ``value`` or ``time,value`` rows, a predictions CSV
 ``time,observed,predicted`` rows. Times are integers with one uniform step.
 
-Model file: line-oriented ``key = value`` text under a ``belpm-model v2``
+Model file: line-oriented ``key = value`` text under a ``belpm-model v3``
 header, arrays as comma-separated 17-significant-digit numerals, matrices
 flattened row-major next to a ``*_shape`` key, and a trailing
 ``checksum = <crc32 hex>`` over every preceding byte. The ``kind`` field
-names the ``MODEL_KINDS`` entry that writes and reads the other fields. v1
-files also carry the constant ``lo_w`` and ``cm_wa`` weights; they still
-load, and those two keys are ignored. The stored training data is part of
-the model (memory-based models), so a loaded model predicts bit-identically
-to the saved one.
+names the ``MODEL_KINDS`` entry that writes and reads the other fields. The
+stored training data is part of the model (memory-based models), so a loaded
+model predicts bit-identically to the saved one; a ``belpm`` model's windows
+are stored once, as ``mo_inputs``. v2 files also hold the primary network's
+features (``bl_inputs``), which must equal those of the windows, and the
+ignored ``train_lr``, ``train_epochs`` and ``train_ridge``; v1 files are v2
+plus the ignored constant ``lo_w`` and ``cm_wa`` weights.
 
 Bytes that are not UTF-8 are a data error; a path that cannot be read or
 written is a config error."""
@@ -40,14 +42,13 @@ from .errors import (
     ParseError,
     VersionMismatch,
 )
-from .model import BelpmConfig, BelpmModel, CmWeights
+from .model import BelpmModel, CmWeights, _bl_feature_matrix
 from .network import AdaptiveNetwork, KernelKind
 from .series import EmbeddedDataset, TimeSeries
 
 MODEL_HEADER = "belpm-model"
-MODEL_VERSION = "v2"
-# v1 differs only by two constant fields that loading ignores.
-_READABLE_VERSIONS = ("v1", MODEL_VERSION)
+MODEL_VERSION = "v3"
+_READABLE_VERSIONS = ("v1", "v2", MODEL_VERSION)
 
 GAP_ERROR = "error"
 GAP_INTERPOLATE = "linear_interpolate"
@@ -251,9 +252,9 @@ def _network_fields(prefix: str, net: AdaptiveNetwork) -> dict:
     }
 
 
-def _read_network(fields: dict[str, str], prefix: str) -> AdaptiveNetwork:
+def _read_network(fields: dict[str, str], prefix: str, inputs: np.ndarray) -> AdaptiveNetwork:
     return AdaptiveNetwork(
-        train_inputs=_matrix(fields, f"{prefix}_inputs"),
+        train_inputs=inputs,
         train_targets=_array(fields, f"{prefix}_targets"),
         k=_field(fields, f"{prefix}_k", int),
         kernel=KernelKind.from_name(_field(fields, f"{prefix}_kernel", str)),
@@ -263,38 +264,31 @@ def _read_network(fields: dict[str, str], prefix: str) -> AdaptiveNetwork:
 
 def _belpm_fields(model: BelpmModel, embedding) -> dict:
     # The model carries its own embedding, so ``embedding`` goes unused.
-    return {
+    fields = {
         "embedding_r": model.r,
         "embedding_horizon": model.horizon,
         **_network_fields("bl", model.bl),
         **_network_fields("mo", model.mo),
         "cm_w": np.array([model.cm.w1, model.cm.w2, model.cm.w3]),
-        "train_lr": model.config.lr,
-        "train_epochs": model.config.epochs,
-        "train_ridge": model.config.ridge,
     }
+    del fields["bl_inputs"]  # the features of ``mo_inputs``
+    return fields
 
 
 def _read_belpm(fields: dict[str, str]) -> BelpmModel:
     cm_w = _array(fields, "cm_w")
     if cm_w.size != 3:
         raise CorruptFile(f"field 'cm_w' holds {cm_w.size} values, expected 3")
-    bl, mo = _read_network(fields, "bl"), _read_network(fields, "mo")
+    mo = _read_network(fields, "mo", _matrix(fields, "mo_inputs"))
+    # v1 and v2 files also hold the features, which the model checks.
+    bl_inputs = (_matrix(fields, "bl_inputs") if "bl_inputs" in fields
+                 else _bl_feature_matrix(mo.train_inputs))
     return BelpmModel(
         r=_field(fields, "embedding_r", int),
         horizon=_field(fields, "embedding_horizon", int),
-        bl=bl,
+        bl=_read_network(fields, "bl", bl_inputs),
         mo=mo,
         cm=CmWeights(*cm_w.tolist()),
-        config=BelpmConfig(
-            k_a=bl.k,
-            k_o=_field(fields, "mo_k", int),
-            bl_kernel=bl.kernel,
-            mo_kernel=mo.kernel,
-            lr=_field(fields, "train_lr"),
-            epochs=_field(fields, "train_epochs", int),
-            ridge=_field(fields, "train_ridge"),
-        ),
     )
 
 

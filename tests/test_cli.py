@@ -184,10 +184,20 @@ def test_eval_reproduces_bench_report(tmp_path, capsys):
         assert (run_dir / "eval.txt").read_bytes() == (run_dir / "report.txt").read_bytes()
 
 
-def test_exit_code_3_for_numeric_errors(tmp_path):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exit_code_3_for_numeric_errors(tmp_path, capsys):
     preds = tmp_path / "preds.csv"
     preds.write_text("time,observed,predicted\n0,1.0,1.0\n1,1.0,2.0\n")
     assert run("eval", "--predictions", str(preds)) == 3
+
+    # windows of 1e200 overflow the leave-one-out loss and the fusion fit's
+    # normal equations, which the fit refuses without a warning
+    series = tmp_path / "huge.csv"
+    save_series_csv(TimeSeries(gen_logistic(40, r=3.9, x0=0.3).values * 1e200), series)
+    capsys.readouterr()
+    assert run("train", "--data", str(series), "--n-train", "30", "--epochs", "2",
+               "--out", str(tmp_path / "model.txt")) == 3
+    assert "normal equations are not finite" in capsys.readouterr().err
 
 
 def peak_lines(series, peaks, first=0):
@@ -303,3 +313,16 @@ def test_train_rejects_non_finite_lr_and_ridge(tmp_path, capsys, flag, value):
                f"--{flag}={value}", "--out", str(model)) == 1
     assert f"{flag} must be" in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_inverse_quadratic_with_huge_steps(tmp_path):
+    # lr = 1e300 drives bandwidths so high that scaled distances overflow
+    # when squared; those kernel values are 0
+    series = tmp_path / "series.csv"
+    model = tmp_path / "model.txt"
+    save_series_csv(gen_logistic(60, r=3.9, x0=0.3), series)
+    assert run("train", "--data", str(series), "--n-train", "40", "--bl-kernel",
+               "inverse_quadratic", "--mo-kernel", "inverse_quadratic", "--lr", "1e300",
+               "--epochs", "2", "--out", str(model)) == 0
+    load_model_file(model)

@@ -12,6 +12,7 @@ from belpm.errors import (
 )
 from belpm.model import (
     BelpmConfig,
+    BelpmModel,
     CmWeights,
     _bl_feature_matrix,
     cm_lse_fit,
@@ -80,11 +81,25 @@ class TestBlFeatures:
                 np.testing.assert_array_equal(widened(window), row)
 
     def test_bad_maxmin(self):
-        # a primary network without the two appended features is rejected
+        # however a model is built, its primary network must store each of the
+        # secondary network's windows followed by its max and min, exactly
         train_set, _ = logistic_sets()
         model = train(train_set, FAST)
-        with pytest.raises(InvalidParameter):
-            dataclasses.replace(model, bl=model.mo)
+        assert not hasattr(model, "config")
+        feats = model.bl.train_inputs.copy()
+        feats[3, -1] = np.nextafter(feats[3, -1], -np.inf)  # one ulp below a min
+        off = dataclasses.replace(model.bl, train_inputs=feats)
+        fewer = dataclasses.replace(model.bl, train_inputs=model.bl.train_inputs[1:],
+                                    train_targets=model.bl.train_targets[1:])
+        for bl in (model.mo, off, fewer):
+            with pytest.raises(InvalidParameter, match="max and min"):
+                BelpmModel(r=model.r, horizon=model.horizon, bl=bl, mo=model.mo, cm=model.cm)
+            with pytest.raises(InvalidParameter, match="max and min"):
+                dataclasses.replace(model, bl=bl)
+        with pytest.raises(InvalidParameter, match="expects dimension r=4"):
+            dataclasses.replace(model, r=model.r + 1)
+        with pytest.raises(TypeError):
+            dataclasses.replace(model, config=FAST)
 
 
 class TestPunishments:
@@ -162,7 +177,6 @@ class TestCmLseFit:
         # the documented fallback also works
         cm_lse_fit(ra, ra, ru, ridge=1e-8)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_system_is_singular(self, monkeypatch):
         # the check comes before the solver, which can spin on a non-finite system
         monkeypatch.setattr(np.linalg, "lstsq", lambda *_, **__: pytest.fail("solver called"))

@@ -25,6 +25,7 @@ from belpm.network import (
     loo_predictions,
     train_bandwidths_sd,
 )
+from belpm.series import embed, gen_logistic
 
 from oracles import forward_direct, kernel_value, nearest_direct, sq_distance_direct
 
@@ -406,6 +407,14 @@ class TestKernelEval:
                                                        np.ones(3)))
         np.testing.assert_array_equal(got[4], [1.0, 0.0, 0.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inverse_quadratic_at_a_distance_too_large_to_square(self):
+        # 1e150 * 1e5 squared overflows: that neighbor's kernel value is 0
+        net = AdaptiveNetwork(np.array([[0.0], [1e150]]), np.array([1.0, 5.0]), k=2,
+                              kernel=KernelKind.INVERSE_QUADRATIC,
+                              bandwidths=np.array([1e5, 1e5]))
+        assert forward(net, [0.0]) == 1.0
+
 
 class TestForward:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -685,6 +694,26 @@ class TestTrainBandwidths:
         np.testing.assert_array_equal(trace, ref_trace)
         np.testing.assert_array_equal(trained.bandwidths, b)
         np.testing.assert_array_equal(responses, loo_predictions(trained))
+
+    def test_descent_stops_at_its_fixed_point(self, monkeypatch):
+        # With lr = 1e12 even the smallest backtracked step overshoots after
+        # three accepted epochs. An epoch that accepts nothing leaves the
+        # bandwidths as they were, so no later epoch is run: 40 epochs cost
+        # as many kernel evaluations as 10, and the trace repeats the loss.
+        calls = []
+        outputs = network._outputs
+        monkeypatch.setattr(network, "_outputs", lambda *a: calls.append(1) or outputs(*a))
+        ds = embed(gen_logistic(43, r=3.9, x0=0.3), 3, 1)
+        net = AdaptiveNetwork(ds.inputs, ds.targets, k=4, kernel=KernelKind.INVERSE_QUADRATIC)
+        short = network._train_sd_loo(net, lr=1e12, epochs=10)
+        n_short = len(calls)
+        long = network._train_sd_loo(net, lr=1e12, epochs=40)
+        assert len(calls) - n_short == n_short < 1 + 10 * network._MAX_BACKTRACKS
+        np.testing.assert_array_equal(long[0].bandwidths, short[0].bandwidths)
+        np.testing.assert_array_equal(long[1], np.append(short[1], [short[1][-1]] * 30))
+        np.testing.assert_array_equal(long[2], short[2])
+        assert short[1][3] < short[1][2] and not np.array_equal(short[0].bandwidths,
+                                                                net.bandwidths)
 
     def test_bandwidth_floor_respected(self):
         X = np.array([[0.0], [0.2], [0.4], [0.9]])

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,10 @@ from belpm.storage import (
 )
 
 from oracles import rechecksum
+
+# A belpm model written in the v2 format: trained_models()'s belpm model, saved
+# when the writer also stored the primary features and the training settings.
+V2_MODEL = Path(__file__).parent / "data" / "logistic_v2.belpm"
 
 
 class TestSeriesCsv:
@@ -265,28 +270,48 @@ class TestModelPersistence:
     def test_v1_file_loads_bit_identically(self, tmp_path):
         # v1 = the v2 document plus the constant fused-punishment weights
         model, _, _ = trained_models()
-        v2 = tmp_path / "m2.belpm"
-        save_model(model, v2)
-        lines = v2.read_text().splitlines(keepends=True)
+        lines = V2_MODEL.read_text().splitlines(keepends=True)
         assert lines[0] == "belpm-model v2\n"
         lines[0] = "belpm-model v1\n"
         at = next(i for i, line in enumerate(lines) if line.startswith("cm_w = ")) + 1
         lines[at:at] = ["cm_wa = 1,-1,0\n", "lo_w = 1,0\n"]
         v1 = tmp_path / "m1.belpm"
         v1.write_bytes(rechecksum("".join(lines)))
-        from_v1, from_v2 = load_model_file(v1).model, load_model_file(v2).model
+        from_v1, from_v2 = load_model_file(v1).model, load_model_file(V2_MODEL).model
         rng = np.random.default_rng(3)
         for _ in range(100):
             q = rng.uniform(0, 1, size=3)
             assert predict(from_v1, q) == predict(from_v2, q) == predict(model, q)
 
+    def test_v2_file_loads_bit_identically_and_resaves_as_v3(self, tmp_path):
+        model, _, _ = trained_models()
+        loaded = load_model_file(V2_MODEL).model
+        ds = embed(gen_logistic(80, r=3.9, x0=0.3), 3, 1)
+        for q in ds.inputs:
+            assert predict(loaded, q) == predict(model, q)
+        fresh, resaved = tmp_path / "fresh.belpm", tmp_path / "resaved.belpm"
+        save_model(model, fresh)
+        save_model(loaded, resaved)
+        assert resaved.read_bytes() == fresh.read_bytes()
+        # v3 is the v2 document without the stored features and settings
+        dropped = ("bl_inputs_shape = ", "bl_inputs = ", "train_lr = ", "train_epochs = ",
+                   "train_ridge = ")
+        v2_lines = V2_MODEL.read_text().splitlines()
+        v3_lines = fresh.read_text().splitlines()
+        assert v3_lines[0] == "belpm-model v3"
+        assert v3_lines[1:-1] == [line for line in v2_lines[1:-1]
+                                  if not line.startswith(dropped)]
+
     def test_malformed_number_is_corrupt(self, tmp_path):
-        belpm, wknn, _ = trained_models()
+        belpm, wknn, classic = trained_models()
         path = tmp_path / "m.belpm"
         save_model(belpm, path)
         text = path.read_text()
         save_model(wknn, path, embedding=(3, 1))
         wknn_text = path.read_text()
+        save_model(classic, path, embedding=(3, 1))
+        classic_text = path.read_text()
+        v2_text = V2_MODEL.read_text()
 
         def first_value(text, key, token):
             """``text`` with the first value of field ``key`` replaced by ``token``."""
@@ -295,10 +320,10 @@ class TestModelPersistence:
         cm_w = re.search(r"^cm_w = .*$", text, re.M).group()
         bad_texts = [
             text.replace("bl_k = 4", "bl_k = x8", 1),
-            text.replace("train_lr = ", "train_lr = x", 1),
-            text.replace("bl_inputs_shape = 60,5", "bl_inputs_shape = 300", 1),
+            first_value(classic_text, "alpha", "x"),
+            text.replace("mo_inputs_shape = 60,3", "mo_inputs_shape = 180", 1),
             text.replace(cm_w, cm_w.rsplit(",", 1)[0], 1),  # two fusion weights
-            text.replace("bl_inputs_shape = 60,5", "bl_inputs_shape = -60,-5", 1),
+            text.replace("mo_inputs_shape = 60,3", "mo_inputs_shape = -60,-3", 1),
             # parse, but the model constructors reject them
             text.replace("bl_k = 4", "bl_k = 0", 1),
             text.replace("bl_kernel = exponential", "bl_kernel = foo", 1),
@@ -309,9 +334,12 @@ class TestModelPersistence:
             first_value(text, "cm_w", "nan"),
             first_value(wknn_text, "targets", "nan"),
             first_value(wknn_text, "inputs", "inf"),
+            # v2 primary features that are not the windows' (one ulp off, reshaped)
+            first_value(v2_text, "bl_inputs", "0.30000000000000004"),
+            v2_text.replace("bl_inputs_shape = 60,5", "bl_inputs_shape = 30,10", 1),
         ]
         for bad_text in bad_texts:
-            assert bad_text not in (text, wknn_text)
+            assert bad_text not in (text, wknn_text, classic_text, v2_text)
             bad = tmp_path / "bad.belpm"
             bad.write_bytes(rechecksum(bad_text))
             with pytest.raises(CorruptFile):
@@ -321,7 +349,7 @@ class TestModelPersistence:
         model, _, _ = trained_models()
         path = tmp_path / "m.belpm"
         save_model(model, path)
-        content = path.read_text().replace("belpm-model v2", "belpm-model v3", 1)
+        content = path.read_text().replace("belpm-model v3", "belpm-model v4", 1)
         path.write_text(content)
         with pytest.raises(VersionMismatch):
             load_model_file(path)
