@@ -6,8 +6,9 @@ amygdala-orbitofrontal baseline, weighted k-NN, error metrics with peak
 matching, persistence, and the experiment driver behind the CLI.
 """
 
-from .baselines import WknnModel, wknn_predict
-from .classic import ClassicBelModel, bel_forward, bel_predict, bel_train, bel_update
+from .baselines import WknnModel, wknn_predict, wknn_predict_many
+from .classic import (ClassicBelModel, bel_forward, bel_predict, bel_predict_many, bel_train,
+                      bel_update)
 from .errors import (
     BelpmError,
     ConfigError,

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter
-from .series import EmbeddedDataset, _frozen_f64
+from .errors import InvalidParameter
+from .series import EmbeddedDataset, _frozen_f64, _query
 
 
 @dataclass(frozen=True)
@@ -45,48 +45,52 @@ class ClassicBelModel:
         return self.v.size
 
 
-def _check_stimulus(model: ClassicBelModel, s) -> np.ndarray:
-    arr = np.asarray(s, dtype=np.float64)
-    if arr.shape != (model.dim,):
-        raise DimensionMismatch(
-            f"stimulus has shape {arr.shape}, model expects ({model.dim},)"
-        )
-    return arr
-
-
 def bel_forward(model: ClassicBelModel, s) -> tuple[float, np.ndarray, np.ndarray]:
     """Output E = sum(A) - sum(O) with per-node responses A = v*s, O = w*s."""
-    arr = _check_stimulus(model, s)
+    arr = _query(s, model.dim)
     a = model.v * arr
     o = model.w * arr
     return float(a.sum() - o.sum()), a, o
 
 
+def _step(v, w, alpha, beta, s, rew):
+    """Weight arrays ``v`` and ``w`` after one update on stimulus array ``s``."""
+    a_sum = (v * s).sum()
+    e = a_sum - (w * s).sum()
+    return v + alpha * s * max(0.0, rew - a_sum), w + beta * s * (e - rew)
+
+
 def bel_update(model: ClassicBelModel, s, rew: float) -> ClassicBelModel:
-    """One associative update toward reinforcement ``rew``.
+    """One associative update toward reinforcement ``rew``, a finite number.
 
     The amygdala step is alpha * s * max(0, rew - sum(A)); the orbitofrontal
     step is beta * s * (E - rew), which keeps E = rew as the stable fixed
     point. Both use the pre-update responses.
     """
-    arr = _check_stimulus(model, s)
-    e, a, o = bel_forward(model, arr)
-    dv = model.alpha * arr * max(0.0, rew - float(a.sum()))
-    dw = model.beta * arr * (e - rew)
-    return replace(model, v=model.v + dv, w=model.w + dw)
+    if not np.isfinite(rew):
+        raise InvalidParameter(f"reinforcement must be finite, got {rew}")
+    v, w = _step(model.v, model.w, model.alpha, model.beta, _query(s, model.dim), float(rew))
+    return replace(model, v=v, w=w)
 
 
 def bel_train(model: ClassicBelModel, dataset: EmbeddedDataset, epochs: int) -> ClassicBelModel:
-    """Sequential updates over the dataset's pairs, repeated ``epochs`` times."""
+    """``bel_update`` over the dataset's pairs in order, repeated ``epochs`` times."""
     if epochs < 0:
         raise InvalidParameter(f"epochs must be >= 0, got {epochs}")
+    v, w, inputs = model.v, model.w, _query(dataset.inputs, model.dim, batch=True)
     for _ in range(epochs):
-        for s, rew in zip(dataset.inputs, dataset.targets):
-            model = bel_update(model, s, float(rew))
-    return model
+        for s, rew in zip(inputs, dataset.targets.tolist()):
+            v, w = _step(v, w, model.alpha, model.beta, s, rew)
+    return replace(model, v=v, w=w)
 
 
 def bel_predict(model: ClassicBelModel, s) -> float:
     """Model output for a stimulus (forward pass, weights frozen)."""
     e, _, _ = bel_forward(model, s)
     return e
+
+
+def bel_predict_many(model: ClassicBelModel, inputs) -> np.ndarray:
+    """``bel_predict`` for each row of an (m, r) matrix, bit for bit."""
+    x = _query(inputs, model.dim, batch=True)
+    return (x * model.v).sum(1) - (x * model.w).sum(1)

@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import WknnModel, wknn_predict
-from .classic import ClassicBelModel, bel_predict, bel_train
+from .baselines import WknnModel
+from .classic import ClassicBelModel, bel_train
 from .errors import ConfigError
 from .metrics import EvaluationReport, PeakReport, correlation, find_peaks, match_peaks, mse, nmse
-from .model import BelpmConfig, BelpmModel, predict_many as belpm_predict_many, train as belpm_train
+from .model import BelpmConfig, train as belpm_train
 from .network import KernelKind
 from .series import EmbeddedDataset, TimeSeries, embed, gen_logistic, gen_mackey_glass, split
 from .storage import (
@@ -116,12 +116,10 @@ def resolve_series(config: ExperimentConfig) -> TimeSeries:
 
 
 def train_model(config: ExperimentConfig, train_set: EmbeddedDataset):
-    """Train the configured model kind on the given pairs.
-
-    The one place that maps config fields onto each kind's trainer.
-    """
+    """Train the configured model kind on the given pairs: the one place that
+    maps config fields onto each kind's trainer."""
     trainers = {
-        BelpmModel: lambda: belpm_train(train_set, BelpmConfig(
+        "belpm": lambda: belpm_train(train_set, BelpmConfig(
             k_a=config.k_a,
             k_o=config.k_o,
             bl_kernel=KernelKind.from_name(config.bl_kernel),
@@ -130,43 +128,32 @@ def train_model(config: ExperimentConfig, train_set: EmbeddedDataset):
             epochs=config.epochs,
             ridge=config.ridge,
         )),
-        WknnModel: lambda: WknnModel.from_dataset(train_set, k=config.wknn_k),
-        ClassicBelModel: lambda: bel_train(
+        "wknn": lambda: WknnModel.from_dataset(train_set, k=config.wknn_k),
+        "classic_bel": lambda: bel_train(
             ClassicBelModel.zeros(train_set.r, alpha=config.bel_alpha, beta=config.bel_beta),
             train_set, epochs=config.bel_epochs),
     }
-    return trainers[MODEL_KINDS[config.model].cls]()
+    return trainers[config.model]()
 
 
 def predict_with(model, inputs: np.ndarray) -> np.ndarray:
-    """One prediction per input row, by the predict function of the model's kind.
-
-    A BELPM model answers all rows in one batched neighbor search.
-    """
-    cls = MODEL_KINDS[kind_of(model)].cls
-    if cls is BelpmModel:
-        return belpm_predict_many(model, inputs)
-    predict = {WknnModel: wknn_predict, ClassicBelModel: bel_predict}[cls]
-    return np.array([predict(model, x) for x in inputs])
+    """One prediction per input row, by the batch predictor of the model's kind."""
+    return MODEL_KINDS[kind_of(model)].predict_many(model, inputs)
 
 
 def evaluate(observed: TimeSeries, predicted, peak_window: int,
              peak_top_m: int | None) -> EvaluationReport:
     """Metrics of ``predicted`` against ``observed`` (aligned value for value),
-    plus the peak summary when the span holds at least three values."""
+    plus the peak summary when the span holds at least three values.
+    Non-finite predictions raise ``NumericError``."""
+    y = observed.values
+    scores = nmse(y, predicted), mse(y, predicted), correlation(y, predicted)
     predicted_ts = TimeSeries(predicted, start_time=observed.start_time, step=observed.step)
     peak_report = None
     if len(observed) >= 3:
         peak_report = match_peaks(find_peaks(observed, top_m=peak_top_m), predicted_ts,
                                   window=peak_window, top_m=peak_top_m)
-    y, yhat = observed.values, predicted_ts.values
-    return EvaluationReport(
-        nmse=nmse(y, yhat),
-        mse=mse(y, yhat),
-        correlation=correlation(y, yhat),
-        n=len(observed),
-        peak_report=peak_report,
-    )
+    return EvaluationReport(*scores, n=len(observed), peak_report=peak_report)
 
 
 def render_report(report: EvaluationReport) -> str:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, LengthMismatch, SeriesTooShort, ZeroVariance
+from .errors import InvalidParameter, LengthMismatch, NumericError, SeriesTooShort, ZeroVariance
 from .series import TimeSeries
 
 
@@ -17,6 +17,8 @@ def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
         raise LengthMismatch(f"sequences have shapes {a.shape} and {b.shape}")
     if a.size == 0:
         raise LengthMismatch("sequences must be non-empty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericError("sequences must be finite")
     return a, b
 
 

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     InvalidParameter,
     LengthMismatch,
     SingularSystem,
     TooFewSamples,
 )
 from .network import AdaptiveNetwork, KernelKind, _forward_many, _train_sd_loo, forward
-from .series import EmbeddedDataset, TimeSeries, embed
+from .series import EmbeddedDataset, TimeSeries, _query, embed
 
 # Relative tolerance for verifying an unregularized normal-equation solution;
 # beyond it the system counts as numerically singular.
@@ -158,11 +157,7 @@ def train(train_set: EmbeddedDataset, config: BelpmConfig = BelpmConfig()) -> Be
 
 def predict(model: BelpmModel, i) -> float:
     """Fused prediction w1 * r_a + w2 * r_o + w3 for one query vector."""
-    arr = np.asarray(i, dtype=np.float64)
-    if arr.shape != (model.r,):
-        raise DimensionMismatch(
-            f"query has shape {arr.shape}, model expects ({model.r},)"
-        )
+    arr = _query(i, model.r)
     r_a = forward(model.bl, _bl_feature_matrix(arr))
     r_o = forward(model.mo, arr)
     return model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3
@@ -171,13 +166,7 @@ def predict(model: BelpmModel, i) -> float:
 def predict_many(model: BelpmModel, inputs) -> np.ndarray:
     """``predict`` for each row of an (m, r) matrix of query vectors, bit for
     bit, with the neighbor search run over blocks of rows."""
-    arr = np.asarray(inputs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != model.r:
-        raise DimensionMismatch(
-            f"queries have shape {arr.shape}, model expects (m, {model.r})"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameter("query must be finite")
+    arr = _query(inputs, model.r, batch=True)
     r_a = _forward_many(model.bl, _bl_feature_matrix(arr))
     r_o = _forward_many(model.mo, arr)
     return model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3

@@ -17,13 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
     TooFewSamples,
     UnsupportedKernel,
 )
-from .series import _frozen_f64
+from .series import _frozen_f64, _query
 
 # Lower bound keeping parametric kernels parametric during descent.
 BANDWIDTH_FLOOR = 1e-8
@@ -142,12 +141,7 @@ def _nearest_one(net: StoredPairs, query,
     stored sample ``exclude``. One stable argsort ranks all n distances: for a
     single row that beats ``_nearest``, which sorts first coordinates per call
     (moving it waits on ROADMAP item 1, the benchmark's per-query memory)."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (net.dim,):
-        raise DimensionMismatch(f"query has shape {q.shape}, stored features have "
-                                f"dimension {net.dim}")
-    if not np.isfinite(q).all():
-        raise InvalidParameter("query must be finite")
+    q = _query(query, net.dim)
     d = _distances(net.train_inputs.T, q[None])[0]
     order = np.argsort(d, kind="stable")
     if exclude is not None:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (
     DataError,
+    DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
     InvalidParameter,
@@ -24,6 +25,18 @@ def _frozen_f64(values, ndim: int) -> np.ndarray:
     if arr.ndim != ndim:
         raise InvalidParameter(f"expected a {ndim}-D array, got shape {arr.shape}")
     arr.flags.writeable = False
+    return arr
+
+
+def _query(x, dim: int, batch: bool = False) -> np.ndarray:
+    """``x`` as a float64 query of ``dim`` values, or with ``batch`` an (m, dim)
+    matrix of them: the one check of every predictor's input. A wrong shape
+    raises ``DimensionMismatch``, a NaN or inf ``InvalidParameter``."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1 + batch or arr.shape[-1] != dim:
+        raise DimensionMismatch(f"query has shape {arr.shape}, expected {dim} values a row")
+    if not np.isfinite(arr).all():
+        raise InvalidParameter("query must be finite")
     return arr
 
 

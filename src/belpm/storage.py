@@ -30,8 +30,8 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .baselines import WknnModel
-from .classic import ClassicBelModel
+from .baselines import WknnModel, wknn_predict_many
+from .classic import ClassicBelModel, bel_predict_many
 from .errors import (
     BelpmError,
     ConfigError,
@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
     VersionMismatch,
 )
-from .model import BelpmModel, CmWeights, _bl_feature_matrix
+from .model import BelpmModel, CmWeights, _bl_feature_matrix, predict_many
 from .network import AdaptiveNetwork, KernelKind
 from .series import EmbeddedDataset, TimeSeries
 
@@ -316,18 +316,20 @@ def _read_classic(fields: dict[str, str]) -> ClassicBelModel:
 
 
 class ModelKind(NamedTuple):
-    """A model class and its model-file fields: ``to_fields(model, embedding)``
-    gives the fields after ``kind``, ``from_fields(fields)`` rebuilds the model."""
+    """A model class, its file fields and its batch predictor: ``to_fields(model,
+    embedding)`` gives the fields after ``kind``, ``from_fields(fields)`` rebuilds
+    the model, and ``predict_many(model, inputs)`` predicts each input row."""
 
     cls: type
     to_fields: Callable[[Any, tuple[int, int] | None], dict]
     from_fields: Callable[[dict[str, str]], Any]
+    predict_many: Callable[[Any, np.ndarray], np.ndarray]
 
 
 MODEL_KINDS = {
-    "belpm": ModelKind(BelpmModel, _belpm_fields, _read_belpm),
-    "wknn": ModelKind(WknnModel, _wknn_fields, _read_wknn),
-    "classic_bel": ModelKind(ClassicBelModel, _classic_fields, _read_classic),
+    "belpm": ModelKind(BelpmModel, _belpm_fields, _read_belpm, predict_many),
+    "wknn": ModelKind(WknnModel, _wknn_fields, _read_wknn, wknn_predict_many),
+    "classic_bel": ModelKind(ClassicBelModel, _classic_fields, _read_classic, bel_predict_many),
 }
 
 

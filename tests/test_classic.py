@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,64 @@ def test_non_finite_weights_kept():
     assert np.isnan(model.v[0]) and np.isinf(model.w[0])
     assert not model.v.flags.writeable and not model.w.flags.writeable
     assert np.isnan(bel_predict(model, [1.0, 1.0]))
+
+
+def update_fold(model, dataset, epochs):
+    """Reference: ``bel_update``'s rule written out, with the summed
+    responses as Python floats, folded over the pairs in order; (v, w)."""
+    v, w = model.v, model.w
+    for _ in range(epochs):
+        for s, rew in zip(dataset.inputs, dataset.targets.tolist()):
+            a, o = v * s, w * s
+            e = float(a.sum() - o.sum())
+            v, w = (v + model.alpha * s * max(0.0, rew - float(a.sum())),
+                    w + model.beta * s * (e - rew))
+    return v, w
+
+
+def assert_train_equals_update_fold(model, dataset, epochs):
+    trained = bel_train(model, dataset, epochs)
+    updated = reduce(lambda m, pair: bel_update(m, *pair),
+                     list(zip(dataset.inputs, dataset.targets)) * epochs, model)
+    for want, bank in zip(update_fold(model, dataset, epochs), ("v", "w")):
+        for got in (trained, updated):
+            np.testing.assert_array_equal(getattr(got, bank).view(np.int64),
+                                          want.view(np.int64))
+    return trained
+
+
+@pytest.mark.parametrize("r", [1, 3, 9])
+def test_train_equals_the_update_fold_bit_for_bit(r):
+    rng = np.random.default_rng(r)
+    ds = EmbeddedDataset(rng.normal(size=(40, r)), rng.normal(size=40), r=r, horizon=1)
+    assert_train_equals_update_fold(ClassicBelModel.zeros(r, alpha=0.3, beta=0.2), ds, 4)
+
+
+def test_train_diverges_exactly_as_the_update_fold():
+    # AE-scale stimuli drive the banks past the float range to inf and NaN.
+    x = 600.0 + 500.0 * np.sin(np.arange(83) / 5.0)
+    ds = EmbeddedDataset(np.lib.stride_tricks.sliding_window_view(x[:-1], 3), x[3:],
+                         r=3, horizon=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trained = assert_train_equals_update_fold(ClassicBelModel.zeros(3, 0.1, 0.1), ds, 10)
+    assert not np.isfinite(trained.w).all()
+
+
+def test_train_checks_the_stimulus_width():
+    ds = EmbeddedDataset(np.ones((3, 2)), np.ones(3), r=2, horizon=1)
+    with pytest.raises(DimensionMismatch):
+        bel_train(ClassicBelModel.zeros(3), ds, epochs=1)
+
+
+@pytest.mark.parametrize("rew", [np.nan, np.inf, -np.inf])
+def test_update_refuses_a_non_finite_reinforcement(rew):
+    # max(0, nan) is 0, so a NaN used to keep v and turn w into NaN.
+    with pytest.raises(InvalidParameter, match="reinforcement must be finite"):
+        bel_update(ClassicBelModel.zeros(3), [1.0, 1.0, 2.0], rew)
+
+
+def test_non_finite_stimulus_refused():
+    model = ClassicBelModel(v=[1.0, 2.0, 3.0], w=[0.0, 0.0, 0.0], alpha=0.5, beta=0.5)
+    for call in (bel_predict, bel_forward, lambda m, s: bel_update(m, s, 1.0)):
+        with pytest.raises(InvalidParameter, match="query must be finite"):
+            call(model, [np.nan, 1.0, 2.0])

@@ -200,6 +200,20 @@ def test_exit_code_3_for_numeric_errors(tmp_path, capsys):
     assert "normal equations are not finite" in capsys.readouterr().err
 
 
+def test_bench_exits_3_when_classic_bel_diverges(tmp_path, capsys):
+    # AE-scale values drive classic_bel's weights to NaN, so it predicts NaN.
+    series = tmp_path / "big.csv"
+    save_series_csv(TimeSeries(600.0 + 500.0 * np.sin(np.arange(120) / 5.0)), series)
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"data_path": str(series), "model": "classic_bel",
+                               "n_train": 80}))
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("bench", "--config", str(cfg)) == 3
+    out = capsys.readouterr()
+    assert "sequences must be finite" in out.err and "nmse" not in out.out
+
+
 def peak_lines(series, peaks, first=0):
     return [f"{first + int(t)},{series.time_at(int(t))},{format_float(series.values[t])}"
             for t in peaks]

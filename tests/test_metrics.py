@@ -1,9 +1,28 @@
 import numpy as np
 import pytest
 
-from belpm.errors import InvalidParameter, LengthMismatch, SeriesTooShort, ZeroVariance
+from belpm.errors import (
+    InvalidParameter,
+    LengthMismatch,
+    NumericError,
+    SeriesTooShort,
+    ZeroVariance,
+)
 from belpm.metrics import correlation, find_peaks, match_peaks, mse, nmse
 from belpm.series import TimeSeries
+
+
+@pytest.mark.parametrize("metric", [nmse, mse, correlation])
+@pytest.mark.parametrize("y, yhat", [
+    ([1.0, 2.0, 3.0], [1.0, 2.0, np.nan]),
+    ([1.0, 2.0, np.nan], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [1.0, 2.0, np.inf]),
+    ([1.0, 2.0, -np.inf], [1.0, 2.0, 3.0]),
+])
+def test_metrics_refuse_non_finite_input(metric, y, yhat):
+    # nmse gave nan, mse inf and correlation nan without a word.
+    with pytest.raises(NumericError, match="must be finite"):
+        metric(y, yhat)
 
 
 class TestNmse:
