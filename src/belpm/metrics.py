@@ -22,6 +22,14 @@ def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _finite(value) -> float:
+    """``value``, refused when finite inputs squared or summed past the float
+    range (callers ignore numpy's overflow and invalid warnings)."""
+    if not np.isfinite(value):
+        raise NumericError("metric overflows the float range")
+    return float(value)
+
+
 def nmse(y, yhat) -> float:
     """Squared error normalized by the targets' centered sum of squares.
 
@@ -29,28 +37,31 @@ def nmse(y, yhat) -> float:
     defined value and raises ``ZeroVariance``.
     """
     a, b = _paired(y, yhat)
-    den = float(((a - a.mean()) ** 2).sum())
-    if den == 0.0:
-        raise ZeroVariance("targets are constant, nmse undefined")
-    return float(((a - b) ** 2).sum()) / den
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = _finite(((a - a.mean()) ** 2).sum())
+        if den == 0.0:
+            raise ZeroVariance("targets are constant, nmse undefined")
+        return _finite(float(((a - b) ** 2).sum()) / den)
 
 
 def mse(y, yhat) -> float:
     """Mean squared error."""
     a, b = _paired(y, yhat)
-    return float(((a - b) ** 2).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(((a - b) ** 2).mean())
 
 
 def correlation(y, yhat) -> float:
     """Pearson correlation with population (uncorrected) moments."""
     a, b = _paired(y, yhat)
-    da = a - a.mean()
-    db = b - b.mean()
-    sa = float(np.sqrt((da ** 2).mean()))
-    sb = float(np.sqrt((db ** 2).mean()))
-    if sa == 0.0 or sb == 0.0:
-        raise ZeroVariance("correlation undefined for a constant sequence")
-    return float((da * db).mean()) / (sa * sb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        da = a - a.mean()
+        db = b - b.mean()
+        sa = _finite(np.sqrt((da ** 2).mean()))
+        sb = _finite(np.sqrt((db ** 2).mean()))
+        if sa == 0.0 or sb == 0.0:
+            raise ZeroVariance("correlation undefined for a constant sequence")
+        return _finite((da * db).mean()) / (sa * sb)
 
 
 @dataclass(frozen=True)

@@ -135,30 +135,11 @@ def _distances(cols: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.sqrt(lanes[0], out=lanes[0])
 
 
-def _nearest_one(net: StoredPairs, query,
-                 exclude: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``_nearest``'s indices and distances for one finite query, leaving out
-    stored sample ``exclude``. One stable argsort ranks all n distances: for a
-    single row that beats ``_nearest``, which sorts first coordinates per call
-    (moving it waits on ROADMAP item 1, the benchmark's per-query memory)."""
-    q = _query(query, net.dim)
-    d = _distances(net.train_inputs.T, q[None])[0]
-    order = np.argsort(d, kind="stable")
-    if exclude is not None:
-        if not 0 <= exclude < d.size:
-            raise IndexOutOfRange(f"exclude index {exclude} outside [0, {d.size})")
-        if d.size < 2:
-            raise TooFewSamples("leaving a sample out needs at least two stored samples")
-        order = order[order != exclude]
-    chosen = order[: net.k]
-    return chosen, d[chosen]
-
-
 def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
     """Kernel values for rows of ranked neighbor distances (last axis = rank).
 
     A linear-rescale row whose distances are all zero gives zeros, which
-    ``_outputs`` turns into uniform weights. One whose largest distance is
+    ``_weigh`` turns into uniform weights. One whose largest distance is
     inf takes the kernel's limit as that maximum grows: 1 at a finite
     distance, 0 at an infinite one, so an all-inf row weighs uniformly too.
     """
@@ -178,30 +159,29 @@ def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + scaled ** 2)
 
 
-def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray,
-             bw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw kernel values, their row sums (axis kept) and the network outputs:
-    kernel values normalized to sum to one, then applied to the neighbors'
-    targets. A row whose kernel mass vanishes (underflow, or the rescale
-    kernel with all-zero distances) falls back to uniform weights. Normalizing
-    first keeps k=1 recalling a stored target exactly."""
-    raw = _kernel(kind, dists, bw)
+def _weigh(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums (axis kept) of raw weights, and the targets weighed by them
+    normalized, or uniformly where the sum is 0: the one weighting rule of the
+    networks and wknn. Normalizing first keeps k=1 recalling a target exactly."""
     total = raw.sum(axis=-1, keepdims=True)
     dead = total == 0.0
     weights = raw / total if not dead.any() else np.where(
-        dead, 1.0 / dists.shape[-1], raw / np.where(dead, 1.0, total))
-    return raw, total, (weights * targets).sum(axis=-1)
+        dead, 1.0 / raw.shape[-1], raw / np.where(dead, 1.0, total))
+    return total, (weights * targets).sum(axis=-1)
+
+
+def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray,
+             bw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw kernel values, then ``_weigh``'s row sums and network outputs."""
+    raw = _kernel(kind, dists, bw)
+    return (raw, *_weigh(raw, targets))
 
 
 def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> float:
-    """Predict the target for ``query``, a finite vector.
-
-    The output is ``_outputs`` over the k nearest stored samples (skipping
-    index ``exclude``): normalized kernel weights, uniform when the kernel
-    mass vanishes, applied to the neighbors' targets.
-    """
-    indices, dists = _nearest_one(net, query, exclude)
-    return float(_outputs(net.kernel, dists, net.train_targets[indices], net.bandwidths)[2])
+    """Prediction for one finite ``query``, leaving out stored sample ``exclude``:
+    the batch path on one row, with shape and finiteness checked first."""
+    q = _query(query, net.dim)[None]
+    return float(_forward_many(net, q, None if exclude is None else [exclude])[0])
 
 
 def _rank_smallest(d: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,77 +235,90 @@ def _windows(cols: np.ndarray, order: np.ndarray, q: np.ndarray, m: int):
 
 
 def _nearest(net: StoredPairs, queries: np.ndarray,
-             loo: bool = False) -> tuple[np.ndarray, np.ndarray]:
+             exclude=None) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances (each (len(queries), kk)) of the ``net.k``
     nearest stored samples to each query row, exactly as a stable argsort
-    of all n distances picks and ranks them (``_nearest_one``). With ``loo``,
-    query row j is stored sample j and is left out of its own neighbors.
+    of all n distances picks and ranks them: the one neighbor search. With
+    ``exclude``, one stored index per query row, row j leaves out stored
+    sample ``exclude[j]`` and kk = min(k, n - 1); an index outside [0, n)
+    raises ``IndexOutOfRange``, then a single stored sample ``TooFewSamples``.
 
-    A block of queries ranks only the samples whose first coordinate x0 is
-    within R' = R * (1 + 1e-9) + 2**-500 of a query's q0, R bounding the
-    query's m-th distance (m = kk, or kk + 1 with ``loo``), as in Friedman,
-    Baskett & Shustek (1975). A distance is a rounded sqrt of rounded sums of
-    non-negative squares, each sum at least the first square, so by monotone
-    rounding it is at least fl(sqrt(fl(fl(x0 - q0)**2))). That square is
-    normal if |x0 - q0| >= 2**-500, and then rounding shrinks |x0 - q0| by a
-    relative 2**-51 at most; below, it may underflow to 0, which the absolute
-    term covers; q0 -/+ R' round monotonically too. So no sample within R is
-    left out, and ranked by index with ``_distances``' bits the window gives
-    the full scan's result, ties included. A block whose window spans over
+    A single row ranks all n distances. A block of more rows ranks only the
+    samples whose first coordinate x0 is within R' = R * (1 + 1e-9) + 2**-500
+    of a query's q0, R bounding the query's m-th distance (m = kk, or kk + 1
+    with ``exclude``), as in Friedman, Baskett & Shustek (1975). A distance is
+    a rounded sqrt of rounded sums of non-negative squares, each sum at least
+    the first square, so by monotone rounding it is at least
+    fl(sqrt(fl(fl(x0 - q0)**2))). That square is normal if |x0 - q0| >=
+    2**-500, and then rounding shrinks |x0 - q0| by a relative 2**-51 at
+    most; below, it may underflow to 0, which the absolute term covers;
+    q0 -/+ R' round monotonically too. So no sample within R is left out, and
+    ranked by index with ``_distances``' bits the window gives the full
+    scan's result, ties included. A block whose window spans over
     ``_WINDOW_SHARE`` of the samples (as an infinite R' does) or holds a NaN
     or inf query is ranked against all, in chunks of ``_BLOCK_DISTANCES``.
     """
     n = net.n_samples
-    kk = min(net.k, n - 1) if loo else net.k
-    m = kk + 1 if loo else kk
+    if exclude is not None:
+        exclude = np.asarray(exclude)
+        if exclude.size and (exclude.min() < 0 or exclude.max() >= n):
+            raise IndexOutOfRange(f"an exclude index lies outside [0, {n})")
+        if n < 2:
+            raise TooFewSamples("leaving a sample out needs at least two stored samples")
+    kk = net.k if exclude is None else min(net.k, n - 1)
+    m = kk + (exclude is not None)
     cols = net.train_inputs.T
+    if len(queries) == 1:
+        # One stable sort of the n distances; a window would first sort the n
+        # first coordinates. `_rank_smallest` takes 40 % of the time, but the
+        # benchmark's per-query memory then breaks its bound (ROADMAP item 1).
+        d = _distances(cols, queries)[0]
+        top = np.argsort(d, kind="stable")[None, :m]
+        return _drop_excluded(top, d[top], exclude)
     order = np.argsort(cols[0], kind="stable")
-    qorder = order if loo else np.argsort(queries[:, 0], kind="stable")
+    qorder = np.argsort(queries[:, 0], kind="stable")
     q = queries[qorder]
     indices = np.empty((len(q), kk), dtype=np.intp)
     dists = np.empty((len(q), kk))
     for lo, hi, cand in _windows(cols, order, q, m):
         sub = cols if cand is None else cols[:, cand]
         step = max(1, _BLOCK_DISTANCES // sub.shape[1])
-        for r in (slice(s, min(s + step, hi)) for s in range(lo, hi, step)):
-            top, near = _rank_smallest(_distances(sub, q[r]), m)
-            if cand is not None:
-                top = cand[top]
-            if loo:
-                # Drop the query's own index, or the extra one when the own
-                # index is not among them.
-                keep = top != qorder[r, None]
-                keep[keep.all(axis=1), -1] = False
-                top, near = top[keep].reshape(len(top), kk), near[keep].reshape(len(top), kk)
-            indices[qorder[r]] = top
-            dists[qorder[r]] = near
+        for r in (qorder[s:min(s + step, hi)] for s in range(lo, hi, step)):
+            top, near = _rank_smallest(_distances(sub, queries[r]), m)
+            ex = None if exclude is None else exclude[r]
+            indices[r], dists[r] = _drop_excluded(top if cand is None else cand[top], near, ex)
     return indices, dists
 
 
-def _forward_many(net: AdaptiveNetwork, queries: np.ndarray) -> np.ndarray:
-    """``forward``'s output for each query row, bit for bit."""
-    indices, dists = _nearest(net, queries)
+def _drop_excluded(top: np.ndarray, near: np.ndarray, exclude) -> tuple[np.ndarray, np.ndarray]:
+    """Ranked indices ``top`` and distances ``near`` of one or more rows, each
+    row less its ``exclude`` index, or its last entry when that index is not
+    among them."""
+    if exclude is None:
+        return top, near
+    keep = top != exclude[:, None]
+    keep[keep.all(axis=1), -1] = False
+    return top[keep].reshape(len(top), -1), near[keep].reshape(len(top), -1)
+
+
+def _forward_many(net: AdaptiveNetwork, queries: np.ndarray, exclude=None) -> np.ndarray:
+    """``_outputs`` over each query row's ``_nearest`` samples."""
+    indices, dists = _nearest(net, queries, exclude)
     return _outputs(net.kernel, dists, net.train_targets[indices], net.bandwidths)[2]
 
 
 def _loo_table(net: AdaptiveNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Ranked neighbor distances and targets (each (n, kk)) for every stored
-    sample, with the sample itself excluded.
-
-    Selection depends only on distances, never on bandwidths, so one table
-    serves a whole descent and the trained network's LOO responses.
-    """
-    if net.n_samples < 2:
-        raise TooFewSamples("leave-one-out needs at least two stored samples")
-    indices, dists = _nearest(net, net.train_inputs, loo=True)
+    sample, leaving itself out. Selection never depends on bandwidths, so one
+    table serves a whole descent and the trained network's LOO responses."""
+    indices, dists = _nearest(net, net.train_inputs, np.arange(net.n_samples))
     return dists, net.train_targets[indices]
 
 
 def loo_predictions(net: AdaptiveNetwork) -> np.ndarray:
     """Prediction for each stored sample with that sample excluded from its
     own neighbor set. Needed so training residuals are not trivially zero."""
-    dists, targets = _loo_table(net)
-    return _outputs(net.kernel, dists, targets, net.bandwidths)[2]
+    return _outputs(net.kernel, *_loo_table(net), net.bandwidths)[2]
 
 
 def _loss(net: AdaptiveNetwork, outputs: np.ndarray) -> float:

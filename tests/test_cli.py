@@ -200,6 +200,14 @@ def test_exit_code_3_for_numeric_errors(tmp_path, capsys):
     assert "normal equations are not finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_exits_3_when_metric_sums_overflow(tmp_path, capsys):
+    preds = tmp_path / "preds.csv"
+    preds.write_text("time,observed,predicted\n0,0.0,1e160\n1,1.0,0.0\n2,2.0,0.0\n")
+    assert run("eval", "--predictions", str(preds)) == 3
+    assert "overflows the float range" in capsys.readouterr().err
+
+
 def test_bench_exits_3_when_classic_bel_diverges(tmp_path, capsys):
     # AE-scale values drive classic_bel's weights to NaN, so it predicts NaN.
     series = tmp_path / "big.csv"

@@ -25,6 +25,18 @@ def test_metrics_refuse_non_finite_input(metric, y, yhat):
         metric(y, yhat)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("metric", [nmse, mse, correlation])
+@pytest.mark.parametrize("y, yhat", [
+    ([0.0, 1.0, 2.0], [1e160, 0.0, 0.0]),  # a square overflows
+    ([1e308, 1e308, -1e308], [0.0, 1.0, 2.0]),  # so does the targets' sum
+])
+def test_metrics_refuse_overflowing_sums(metric, y, yhat):
+    # Finite inputs: nmse and mse gave inf and correlation -0.0, with a warning.
+    with pytest.raises(NumericError, match="overflows the float range"):
+        metric(y, yhat)
+
+
 class TestNmse:
     def test_perfect_prediction(self):
         y = np.array([1.0, 2.0, 3.0])

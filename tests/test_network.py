@@ -19,7 +19,6 @@ from belpm.network import (
     KernelKind,
     StoredPairs,
     _nearest,
-    _nearest_one,
     forward,
     grad_bandwidths,
     loo_predictions,
@@ -43,6 +42,14 @@ def random_instance(rng, n=None, r=None, k=None, kind=None):
     k_eff = min(k, n)
     bw = rng.uniform(0.5, 2.0, size=k_eff)
     return AdaptiveNetwork(inputs, targets, k=k, kernel=kind, bandwidths=bw)
+
+
+def nearest_row(net, q, exclude=None):
+    """``_nearest`` on the one row ``q``, leaving out stored sample
+    ``exclude``, as ``forward`` searches: its indices and distances."""
+    indices, dists = _nearest(net, np.asarray(q, dtype=np.float64)[None],
+                              None if exclude is None else [exclude])
+    return indices[0], dists[0]
 
 
 def loo_loss(net):
@@ -102,24 +109,24 @@ class TestConstruction:
 
 
 class TestDistances:
-    """Distances as ``_nearest_one`` returns them for single queries."""
+    """Distances as ``_nearest`` returns them for single queries."""
 
     def test_three_four_five(self):
         net = AdaptiveNetwork(np.array([[3.0, 4.0]]), np.array([1.0]), k=1)
-        indices, dists = _nearest_one(net, [0.0, 0.0])
+        indices, dists = nearest_row(net, [0.0, 0.0])
         np.testing.assert_array_equal(indices, [0])
         np.testing.assert_array_equal(dists, [5.0])
 
     def test_identity_gives_zero(self):
         X = np.random.default_rng(0).normal(size=(6, 3))
-        indices, dists = _nearest_one(AdaptiveNetwork(X, np.arange(6.0), k=2), X[4])
+        indices, dists = nearest_row(AdaptiveNetwork(X, np.arange(6.0), k=2), X[4])
         assert indices[0] == 4 and dists[0] == 0.0
 
     def test_matches_per_element_recomputation(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(10, 3))
         q = rng.normal(size=3)
-        indices, dists = _nearest_one(AdaptiveNetwork(X, np.zeros(10), k=10), q)
+        indices, dists = nearest_row(AdaptiveNetwork(X, np.zeros(10), k=10), q)
         np.testing.assert_array_equal(np.sort(indices), np.arange(10))
         for j, d in zip(indices, dists):
             manual = sum((q[i] - X[j, i]) ** 2 for i in range(3)) ** 0.5
@@ -128,43 +135,48 @@ class TestDistances:
     def test_dimension_mismatch(self):
         net = AdaptiveNetwork(np.zeros((3, 2)), np.zeros(3), k=1)
         with pytest.raises(DimensionMismatch):
-            _nearest_one(net, [1.0, 2.0, 3.0])
+            forward(net, [1.0, 2.0, 3.0])
 
 
 class TestSelectKMin:
-    """Selection of the k smallest distances by ``_nearest_one``."""
+    """Selection of the k smallest distances by ``_nearest`` on one row."""
 
     def test_two_smallest(self):
         net = StoredPairs(np.array([[3.0], [1.0], [2.0]]), np.zeros(3), k=2)
-        indices, dists = _nearest_one(net, [0.0])
+        indices, dists = nearest_row(net, [0.0])
         np.testing.assert_array_equal(indices, [1, 2])
         np.testing.assert_array_equal(dists, [1.0, 2.0])
 
     def test_tie_goes_to_lowest_index(self):
         net = StoredPairs(np.array([[1.0], [-1.0], [2.0]]), np.zeros(3), k=1)
-        np.testing.assert_array_equal(_nearest_one(net, [0.0])[0], [0])
+        np.testing.assert_array_equal(nearest_row(net, [0.0])[0], [0])
 
     def test_k_clamped(self):
         net = StoredPairs(np.array([[1.0], [2.0], [3.0]]), np.zeros(3), k=5)
-        assert len(_nearest_one(net, [0.0])[0]) == 3
+        assert len(nearest_row(net, [0.0])[0]) == 3
         # Leaving a sample out leaves n - 1 candidates.
-        indices, dists = _nearest_one(net, [2.0], exclude=1)
+        indices, dists = nearest_row(net, [2.0], exclude=1)
         np.testing.assert_array_equal(indices, [0, 2])
         np.testing.assert_array_equal(dists, [1.0, 1.0])
 
     def test_exclusion_empties_candidates(self):
-        net = StoredPairs(np.zeros((1, 2)), np.zeros(1), k=1)
-        # The checks run in order: shape, finiteness, exclude index, sample count.
+        net = AdaptiveNetwork(np.zeros((1, 2)), np.zeros(1), k=1)
+        # forward's checks run in order: shape, finiteness, exclude index,
+        # sample count; the last two are _nearest's, for every query row.
         with pytest.raises(DimensionMismatch):
-            _nearest_one(net, [np.nan, 2.0, 3.0], exclude=5)
+            forward(net, [np.nan, 2.0, 3.0], exclude=5)
         with pytest.raises(InvalidParameter, match="query must be finite"):
-            _nearest_one(net, [np.nan, 2.0], exclude=5)
+            forward(net, [np.nan, 2.0], exclude=5)
         for bad in (1, -1):
             with pytest.raises(IndexOutOfRange):
-                _nearest_one(net, [1.0, 2.0], exclude=bad)
+                forward(net, [1.0, 2.0], exclude=bad)
+            with pytest.raises(IndexOutOfRange):
+                _nearest(net, np.zeros((2, 2)), [0, bad])
         # The same error leave-one-out raises for a single stored sample.
         with pytest.raises(TooFewSamples):
-            _nearest_one(net, [1.0, 2.0], exclude=0)
+            forward(net, [1.0, 2.0], exclude=0)
+        with pytest.raises(TooFewSamples):
+            _nearest(net, np.zeros((2, 2)), [0, 0])
 
 
 # Few distinct coordinates make duplicate windows and ties at the k-th
@@ -176,7 +188,7 @@ QUERY_COORD = COORD | st.sampled_from([np.inf, -np.inf])
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_batched_nearest_matches_select_k_min(data):
+def test_batched_nearest_matches_direct_ranking(data):
     n = data.draw(st.integers(2, 12), label="n")
     dim = data.draw(st.integers(1, 3), label="dim")
     scale = data.draw(st.sampled_from([1.0, 1e-3, 1e200]), label="scale")
@@ -191,7 +203,7 @@ def test_batched_nearest_matches_select_k_min(data):
                             label="queries") * scale
     block = data.draw(st.integers(1, 3 * n), label="block distances")
     with mock.patch.object(network, "_BLOCK_DISTANCES", block):
-        indices, dists = _nearest(net, queries, loo=loo)
+        indices, dists = _nearest(net, queries, np.arange(len(queries)) if loo else None)
     assert indices.shape[0] == dists.shape[0] == len(queries)
     for j, q in enumerate(queries.tolist()):
         ref_indices, ref_dists = nearest_direct(inputs.tolist(), q, net.k, j if loo else None)
@@ -231,7 +243,7 @@ def _stored_family(data, n, dim):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_window_and_fallback_searches_match_select_k_min(data):
+def test_window_and_fallback_searches_match_direct_ranking(data):
     n = data.draw(st.integers(2, 60), label="n")
     dim = data.draw(st.integers(1, 4), label="dim")
     inputs = _stored_family(data, n, dim)
@@ -251,7 +263,7 @@ def test_window_and_fallback_searches_match_select_k_min(data):
                       label="block distances")
     with mock.patch.object(network, "_WINDOW_SHARE", share), \
             mock.patch.object(network, "_BLOCK_DISTANCES", block):
-        indices, dists = _nearest(net, queries, loo=loo)
+        indices, dists = _nearest(net, queries, np.arange(len(queries)) if loo else None)
     assert indices.shape[0] == dists.shape[0] == len(queries)
     for j, q in enumerate(queries.tolist()):
         ref_indices, ref_dists = nearest_direct(inputs.tolist(), q, net.k, j if loo else None)
@@ -275,7 +287,7 @@ def test_window_margin_keeps_samples_whose_squares_underflow(inputs, loo):
     net = StoredPairs(inputs, np.zeros(len(inputs)), 1)
     queries = inputs if loo else np.array([[1e-170, 0.0]])
     with mock.patch.object(network, "_WINDOW_SHARE", 1.0):
-        indices, dists = _nearest(net, queries, loo=loo)
+        indices, dists = _nearest(net, queries, np.arange(len(queries)) if loo else None)
     for j, q in enumerate(queries.tolist()):
         ref_indices, ref_dists = nearest_direct(inputs.tolist(), q, 1, j if loo else None)
         np.testing.assert_array_equal(indices[j], ref_indices)
@@ -303,10 +315,39 @@ def test_single_query_nearest_matches_direct_ranking(data):
     else:
         q = data.draw(arrays(np.float64, dim, elements=COORD), label="query") * scale
     exclude = data.draw(st.none() | st.integers(0, n - 1), label="exclude") if n > 1 else None
-    indices, dists = _nearest_one(net, q, exclude)
+    indices, dists = nearest_row(net, q, exclude)
     ref_indices, ref_dists = nearest_direct(inputs.tolist(), q.tolist(), net.k, exclude)
     np.testing.assert_array_equal(indices, ref_indices)
     assert np.array_equal(dists, ref_dists)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_each_batch_row_matches_the_row_searched_alone(data):
+    n = data.draw(st.integers(2, 40), label="n")
+    dim = data.draw(st.integers(1, 3), label="dim")
+    # Integer grids tie at the k-th distance; at 1e200 the squares overflow.
+    scale = data.draw(st.sampled_from([1.0, 1e200]), label="scale")
+    grid = arrays(np.float64, (n, dim), elements=st.integers(-2, 2).map(float))
+    inputs = data.draw(grid, label="inputs") * scale
+    net = StoredPairs(inputs, np.zeros(n), data.draw(st.integers(1, n + 1), label="k"))
+    m = data.draw(st.integers(2, 40), label="m")
+    queries = data.draw(arrays(np.float64, (m, dim), elements=st.integers(-3, 3).map(float)),
+                        label="queries") * scale
+    exclude = data.draw(st.none() | arrays(np.intp, m, elements=st.integers(0, n - 1)),
+                        label="exclude")
+    # Share 1 takes the window wherever a bound is finite, 0 the full scan.
+    share = data.draw(st.sampled_from([0.0, 1.0]), label="share")
+    with mock.patch.object(network, "_WINDOW_SHARE", share):
+        indices, dists = _nearest(net, queries, exclude)
+    for j, q in enumerate(queries):
+        ex = None if exclude is None else int(exclude[j])
+        alone_indices, alone_dists = nearest_row(net, q, ex)
+        np.testing.assert_array_equal(indices[j], alone_indices)
+        assert dists[j].tobytes() == alone_dists.tobytes()
+        ref_indices, ref_dists = nearest_direct(inputs.tolist(), q.tolist(), net.k, ex)
+        np.testing.assert_array_equal(indices[j], ref_indices)
+        assert np.array_equal(dists[j], ref_dists)
 
 
 def chaotic_mackey_glass(n: int, seed: int = 0) -> np.ndarray:
@@ -331,11 +372,11 @@ def test_window_search_engages_on_a_chaotic_series(k):
         return d
 
     with mock.patch.object(network, "_distances", spy):
-        indices, dists = _nearest(net, net.train_inputs, loo=True)
+        indices, dists = _nearest(net, net.train_inputs, np.arange(2000))
     # A window that silently never engaged would still match the full scan.
     assert sum(computed) < 0.25 * 2000 ** 2
     with mock.patch.object(network, "_WINDOW_SHARE", 0.0):
-        full_indices, full_dists = _nearest(net, net.train_inputs, loo=True)
+        full_indices, full_dists = _nearest(net, net.train_inputs, np.arange(2000))
     np.testing.assert_array_equal(indices, full_indices)
     assert np.array_equal(dists, full_dists)
 
@@ -433,7 +474,7 @@ class TestForward:
             net = AdaptiveNetwork(X, y, k=1, kernel=kind,
                                   bandwidths=np.array([3.7]) if kind.parametric else None)
             q = X[5] + 1e-4
-            assert forward(net, q) == y[_nearest_one(net, q)[0][0]]
+            assert forward(net, q) == y[nearest_row(net, q)[0][0]]
 
     def test_equidistant_neighbors_average(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -461,7 +502,7 @@ class TestForward:
             net = random_instance(rng)
             q = rng.normal(size=net.dim)
             out = forward(net, q)
-            selected = net.train_targets[_nearest_one(net, q)[0]]
+            selected = net.train_targets[nearest_row(net, q)[0]]
             assert selected.min() - 1e-12 <= out <= selected.max() + 1e-12
 
     def test_normalized_weights_sum_to_one(self):
@@ -472,7 +513,7 @@ class TestForward:
             net = random_instance(rng)
             q = rng.normal(size=net.dim)
             out = forward(net, q)
-            indices, dists = _nearest_one(net, q)
+            indices, dists = nearest_row(net, q)
             d_min, d_max = float(dists.min()), float(dists.max())
             if d_max == 0.0:
                 continue
@@ -496,8 +537,8 @@ class TestForward:
         shifted = AdaptiveNetwork(net.train_inputs + shift, net.train_targets,
                                   k=net.k, kernel=net.kernel,
                                   bandwidths=net.bandwidths)
-        np.testing.assert_array_equal(_nearest_one(net, q)[0],
-                                      _nearest_one(shifted, q + shift)[0])
+        np.testing.assert_array_equal(nearest_row(net, q)[0],
+                                      nearest_row(shifted, q + shift)[0])
         assert forward(shifted, q + shift) == pytest.approx(forward(net, q), abs=1e-9)
 
     def test_duplicate_points_all_zero_distances_rescale_fallback(self):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from belpm.baselines import WknnModel, wknn_predict
+from belpm import network
+from belpm.baselines import WknnModel, wknn_predict, wknn_predict_many
 from belpm.classic import ClassicBelModel, bel_predict
 from belpm.errors import DimensionMismatch, InvalidParameter
 from belpm.experiment import predict_with
-from belpm.model import BelpmModel, CmWeights, _bl_feature_matrix, predict
+from belpm.model import BelpmModel, CmWeights, _bl_feature_matrix, predict, predict_many
 from belpm.network import AdaptiveNetwork, KernelKind
 from belpm.storage import MODEL_KINDS, kind_of
 
@@ -24,7 +25,7 @@ SCALE = st.sampled_from([1.0, 1e200])
 
 @st.composite
 def stored_pairs(draw, max_dim=4):
-    # Up to 40 neighbors: BLAS's dot and numpy's sum part ways past 8 terms.
+    # Up to 40 neighbors: numpy sums more than 8 terms in unrolled lanes.
     n = draw(st.integers(1, 8) | st.integers(9, 40))
     dim = draw(st.integers(1, max_dim))
     scale = draw(SCALE)
@@ -57,7 +58,7 @@ def test_wknn_batch_equals_single_queries(case):
 
 @pytest.mark.parametrize("k", [1, 2, 7, 13, 40])
 def test_wknn_batch_equals_single_queries_on_generic_values(k):
-    # On sums of random products a dot and an elementwise sum part ways.
+    # Sums of random products show any change in summation order.
     rng = np.random.default_rng(k)
     model = WknnModel(rng.normal(size=(60, 3)), rng.normal(size=60), k)
     assert_rows_match(model, rng.normal(size=(30, 3)))
@@ -118,3 +119,19 @@ def test_batch_needs_a_matrix(model):
     with pytest.raises(DimensionMismatch):
         predict_with(model, [1.0, 2.0, 3.0])
     assert predict_with(model, np.zeros((0, 3))).shape == (0,)
+
+
+def test_one_row_batches_skip_the_window_search(monkeypatch):
+    # One row ranks its n distances with one sort; the window search would
+    # first sort all n stored first coordinates.
+    calls = []
+    windows = network._windows
+    monkeypatch.setattr(network, "_windows", lambda *a: calls.append(1) or windows(*a))
+    belpm_model, wknn_model, _ = models()
+    q = np.array([[1.0, 2.0, 3.5]])
+    assert predict_many(belpm_model, q)[0] == predict(belpm_model, q[0])
+    assert wknn_predict_many(wknn_model, q)[0] == wknn_predict(wknn_model, q[0])
+    assert not calls
+    predict_many(belpm_model, np.vstack([q, q]))
+    wknn_predict_many(wknn_model, np.vstack([q, q]))
+    assert len(calls) == 3  # both networks and wknn
