@@ -274,6 +274,7 @@ def test_window_and_fallback_searches_match_direct_ranking(data):
 # (1e-170 - 0)**2 underflows to 0, so sample 0 lies at distance 0 from a query
 # at [1e-170, 0] though its first coordinate is 1e-170 away. Only the window
 # margin's absolute term keeps it, and it wins the tie with a later sample.
+# A one-row call skips the window, so the plain case asks two queries.
 UNDERFLOW_ROWS = np.array([[0.0, 0.0], [1e-170, 0.0], [5.0, 0.0], [6.0, 0.0], [7.0, 1.0]])
 
 
@@ -285,7 +286,7 @@ UNDERFLOW_ROWS = np.array([[0.0, 0.0], [1e-170, 0.0], [5.0, 0.0], [6.0, 0.0], [7
 ])
 def test_window_margin_keeps_samples_whose_squares_underflow(inputs, loo):
     net = StoredPairs(inputs, np.zeros(len(inputs)), 1)
-    queries = inputs if loo else np.array([[1e-170, 0.0]])
+    queries = inputs if loo else np.array([[1e-170, 0.0]] * 2)
     with mock.patch.object(network, "_WINDOW_SHARE", 1.0):
         indices, dists = _nearest(net, queries, np.arange(len(queries)) if loo else None)
     for j, q in enumerate(queries.tolist()):
