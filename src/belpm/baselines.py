@@ -36,4 +36,4 @@ def wknn_predict_many(model: WknnModel, inputs) -> np.ndarray:
 
 def _wknn(model: WknnModel, queries: np.ndarray) -> np.ndarray:
     indices, distances = _nearest(model, queries)
-    return _weigh(1.0 / (distances + DISTANCE_EPSILON), model.train_targets[indices])[1]
+    return _weigh(1.0 / (distances.T + DISTANCE_EPSILON), model.train_targets[indices.T])[1]

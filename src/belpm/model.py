@@ -21,7 +21,7 @@ from .errors import (
     SingularSystem,
     TooFewSamples,
 )
-from .network import AdaptiveNetwork, KernelKind, _forward_many, _train_sd_loo, forward
+from .network import AdaptiveNetwork, KernelKind, _forward_many, _train_sd_loo
 from .series import EmbeddedDataset, TimeSeries, _query, embed
 
 # Relative tolerance for verifying an unregularized normal-equation solution;
@@ -157,16 +157,17 @@ def train(train_set: EmbeddedDataset, config: BelpmConfig = BelpmConfig()) -> Be
 
 def predict(model: BelpmModel, i) -> float:
     """Fused prediction w1 * r_a + w2 * r_o + w3 for one query vector."""
-    arr = _query(i, model.r)
-    r_a = forward(model.bl, _bl_feature_matrix(arr))
-    r_o = forward(model.mo, arr)
-    return model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3
+    return float(_fuse(model, _query(i, model.r)[None])[0])
 
 
 def predict_many(model: BelpmModel, inputs) -> np.ndarray:
     """``predict`` for each row of an (m, r) matrix of query vectors, bit for
     bit, with the neighbor search run over blocks of rows."""
-    arr = _query(inputs, model.r, batch=True)
+    return _fuse(model, _query(inputs, model.r, batch=True))
+
+
+def _fuse(model: BelpmModel, arr: np.ndarray) -> np.ndarray:
+    """Fused predictions for the rows of a checked (m, r) query matrix."""
     r_a = _forward_many(model.bl, _bl_feature_matrix(arr))
     r_o = _forward_many(model.mo, arr)
     return model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3

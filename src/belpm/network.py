@@ -7,6 +7,11 @@ values into weights, and return the weighted sum of the selected neighbors'
 targets. The bandwidths are the only learnable parameters; they are fitted
 by steepest descent on the leave-one-out squared error, with backtracking
 so the loss never ends above where it started.
+
+The kernel, weighting and gradient take rank-major (kk, m) arrays, whose row
+j holds each query's j-th neighbor. The descent keeps its table that way and
+works in scratch allocated once. Its sums keep the order numpy takes over a
+sample-major table, so the bits are those of the sample-major code.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from .series import _frozen_f64, _query
 # Lower bound keeping parametric kernels parametric during descent.
 BANDWIDTH_FLOOR = 1e-8
 _MAX_BACKTRACKS = 30
-# Distances computed at once by the batched neighbor search (8 query rows at
-# n = 2000). Larger blocks add memory and save little time.
+# Distances computed at once by the full scan (8 query rows at n = 2000).
+# Larger blocks add memory and save little time.
 _BLOCK_DISTANCES = 2 ** 14
 # Widest first-coordinate window, as a share of n, that `_nearest` ranks.
 _WINDOW_SHARE = 0.5
@@ -135,46 +140,82 @@ def _distances(cols: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.sqrt(lanes[0], out=lanes[0])
 
 
-def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
-    """Kernel values for rows of ranked neighbor distances (last axis = rank).
+def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray, out=None) -> np.ndarray:
+    """Kernel values for rank-major neighbor distances (kk, m): row j holds
+    every query's j-th nearest distance and takes bandwidth ``bw[j]``.
 
-    A linear-rescale row whose distances are all zero gives zeros, which
+    A linear-rescale column whose distances are all zero gives zeros, which
     ``_weigh`` turns into uniform weights. One whose largest distance is
     inf takes the kernel's limit as that maximum grows: 1 at a finite
-    distance, 0 at an infinite one, so an all-inf row weighs uniformly too.
+    distance, 0 at an infinite one, so an all-inf column weighs uniformly too.
     """
     if kind is KernelKind.LINEAR_RESCALE:
-        d_max = dists.max(axis=-1, keepdims=True)
+        d_max = dists.max(axis=0)
         over = d_max == np.inf
         if over.any():
             rest = _kernel(kind, np.where(over, 0.0, dists), bw)
             return np.where(over, np.isfinite(dists), rest)
         # Distances are non-negative, so a zero max means a zero numerator.
-        return (d_max - (dists - dists.min(axis=-1, keepdims=True))) / np.where(
-            d_max == 0, 1.0, d_max)
-    scaled = dists * bw[: dists.shape[-1]]
-    if kind is KernelKind.EXPONENTIAL:
-        return np.exp(-scaled)
+        return (d_max - (dists - dists.min(axis=0))) / np.where(d_max == 0, 1.0, d_max)
+    exponential = kind is KernelKind.EXPONENTIAL  # d * -b is -(d * b), bit for bit
+    scaled = np.multiply(dists, (-bw if exponential else bw)[: len(dists), None], out=out)
+    if exponential:
+        return np.exp(scaled, out=scaled)
     with np.errstate(over="ignore"):  # a square past the float range: kernel 0
-        return 1.0 / (1.0 + scaled ** 2)
+        np.square(scaled, out=scaled)
+    return np.divide(1.0, np.add(scaled, 1.0, out=scaled), out=scaled)
 
 
-def _weigh(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums (axis kept) of raw weights, and the targets weighed by them
-    normalized, or uniformly where the sum is 0: the one weighting rule of the
-    networks and wknn. Normalizing first keeps k=1 recalling a target exactly."""
-    total = raw.sum(axis=-1, keepdims=True)
-    dead = total == 0.0
-    weights = raw / total if not dead.any() else np.where(
-        dead, 1.0 / raw.shape[-1], raw / np.where(dead, 1.0, total))
-    return total, (weights * targets).sum(axis=-1)
+def _rank_sum(a: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Sums over the ranks (axis 0) of ``a`` into ``out``, in the order numpy
+    sums a contiguous column. numpy's loop runs where the ranks are adjacent
+    in memory (a forward pass's transposed search) or number over 128. Else
+    whole rows are added: below 8 ranks in order from 0.0, or in 8 lanes
+    (rank j into lane j % 8) summed in a fixed tree, then 0.0 and the last
+    kk % 8 ranks in order. ``work`` has a's shape and may be ``a``."""
+    kk = len(a)
+    if kk > 128 or a.flags.f_contiguous:
+        return np.add.reduce(np.asfortranarray(a), axis=0, out=out)
+    whole = 1 if kk < 8 else kk - kk % 8
+    if kk < 8:
+        out = np.add(a[0], 0.0, out=out)
+    else:
+        lanes = a[:8]
+        for j in range(8, whole, 8):
+            lanes = np.add(lanes, a[j:j + 8], out=work[:8])
+        pairs = np.add(lanes[0::2], lanes[1::2], out=work[0:8:2])
+        pairs[0::2] += pairs[1::2]
+        out = np.add(pairs[0], pairs[2], out=out)
+        out += 0.0  # a -0.0 becomes 0.0; later sums then match numpy's
+    for row in a[whole:]:
+        out += row
+    return out
 
 
-def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray,
-             bw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw kernel values, then ``_weigh``'s row sums and network outputs."""
-    raw = _kernel(kind, dists, bw)
-    return (raw, *_weigh(raw, targets))
+def _weigh(raw: np.ndarray, targets: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over ranks of rank-major raw weights (kk, m), and the targets
+    weighed by them normalized, or uniformly where the sum is 0: the one
+    weighting rule of the networks and wknn. Normalizing first keeps k=1
+    recalling a target exactly. ``out``: scratch of raw's shape, sums, outputs."""
+    weights, total, y = out or (np.empty_like(raw), None, None)
+    total = _rank_sum(raw, total, weights)
+    if total.all():
+        np.divide(raw, total, out=weights)
+    else:
+        dead = total == 0.0
+        np.divide(raw, np.where(dead, 1.0, total), out=weights)
+        weights[:, dead] = 1.0 / len(raw)
+    weights *= targets
+    return total, _rank_sum(weights, y, weights)
+
+
+def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray, bw: np.ndarray,
+             out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw kernel values over rank-major distances and targets (kk, m), then
+    ``_weigh``'s sums and network outputs; ``out``: scratch, then the three."""
+    work, raw, total, y = out or (None,) * 4
+    raw = _kernel(kind, dists, bw, raw)
+    return (raw, *_weigh(raw, targets, out and (work, total, y)))
 
 
 def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> float:
@@ -189,13 +230,16 @@ def _rank_smallest(d: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     as a stable argsort ranks them: by value, ties to the lower index."""
     rows = np.arange(len(d))[:, None]
     if m < d.shape[1]:
-        part = np.argpartition(d, m, axis=1)
-        top = np.sort(part[:, :m], axis=1)
-        largest = d[rows, top].max(axis=1)
-        # argpartition breaks a tie at the m-th value arbitrarily, so a row whose
-        # largest winner recurs at position m is ranked in full instead.
-        tie = largest == d[rows[:, 0], part[:, m]]
-        top[tie] = np.argsort(d[tie], axis=1, kind="stable")[:, :m]
+        kth = np.partition(d, m - 1, axis=1)[:, m - 1, None]
+        win = d <= kth  # at least m entries per row, unless the m-th value is NaN
+        if np.count_nonzero(win) == len(d) * m and not np.isnan(kth).any():
+            top = (np.flatnonzero(win) % d.shape[1]).reshape(-1, m)
+        else:  # a row whose m-th value recurs past position m is ranked in full
+            full = np.count_nonzero(win, axis=1) != m
+            win[full] = False
+            top = np.empty((len(d), m), dtype=np.intp)
+            top[~full] = (np.flatnonzero(win) % d.shape[1]).reshape(-1, m)
+            top[full] = np.argsort(d[full], axis=1, kind="stable")[:, :m]
     else:
         top = np.broadcast_to(np.arange(m), d.shape)
     vals = d[rows, top]
@@ -204,11 +248,12 @@ def _rank_smallest(d: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _windows(cols: np.ndarray, order: np.ndarray, q: np.ndarray, m: int):
-    """Blocks ``(lo, hi, cand)`` of 32 rows of ``q``, sorted by first coordinate,
-    with the ascending indices ``cand`` of the samples that can be among a row's
-    m nearest, or None for all; 32 rows share a window without widening it much.
-    A guess widens the rows' sorted positions by the last window's reach (m
-    after a fallback); after f failed guesses in a row, f blocks skip theirs."""
+    """Rows ``q[lo:hi]`` (``q`` sorted by first coordinate), ascending indices
+    ``cand`` of the samples that can be among a row's m nearest (None: all)
+    and the rows' distances ``d`` to them. Blocks of 32 rows share a window,
+    reusing its guess's distances; a block whose window fails is scanned in
+    chunks. A guess widens the rows' sorted positions by the last window's
+    reach (m after a fallback); after f failed guesses, f blocks skip theirs."""
     x0 = cols[0][order]
     pos = np.searchsorted(x0, q[:, 0]).tolist()  # ascending, as q[:, 0] is
     reach, fails, skip, limit = m, 0, 0, _WINDOW_SHARE * len(x0)
@@ -218,20 +263,27 @@ def _windows(cols: np.ndarray, order: np.ndarray, q: np.ndarray, m: int):
         if skip:
             skip -= 1
         elif b - a <= limit and np.isfinite(q[lo:hi]).all():
-            guess, step = cols[:, order[a:b]], max(1, _BLOCK_DISTANCES // (b - a))
-            bound = np.concatenate([np.partition(_distances(guess, q[s:min(s + step, hi)]), m - 1)
-                                    [:, m - 1] for s in range(lo, hi, step)])
+            guess = _distances(cols[:, order[a:b]], q[lo:hi])
             # Finite distances are below 1.4e154, so this cannot overflow.
-            bound = bound * (1 + 1e-9) + 2.0 ** -500
-            a = np.searchsorted(x0, (q[lo:hi, 0] - bound).min(), "left")
-            b = np.searchsorted(x0, (q[lo:hi, 0] + bound).max(), "right")
-            if b - a <= limit:
-                yield lo, hi, np.sort(order[a:b])
-                reach, fails = max(m, pos[lo] - a, b - pos[hi - 1]), 0
+            bound = np.partition(guess, m - 1)[:, m - 1] * (1 + 1e-9) + 2.0 ** -500
+            start = np.searchsorted(x0, (q[lo:hi, 0] - bound).min(), "left")
+            stop = np.searchsorted(x0, (q[lo:hi, 0] + bound).max(), "right")
+            if stop - start <= limit:
+                # Both windows hold each row's m nearest in the guess: they overlap.
+                i, j = max(a, start), min(b, stop)
+                d = guess[:, i - a:j - a]
+                if start < i or j < stop:
+                    flanks = _distances(cols[:, np.concatenate([order[start:i], order[j:stop]])],
+                                        q[lo:hi])
+                    d = np.concatenate([flanks[:, :i - start], d, flanks[:, i - start:]], axis=1)
+                by_index = np.argsort(order[start:stop])  # so ties go to the lower index
+                yield lo, hi, order[start:stop][by_index], d[:, by_index]
+                reach, fails = max(m, pos[lo] - start, stop - pos[hi - 1]), 0
                 continue
             fails = skip = fails + 1
-        reach = m
-        yield lo, hi, None
+        reach, step = m, max(1, _BLOCK_DISTANCES // len(x0))
+        for s in range(lo, hi, step):
+            yield s, min(s + step, hi), None, _distances(cols, q[s:min(s + step, hi)])
 
 
 def _nearest(net: StoredPairs, queries: np.ndarray,
@@ -270,7 +322,7 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
     cols = net.train_inputs.T
     if len(queries) == 1:
         # One stable sort of the n distances; a window would first sort the n
-        # first coordinates. `_rank_smallest` takes 40 % of the time, but the
+        # first coordinates. `_rank_smallest` takes a sixth of the time, but the
         # benchmark's per-query memory then breaks its bound (ROADMAP item 1).
         d = _distances(cols, queries)[0]
         top = np.argsort(d, kind="stable")[None, :m]
@@ -280,13 +332,11 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
     q = queries[qorder]
     indices = np.empty((len(q), kk), dtype=np.intp)
     dists = np.empty((len(q), kk))
-    for lo, hi, cand in _windows(cols, order, q, m):
-        sub = cols if cand is None else cols[:, cand]
-        step = max(1, _BLOCK_DISTANCES // sub.shape[1])
-        for r in (qorder[s:min(s + step, hi)] for s in range(lo, hi, step)):
-            top, near = _rank_smallest(_distances(sub, queries[r]), m)
-            ex = None if exclude is None else exclude[r]
-            indices[r], dists[r] = _drop_excluded(top if cand is None else cand[top], near, ex)
+    for lo, hi, cand, d in _windows(cols, order, q, m):
+        top, near = _rank_smallest(d, m)
+        r = qorder[lo:hi]
+        ex = None if exclude is None else exclude[r]
+        indices[r], dists[r] = _drop_excluded(top if cand is None else cand[top], near, ex)
     return indices, dists
 
 
@@ -304,15 +354,15 @@ def _drop_excluded(top: np.ndarray, near: np.ndarray, exclude) -> tuple[np.ndarr
 def _forward_many(net: AdaptiveNetwork, queries: np.ndarray, exclude=None) -> np.ndarray:
     """``_outputs`` over each query row's ``_nearest`` samples."""
     indices, dists = _nearest(net, queries, exclude)
-    return _outputs(net.kernel, dists, net.train_targets[indices], net.bandwidths)[2]
+    return _outputs(net.kernel, dists.T, net.train_targets[indices.T], net.bandwidths)[2]
 
 
 def _loo_table(net: AdaptiveNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Ranked neighbor distances and targets (each (n, kk)) for every stored
+    """Rank-major neighbor distances and targets (each (kk, n)) of every stored
     sample, leaving itself out. Selection never depends on bandwidths, so one
     table serves a whole descent and the trained network's LOO responses."""
     indices, dists = _nearest(net, net.train_inputs, np.arange(net.n_samples))
-    return dists, net.train_targets[indices]
+    return dists.T.copy(), net.train_targets[indices.T.copy()]
 
 
 def loo_predictions(net: AdaptiveNetwork) -> np.ndarray:
@@ -327,36 +377,55 @@ def _loss(net: AdaptiveNetwork, outputs: np.ndarray) -> float:
         return float(resid @ resid)
 
 
-def _grad(net: AdaptiveNetwork, table: tuple, bw: np.ndarray, weighed: tuple) -> np.ndarray:
-    """Gradient of the leave-one-out squared error with respect to each
-    rank's bandwidth, at ``bw`` whose ``_outputs`` over ``table`` is ``weighed``.
+def _grad(net: AdaptiveNetwork, table: tuple, bw: np.ndarray, weighed: tuple,
+          out=None) -> np.ndarray:
+    """Gradient of the leave-one-out squared error with respect to each rank's
+    bandwidth, at ``bw`` whose ``_outputs`` over ``table`` is ``weighed``;
+    ``out``: two scratch arrays of the table's shape.
 
     Only rank m's kernel value depends on b_m, so with raw values n1, mass
     S = sum(n1) and output y = sum(n1 * t) / S,
 
         dy/db_m = (dK_m/db_m) * (t_m - y) / S
 
-    and the loss contributions sum over samples. Samples on the uniform
-    fallback have constant weights and contribute nothing. A kernel value
-    vanishing at a huge distance has derivative 0 there, not inf * 0 = NaN.
+    and the loss contributions sum over samples (``_sample_sum``). Samples
+    on the uniform fallback have constant weights and contribute nothing. A
+    kernel value vanishing at a huge distance has derivative 0 there, not
+    inf * 0 = NaN.
     """
     dists, targets = table
     raw, total, y = weighed
-    kk = dists.shape[1]
+    kk = len(dists)
+    draw, spread = out or (np.empty_like(dists), np.empty_like(dists))
+    # -dK/db, whose sign joins the residual factor below: negating is exact.
     with np.errstate(over="ignore", invalid="ignore"):
         if net.kernel is KernelKind.EXPONENTIAL:
-            draw = -dists * raw
+            np.multiply(dists, raw, out=draw)
         else:
-            draw = -2.0 * dists ** 2 * bw[:kk] * raw ** 2
+            np.multiply(np.square(dists, out=draw), 2.0, out=draw)
+            draw *= bw[:kk, None]
+            draw *= np.square(raw, out=spread)
     draw[np.isnan(draw)] = 0.0
     truth = net.train_targets
-    live = total[:, 0] > 0.0
+    live = total > 0.0
     if not live.all():
-        y, truth, draw, targets, total = (a[live] for a in (y, truth, draw, targets, total))
-    contrib = 2.0 * (y - truth)[:, None] * draw * (targets - y[:, None]) / total
+        y, truth, draw, targets, total = (a[..., live] for a in (y, truth, draw, targets, total))
+        spread = np.empty_like(draw)
+    draw *= 2.0 * (truth - y)
+    draw *= np.subtract(targets, y, out=spread)
+    draw /= total
     grad = np.zeros(net.k)
-    grad[:kk] = contrib.sum(axis=0)
+    grad[:kk] = _sample_sum(draw)
     return grad
+
+
+def _sample_sum(a: np.ndarray) -> np.ndarray:
+    """Sums along the rows of rank-major ``a``, overwriting it, in numpy's
+    order for the columns of ``a.T``: one sample after another from 0.0, or
+    pairwise for one rank, a column that numpy sums as a contiguous row."""
+    if len(a) == 1 or not a.shape[1]:
+        return a.sum(axis=1)
+    return np.cumsum(a, axis=1, out=a)[:, -1] + 0.0
 
 
 def grad_bandwidths(net: AdaptiveNetwork) -> np.ndarray:
@@ -397,23 +466,25 @@ def _train_sd_loo(net: AdaptiveNetwork, lr: float,
         raise InvalidParameter(f"epochs must be >= 0, got {epochs}")
     table = _loo_table(net)
     b = net.bandwidths
-    # One kernel evaluation per candidate: the accepted candidate's values
-    # serve the next gradient and the returned responses.
-    weighed = _outputs(net.kernel, *table, b)
+    # One kernel evaluation per candidate, into scratch the accepted values
+    # swap with: they serve the next gradient and the returned responses.
+    work, raw, spare = np.empty((3, *table[0].shape))
+    weighed = _outputs(net.kernel, *table, b, (work, raw, *np.empty((2, net.n_samples))))
     loss = _loss(net, weighed[2])
     if not net.kernel.parametric:
         # No learnable parameter: descent is a no-op with a flat trace.
         return net, np.full(epochs + 1, loss), weighed[2]
+    spare = (spare, *np.empty((2, net.n_samples)))
     trace = [loss]
     for _ in range(epochs):
-        g = _grad(net, table, b, weighed)
+        g = _grad(net, table, b, weighed, (work, spare[0]))
         step = lr
         for _attempt in range(_MAX_BACKTRACKS):
             cand = np.maximum(b - step * g, BANDWIDTH_FLOOR)
-            cand_weighed = _outputs(net.kernel, *table, cand)
+            cand_weighed = _outputs(net.kernel, *table, cand, (work, *spare))
             cand_loss = _loss(net, cand_weighed[2])
             if cand_loss <= loss:
-                b, loss, weighed = cand, cand_loss, cand_weighed
+                b, loss, weighed, spare = cand, cand_loss, cand_weighed, weighed
                 break
             step *= 0.5
         else:

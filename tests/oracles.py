@@ -1,11 +1,16 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written in plain Python (math module, explicit loops,
-no shared code with the package) so agreement is meaningful.
+no shared code with the package) so agreement is meaningful. The one
+exception is the row-major weighting and gradient at the end: numpy code
+kept verbatim from before the descent went rank-major, so the rank-major
+code can be held to its bits.
 """
 
 import math
 import zlib
+
+import numpy as np
 
 
 def euclid(a, b):
@@ -136,3 +141,118 @@ def rechecksum(text):
     every byte before that line), so edited fields pass the integrity check."""
     body = text[: text.rindex("checksum = ")].encode("utf-8")
     return body + f"checksum = {zlib.crc32(body) & 0xFFFFFFFF:08x}\n".encode("utf-8")
+
+
+# The network's row-major weighting and gradient, verbatim: tables are
+# (n, kk), one row per sample, and numpy sums each row pairwise and each
+# column sample after sample.
+from belpm.network import BANDWIDTH_FLOOR, KernelKind, _MAX_BACKTRACKS, _nearest  # noqa: E402
+
+
+def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
+    """Kernel values for rows of ranked neighbor distances (last axis = rank).
+
+    A linear-rescale row whose distances are all zero gives zeros, which
+    ``_weigh`` turns into uniform weights. One whose largest distance is
+    inf takes the kernel's limit as that maximum grows: 1 at a finite
+    distance, 0 at an infinite one, so an all-inf row weighs uniformly too.
+    """
+    if kind is KernelKind.LINEAR_RESCALE:
+        d_max = dists.max(axis=-1, keepdims=True)
+        over = d_max == np.inf
+        if over.any():
+            rest = _kernel(kind, np.where(over, 0.0, dists), bw)
+            return np.where(over, np.isfinite(dists), rest)
+        # Distances are non-negative, so a zero max means a zero numerator.
+        return (d_max - (dists - dists.min(axis=-1, keepdims=True))) / np.where(
+            d_max == 0, 1.0, d_max)
+    scaled = dists * bw[: dists.shape[-1]]
+    if kind is KernelKind.EXPONENTIAL:
+        return np.exp(-scaled)
+    with np.errstate(over="ignore"):  # a square past the float range: kernel 0
+        return 1.0 / (1.0 + scaled ** 2)
+
+
+def _weigh(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums (axis kept) of raw weights, and the targets weighed by them
+    normalized, or uniformly where the sum is 0: the one weighting rule of the
+    networks and wknn. Normalizing first keeps k=1 recalling a target exactly."""
+    total = raw.sum(axis=-1, keepdims=True)
+    dead = total == 0.0
+    weights = raw / total if not dead.any() else np.where(
+        dead, 1.0 / raw.shape[-1], raw / np.where(dead, 1.0, total))
+    return total, (weights * targets).sum(axis=-1)
+
+
+def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray,
+             bw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw kernel values, then ``_weigh``'s row sums and network outputs."""
+    raw = _kernel(kind, dists, bw)
+    return (raw, *_weigh(raw, targets))
+
+
+def _loss(net, outputs: np.ndarray) -> float:
+    resid = outputs - net.train_targets
+    with np.errstate(over="ignore"):  # an overflowing sum is inf
+        return float(resid @ resid)
+
+
+def _grad(net, table: tuple, bw: np.ndarray, weighed: tuple) -> np.ndarray:
+    """Gradient of the leave-one-out squared error with respect to each
+    rank's bandwidth, at ``bw`` whose ``_outputs`` over ``table`` is ``weighed``.
+
+    Only rank m's kernel value depends on b_m, so with raw values n1, mass
+    S = sum(n1) and output y = sum(n1 * t) / S,
+
+        dy/db_m = (dK_m/db_m) * (t_m - y) / S
+
+    and the loss contributions sum over samples. Samples on the uniform
+    fallback have constant weights and contribute nothing. A kernel value
+    vanishing at a huge distance has derivative 0 there, not inf * 0 = NaN.
+    """
+    dists, targets = table
+    raw, total, y = weighed
+    kk = dists.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if net.kernel is KernelKind.EXPONENTIAL:
+            draw = -dists * raw
+        else:
+            draw = -2.0 * dists ** 2 * bw[:kk] * raw ** 2
+    draw[np.isnan(draw)] = 0.0
+    truth = net.train_targets
+    live = total[:, 0] > 0.0
+    if not live.all():
+        y, truth, draw, targets, total = (a[live] for a in (y, truth, draw, targets, total))
+    contrib = 2.0 * (y - truth)[:, None] * draw * (targets - y[:, None]) / total
+    grad = np.zeros(net.k)
+    grad[:kk] = contrib.sum(axis=0)
+    return grad
+
+
+def sd_replay(net, lr, epochs):
+    """The descent on the leave-one-out loss replayed on the row-major code
+    above: trained bandwidths, loss trace and leave-one-out responses."""
+    indices, dists = _nearest(net, net.train_inputs, np.arange(net.n_samples))
+    table = dists, net.train_targets[indices]
+    b = net.bandwidths
+    weighed = _outputs(net.kernel, *table, b)
+    loss = _loss(net, weighed[2])
+    if not net.kernel.parametric:
+        return b, np.full(epochs + 1, loss), weighed[2]
+    trace = [loss]
+    for _ in range(epochs):
+        g = _grad(net, table, b, weighed)
+        step = lr
+        for _attempt in range(_MAX_BACKTRACKS):
+            cand = np.maximum(b - step * g, BANDWIDTH_FLOOR)
+            cand_weighed = _outputs(net.kernel, *table, cand)
+            cand_loss = _loss(net, cand_weighed[2])
+            if cand_loss <= loss:
+                b, loss, weighed = cand, cand_loss, cand_weighed
+                break
+            step *= 0.5
+        else:
+            break
+        trace.append(loss)
+    trace += [loss] * (epochs + 1 - len(trace))
+    return b, np.asarray(trace), weighed[2]

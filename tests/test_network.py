@@ -365,17 +365,28 @@ def test_window_search_engages_on_a_chaotic_series(k):
     series = chaotic_mackey_glass(2002)
     inputs = np.lib.stride_tricks.sliding_window_view(series, 3)[:2000]
     net = StoredPairs(inputs, np.zeros(2000), k)
-    distances, computed = network._distances, []
+    # The windows are distinct, so their values name the stored samples.
+    sample = {row.tobytes(): j for j, row in enumerate(net.train_inputs)}
+    distances, windows, computed, block = network._distances, network._windows, [], [0]
 
     def spy(cols, queries):
         d = distances(cols, queries)
-        computed.append(d.size)
+        computed.extend((block[0], sample[q.tobytes()], sample[c.tobytes()])
+                        for q in queries for c in cols.T)
         return d
 
-    with mock.patch.object(network, "_distances", spy):
+    def count_blocks(*args):  # a block's distances come before the next block is asked for
+        for item in windows(*args):
+            yield item
+            block[0] += 1
+
+    with mock.patch.object(network, "_distances", spy), \
+            mock.patch.object(network, "_windows", count_blocks):
         indices, dists = _nearest(net, net.train_inputs, np.arange(2000))
     # A window that silently never engaged would still match the full scan.
-    assert sum(computed) < 0.25 * 2000 ** 2
+    assert len(computed) < 0.25 * 2000 ** 2
+    # The window reuses the guess's distances: no pair is computed twice.
+    assert len(set(computed)) == len(computed)
     with mock.patch.object(network, "_WINDOW_SHARE", 0.0):
         full_indices, full_dists = _nearest(net, net.train_inputs, np.arange(2000))
     np.testing.assert_array_equal(indices, full_indices)
@@ -444,9 +455,10 @@ class TestKernelEval:
         # Finite rows keep their bits beside a row that takes the limit.
         finite = np.random.default_rng(41).uniform(0.0, 3.0, size=(4, 3))
         rows = np.vstack([finite, [[1.0, np.inf, np.inf]]])
-        got = network._kernel(KernelKind.LINEAR_RESCALE, rows, np.ones(3))
-        assert np.array_equal(got[:4], network._kernel(KernelKind.LINEAR_RESCALE, finite,
-                                                       np.ones(3)))
+        # The kernel takes rank-major distances: one column per query.
+        got = network._kernel(KernelKind.LINEAR_RESCALE, rows.T, np.ones(3)).T
+        assert np.array_equal(got[:4], network._kernel(KernelKind.LINEAR_RESCALE, finite.T,
+                                                       np.ones(3)).T)
         np.testing.assert_array_equal(got[4], [1.0, 0.0, 0.0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
