@@ -17,6 +17,7 @@ sample-major table, so the bits are those of the sample-major code.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,8 +36,13 @@ _MAX_BACKTRACKS = 30
 # Distances computed at once by the full scan (8 query rows at n = 2000).
 # Larger blocks add memory and save little time.
 _BLOCK_DISTANCES = 2 ** 14
-# Widest first-coordinate window, as a share of n, that `_nearest` ranks.
+# Widest key window, as a share of n, that `_nearest` ranks.
 _WINDOW_SHARE = 0.5
+# One query row in this many, spread evenly and at most a chunk's worth, is
+# ranked against all n to pick a call's key; a call with fewer keeps x0.
+_KEY_SAMPLE = 256
+# The sum key serves if its windows around those rows hold under this share of x0's.
+_SUM_KEY_SHARE = 1.0
 
 
 class KernelKind(enum.Enum):
@@ -225,16 +231,19 @@ def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> float:
     return float(_forward_many(net, q, None if exclude is None else [exclude])[0])
 
 
-def _rank_smallest(d: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _rank_smallest(d: np.ndarray, m: int, kth=None) -> tuple[np.ndarray, np.ndarray]:
     """Indices and values of the m smallest entries in each row of ``d``, ranked
-    as a stable argsort ranks them: by value, ties to the lower index."""
+    as a stable argsort ranks them: by value, ties to the lower index. ``kth``,
+    per row a value at least the m-th smallest, spares the partition: a row
+    with exactly m entries up to it takes them."""
     rows = np.arange(len(d))[:, None]
     if m < d.shape[1]:
-        kth = np.partition(d, m - 1, axis=1)[:, m - 1, None]
-        win = d <= kth  # at least m entries per row, unless the m-th value is NaN
+        if kth is None:
+            kth = np.partition(d, m - 1, axis=1)[:, m - 1]
+        win = d <= kth[:, None]  # at least m entries per row, unless kth is NaN
         if np.count_nonzero(win) == len(d) * m and not np.isnan(kth).any():
             top = (np.flatnonzero(win) % d.shape[1]).reshape(-1, m)
-        else:  # a row whose m-th value recurs past position m is ranked in full
+        else:  # a row with other than m entries up to kth is ranked in full
             full = np.count_nonzero(win, axis=1) != m
             win[full] = False
             top = np.empty((len(d), m), dtype=np.intp)
@@ -247,43 +256,64 @@ def _rank_smallest(d: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return top[rows, order], vals[rows, order]
 
 
-def _windows(cols: np.ndarray, order: np.ndarray, q: np.ndarray, m: int):
-    """Rows ``q[lo:hi]`` (``q`` sorted by first coordinate), ascending indices
-    ``cand`` of the samples that can be among a row's m nearest (None: all)
-    and the rows' distances ``d`` to them. Blocks of 32 rows share a window,
-    reusing its guess's distances; a block whose window fails is scanned in
-    chunks. A guess widens the rows' sorted positions by the last window's
-    reach (m after a fallback); after f failed guesses, f blocks skip theirs."""
-    x0 = cols[0][order]
-    pos = np.searchsorted(x0, q[:, 0]).tolist()  # ascending, as q[:, 0] is
-    reach, fails, skip, limit = m, 0, 0, _WINDOW_SHARE * len(x0)
+def _windows(cols: np.ndarray, order: np.ndarray, q: np.ndarray, m: int, key):
+    """Rows ``q[lo:hi]``, ascending indices ``cand`` of the samples that can be
+    among a row's m nearest (None: all), the rows' distances ``d`` to them and,
+    if the window adds no flank to the guess, its m-th distances (else None).
+    ``key``: the ascending keys of the samples in ``order`` and of the rows,
+    then ``_key_bound``'s terms. Blocks of 32 rows share a window, reusing its
+    guess's distances; a block whose window fails is scanned in chunks. A
+    guess widens the rows' sorted positions by the last window's reach (m
+    after a fallback); after f failed guesses, f blocks skip theirs."""
+    keys, qkeys = key[0], key[1]
+    pos = np.searchsorted(keys, qkeys).tolist()  # ascending, as qkeys is
+    finite = np.isfinite(q).all(axis=1).tolist()
+    reach, fails, skip, limit = m, 0, 0, _WINDOW_SHARE * len(keys)
     for lo in range(0, len(q), 32):
         hi = min(lo + 32, len(q))
-        a, b = max(pos[lo] - reach, 0), min(pos[hi - 1] + reach, len(x0))
+        a, b = max(pos[lo] - reach, 0), min(pos[hi - 1] + reach, len(keys))
         if skip:
             skip -= 1
-        elif b - a <= limit and np.isfinite(q[lo:hi]).all():
+        elif b - a <= limit and all(finite[lo:hi]):
             guess = _distances(cols[:, order[a:b]], q[lo:hi])
-            # Finite distances are below 1.4e154, so this cannot overflow.
-            bound = np.partition(guess, m - 1)[:, m - 1] * (1 + 1e-9) + 2.0 ** -500
-            start = np.searchsorted(x0, (q[lo:hi, 0] - bound).min(), "left")
-            stop = np.searchsorted(x0, (q[lo:hi, 0] + bound).max(), "right")
+            kth = np.partition(guess, m - 1)[:, m - 1]
+            bound = _key_bound(key, slice(lo, hi), kth)
+            start = np.searchsorted(keys, (qkeys[lo:hi] - bound).min(), "left")
+            stop = np.searchsorted(keys, (qkeys[lo:hi] + bound).max(), "right")
             if stop - start <= limit:
                 # Both windows hold each row's m nearest in the guess: they overlap.
                 i, j = max(a, start), min(b, stop)
                 d = guess[:, i - a:j - a]
                 if start < i or j < stop:
-                    flanks = _distances(cols[:, np.concatenate([order[start:i], order[j:stop]])],
-                                        q[lo:hi])
+                    kth, outside = None, np.concatenate([order[start:i], order[j:stop]])
+                    flanks = _distances(cols[:, outside], q[lo:hi])
                     d = np.concatenate([flanks[:, :i - start], d, flanks[:, i - start:]], axis=1)
                 by_index = np.argsort(order[start:stop])  # so ties go to the lower index
-                yield lo, hi, order[start:stop][by_index], d[:, by_index]
+                yield lo, hi, order[start:stop][by_index], d[:, by_index], kth
                 reach, fails = max(m, pos[lo] - start, stop - pos[hi - 1]), 0
                 continue
             fails = skip = fails + 1
-        reach, step = m, max(1, _BLOCK_DISTANCES // len(x0))
+        reach, step = m, max(1, _BLOCK_DISTANCES // len(keys))
         for s in range(lo, hi, step):
-            yield s, min(s + step, hi), None, _distances(cols, q[s:min(s + step, hi)])
+            yield s, min(s + step, hi), None, _distances(cols, q[s:min(s + step, hi)]), None
+
+
+def _key_bound(key, rows, r: np.ndarray) -> np.ndarray:
+    """Bound on |key(x) - key(q)| for x within distance ``r`` of query ``rows``."""
+    return (r * (1 + 1e-9) + 2.0 ** -500) * key[2] + key[3][rows]
+
+
+def _sum_key(cols: np.ndarray, queries: np.ndarray):
+    """Coordinates summed left to right, scale sqrt(d) * (1 + 1e-12) and slacks
+    d * 2**-51 * (A + sum |q_j|), A the largest sum |x_j| stored; None unless
+    each 2 * (A + sum |q_j|) is finite, as then no key, bound or gap overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = (functools.reduce(np.add, np.abs(cols)).max()
+                + functools.reduce(np.add, np.abs(queries.T)))
+        if not np.isfinite(2 * mass).all():
+            return None
+    return (functools.reduce(np.add, cols), functools.reduce(np.add, queries.T),
+            len(cols) ** 0.5 * (1 + 1e-12), len(cols) * 2.0 ** -51 * mass)
 
 
 def _nearest(net: StoredPairs, queries: np.ndarray,
@@ -295,20 +325,23 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
     sample ``exclude[j]`` and kk = min(k, n - 1); an index outside [0, n)
     raises ``IndexOutOfRange``, then a single stored sample ``TooFewSamples``.
 
-    A single row ranks all n distances. A block of more rows ranks only the
-    samples whose first coordinate x0 is within R' = R * (1 + 1e-9) + 2**-500
-    of a query's q0, R bounding the query's m-th distance (m = kk, or kk + 1
-    with ``exclude``), as in Friedman, Baskett & Shustek (1975). A distance is
-    a rounded sqrt of rounded sums of non-negative squares, each sum at least
-    the first square, so by monotone rounding it is at least
-    fl(sqrt(fl(fl(x0 - q0)**2))). That square is normal if |x0 - q0| >=
-    2**-500, and then rounding shrinks |x0 - q0| by a relative 2**-51 at
-    most; below, it may underflow to 0, which the absolute term covers;
-    q0 -/+ R' round monotonically too. So no sample within R is left out, and
-    ranked by index with ``_distances``' bits the window gives the full
-    scan's result, ties included. A block whose window spans over
-    ``_WINDOW_SHARE`` of the samples (as an infinite R' does) or holds a NaN
-    or inf query is ranked against all, in chunks of ``_BLOCK_DISTANCES``.
+    A single row ranks all n distances. More rows are ranked in blocks, each
+    against the samples whose key lies near its rows' (Friedman, Baskett &
+    Shustek, 1975), R being a row's guessed m-th distance (m = kk, or kk + 1
+    with ``exclude``). A distance rounds a sqrt of rounded sums of rounded
+    squares, so a sample it puts within R is truly within R' = R * (1 + 1e-9)
+    + 2**-500 (for d below a million; underflowing squares lose less). Its
+    first coordinate, the x0 key, is then within R' of the query's. By
+    Cauchy-Schwarz its coordinate sum is within sqrt(d) * R', and a sum
+    rounded left to right is off by under d * 2**-53 times its absolute sum:
+    the two sums' errors stay under a quarter of the slack. Window ends round
+    monotonically, so no sample within R is left out, and ranked by index the
+    window gives the full scan's result, ties included. The sum key serves if
+    it is finite and its windows around a sample of rows (``_KEY_SAMPLE``)
+    hold fewer samples, as on delay windows, whose coordinates move together.
+    A block whose window spans over ``_WINDOW_SHARE`` of the samples (as an
+    infinite R' does) or holds a NaN or inf query is ranked against all, in
+    chunks of ``_BLOCK_DISTANCES``.
     """
     n = net.n_samples
     if exclude is not None:
@@ -327,17 +360,24 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
         d = _distances(cols, queries)[0]
         top = np.argsort(d, kind="stable")[None, :m]
         return _drop_excluded(top, d[top], exclude)
-    order = np.argsort(cols[0], kind="stable")
-    qorder = np.argsort(queries[:, 0], kind="stable")
-    q = queries[qorder]
-    indices = np.empty((len(q), kk), dtype=np.intp)
-    dists = np.empty((len(q), kk))
-    for lo, hi, cand, d in _windows(cols, order, q, m):
-        top, near = _rank_smallest(d, m)
-        r = qorder[lo:hi]
-        ex = None if exclude is None else exclude[r]
-        indices[r], dists[r] = _drop_excluded(top if cand is None else cand[top], near, ex)
-    return indices, dists
+    top, near = np.empty((len(queries), m), dtype=np.intp), np.empty((len(queries), m))
+    rest, key = np.arange(len(queries)), (cols[0], queries[:, 0], 1.0, np.zeros(len(queries)))
+    step = max(_KEY_SAMPLE, -(-len(queries) // max(1, _BLOCK_DISTANCES // n)))
+    picks = rest[step // 2::step]
+    if len(picks) and (summed := _sum_key(cols, queries)) is not None:
+        top[picks], near[picks] = _rank_smallest(_distances(cols, queries[picks]), m)
+        rest = np.delete(rest, picks)
+        width = [np.count_nonzero(np.abs(k[0] - k[1][picks, None])
+                                  <= _key_bound(k, picks, near[picks, -1])[:, None])
+                 for k in (summed, key)]
+        key = summed if width[0] < _SUM_KEY_SHARE * width[1] else key
+    order = np.argsort(key[0], kind="stable")
+    rest = rest[np.argsort(key[1][rest], kind="stable")]
+    for lo, hi, cand, d, kth in _windows(cols, order, queries[rest], m,
+                                         (key[0][order], key[1][rest], key[2], key[3][rest])):
+        ranked, near[rest[lo:hi]] = _rank_smallest(d, m, kth)
+        top[rest[lo:hi]] = ranked if cand is None else cand[ranked]
+    return _drop_excluded(top, near, exclude)
 
 
 def _drop_excluded(top: np.ndarray, near: np.ndarray, exclude) -> tuple[np.ndarray, np.ndarray]:

@@ -212,7 +212,7 @@ def _render(fields: dict) -> str:
         if isinstance(value, np.ndarray):
             if value.ndim == 2:
                 lines.append(f"{key}_shape = {value.shape[0]},{value.shape[1]}")
-            value = ",".join(map(format_float, value.ravel().tolist()))
+            value = ("%.17g," * value.size % tuple(value.ravel().tolist()))[:-1]  # format_float's
         elif isinstance(value, (float, np.floating)):
             value = format_float(value)
         lines.append(f"{key} = {value}")

@@ -24,6 +24,7 @@ from belpm.network import (
     loo_predictions,
     train_bandwidths_sd,
 )
+from belpm.model import BelpmModel, CmWeights, _bl_feature_matrix, predict_many
 from belpm.series import embed, gen_logistic
 
 from oracles import forward_direct, kernel_value, nearest_direct, sq_distance_direct
@@ -211,12 +212,13 @@ def test_batched_nearest_matches_direct_ranking(data):
         assert np.array_equal(dists[j], ref_dists)
 
 
-def _stored_family(data, n, dim):
-    """(n, dim) stored inputs from one of the data families the first-coordinate
-    window meets: sorted, periodic, uninformative, tied, underflowing and
-    overflowing."""
-    family = data.draw(st.sampled_from(["ramp", "sine", "constant first", "integer grid",
-                                        "tiny", "overflow"]), label="family")
+def _stored_family(data, n, dim, family=None):
+    """(n, dim) stored inputs from one of the data families the key windows
+    meet: sorted, periodic, uninformative, tied, underflowing, overflowing
+    and a few ulps apart."""
+    family = family or data.draw(st.sampled_from(["ramp", "sine", "constant first",
+                                                  "integer grid", "tiny", "overflow",
+                                                  "offset"]), label="family")
     t = np.arange(n + dim, dtype=np.float64)
     if family == "ramp":
         x = np.lib.stride_tricks.sliding_window_view(t, dim)[:n].copy()
@@ -228,6 +230,15 @@ def _stored_family(data, n, dim):
         # Squares of these underflow to subnormals or to 0.
         x = data.draw(arrays(np.float64, (n, dim), elements=st.sampled_from(
             [0.0, 5e-324, -5e-324, 1e-310, 1e-170, -1e-170, 2e-170, 1.0])), label="inputs")
+    elif family == "offset":
+        # Coordinate sums round by more than these distances. A row that
+        # repeats its first coordinate, plus a few ulps, moves its sum by up
+        # to sqrt(dim) times its distance: the sum key's bound, less the slack.
+        base = data.draw(st.sampled_from([2.0 ** 53, 1e16, 1e300]), label="base")
+        ulps = data.draw(arrays(np.int64, (n, dim), elements=st.integers(-4, 4)), label="ulps")
+        repeat = data.draw(arrays(np.bool_, n), label="rows that repeat their first")
+        ulps[repeat, 1:] = ulps[repeat, :1] + ulps[repeat, 1:] // 4
+        x = base + np.spacing(base) * ulps
     else:
         x = data.draw(arrays(np.float64, (n, dim), elements=COORD), label="inputs")
         if family == "integer grid":
@@ -261,12 +272,42 @@ def test_window_and_fallback_searches_match_direct_ranking(data):
     share = data.draw(st.sampled_from([0.0, network._WINDOW_SHARE, 1.0]), label="share")
     block = data.draw(st.just(network._BLOCK_DISTANCES) | st.integers(1, 3 * n),
                       label="block distances")
+    # One row in 4 sampled picks a key for calls this small too. Share inf
+    # then takes the sum key wherever it is finite, 0 never.
+    key_sample = data.draw(st.sampled_from([4, network._KEY_SAMPLE]), label="key sample")
+    key_share = data.draw(st.sampled_from([0.0, network._SUM_KEY_SHARE, np.inf]),
+                          label="sum key share")
     with mock.patch.object(network, "_WINDOW_SHARE", share), \
-            mock.patch.object(network, "_BLOCK_DISTANCES", block):
+            mock.patch.object(network, "_BLOCK_DISTANCES", block), \
+            mock.patch.object(network, "_KEY_SAMPLE", key_sample), \
+            mock.patch.object(network, "_SUM_KEY_SHARE", key_share):
         indices, dists = _nearest(net, queries, np.arange(len(queries)) if loo else None)
     assert indices.shape[0] == dists.shape[0] == len(queries)
     for j, q in enumerate(queries.tolist()):
         ref_indices, ref_dists = nearest_direct(inputs.tolist(), q, net.k, j if loo else None)
+        np.testing.assert_array_equal(indices[j], ref_indices)
+        assert np.array_equal(dists[j], ref_dists)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_sum_key_windows_match_direct_ranking_a_few_ulps_apart(data):
+    n = data.draw(st.integers(2, 40), label="n")
+    dim = data.draw(st.sampled_from([3, 5]) | st.integers(1, 6), label="dim")
+    inputs = _stored_family(data, n, dim, "offset")
+    net = StoredPairs(inputs, np.zeros(n), data.draw(st.integers(1, 6), label="k"))
+    # Stored rows moved a few ulps along the diagonal, and a few rows at once:
+    # every other one is sampled, so the windows of the rest are narrow.
+    rows = inputs[data.draw(arrays(np.intp, data.draw(st.integers(2, 6), label="m"),
+                                   elements=st.integers(0, n - 1)), label="rows")]
+    shift = data.draw(arrays(np.int64, len(rows), elements=st.integers(-3, 3)), label="shift")
+    queries = rows + np.spacing(rows) * shift[:, None]
+    with mock.patch.object(network, "_KEY_SAMPLE", 2), \
+            mock.patch.object(network, "_SUM_KEY_SHARE", np.inf), \
+            mock.patch.object(network, "_WINDOW_SHARE", 1.0):
+        indices, dists = _nearest(net, queries)
+    for j, q in enumerate(queries.tolist()):
+        ref_indices, ref_dists = nearest_direct(inputs.tolist(), q, net.k)
         np.testing.assert_array_equal(indices[j], ref_indices)
         assert np.array_equal(dists[j], ref_dists)
 
@@ -360,10 +401,31 @@ def chaotic_mackey_glass(n: int, seed: int = 0) -> np.ndarray:
     return np.asarray(x[1017:]) + np.random.default_rng(seed).normal(0.0, 1e-3, n)
 
 
+def key_names(spy_calls):
+    """Which key each spied ``_windows`` call searched with, named by the
+    sorted stored keys it was handed."""
+    return ["x0" if np.array_equal(keys, np.sort(cols[0])) else "sum"
+            for cols, keys in spy_calls]
+
+
+def spy_windows(calls):
+    windows = network._windows
+
+    def spy(cols, order, q, m, key):
+        calls.append((cols, key[0]))
+        return windows(cols, order, q, m, key)
+    return spy
+
+
+def chaotic_windows(features):
+    windows = np.lib.stride_tricks.sliding_window_view(chaotic_mackey_glass(2002), 3)[:2000]
+    return _bl_feature_matrix(windows) if features == "BL" else windows
+
+
+@pytest.mark.parametrize("features", ["MO", "BL"])
 @pytest.mark.parametrize("k", [1, 8, 13])
-def test_window_search_engages_on_a_chaotic_series(k):
-    series = chaotic_mackey_glass(2002)
-    inputs = np.lib.stride_tricks.sliding_window_view(series, 3)[:2000]
+def test_window_search_engages_on_a_chaotic_series(k, features):
+    inputs = chaotic_windows(features)
     net = StoredPairs(inputs, np.zeros(2000), k)
     # The windows are distinct, so their values name the stored samples.
     sample = {row.tobytes(): j for j, row in enumerate(net.train_inputs)}
@@ -384,13 +446,85 @@ def test_window_search_engages_on_a_chaotic_series(k):
             mock.patch.object(network, "_windows", count_blocks):
         indices, dists = _nearest(net, net.train_inputs, np.arange(2000))
     # A window that silently never engaged would still match the full scan.
-    assert len(computed) < 0.25 * 2000 ** 2
-    # The window reuses the guess's distances: no pair is computed twice.
+    assert len(computed) < 0.08 * 2000 ** 2
+    # The window reuses the guess's distances, and the rows sampled to pick
+    # the key are answered by their own scan: no pair is computed twice.
     assert len(set(computed)) == len(computed)
     with mock.patch.object(network, "_WINDOW_SHARE", 0.0):
         full_indices, full_dists = _nearest(net, net.train_inputs, np.arange(2000))
     np.testing.assert_array_equal(indices, full_indices)
     assert np.array_equal(dists, full_dists)
+
+
+@pytest.mark.parametrize("series, features, key", [
+    ("chaotic", "MO", "sum"),
+    ("chaotic", "BL", "sum"),
+    # The logistic map's windows lie on a curve that the first coordinate orders well.
+    ("logistic", "MO", "x0"),
+    ("logistic", "BL", "x0"),
+])
+def test_search_takes_the_key_with_narrower_windows(series, features, key):
+    if series == "chaotic":
+        inputs = chaotic_windows(features)
+    else:
+        inputs = np.lib.stride_tricks.sliding_window_view(gen_logistic(2002).values, 3)[:2000]
+        inputs = _bl_feature_matrix(inputs) if features == "BL" else inputs
+    net = StoredPairs(inputs, np.zeros(2000), 8)
+    calls = []
+    with mock.patch.object(network, "_windows", spy_windows(calls)):
+        _nearest(net, net.train_inputs, np.arange(2000))
+    assert key_names(calls) == [key]
+
+
+# Near 2**53 and 1e16 the coordinates are 2 apart and their sums of three 4:
+# summed left to right, the query (b - 2) * 3 rounds down to 3b - 8 and the
+# stored (b + 2) * 3 up to 3b + 8. Their sum keys are 16 apart, past sqrt(3)
+# times their distance sqrt(48), which is 12, and 3b - 8 + 12 rounds to 3b + 4.
+# Only the sum bound's slack keeps that sample; a far one widens the guess.
+@pytest.mark.parametrize("base", [2.0 ** 53, 1e16])
+def test_sum_key_slack_keeps_samples_whose_sums_round_apart(base):
+    inputs = base + np.spacing(base) * np.array([[1.0] * 3, [-8.0] * 3])
+    net = StoredPairs(inputs, np.zeros(2), 1)
+    # One row is sampled to pick the key; the other is windowed.
+    queries = np.full((2, 3), base - np.spacing(base))
+    calls = []
+    with mock.patch.object(network, "_KEY_SAMPLE", 2), \
+            mock.patch.object(network, "_SUM_KEY_SHARE", np.inf), \
+            mock.patch.object(network, "_WINDOW_SHARE", 1.0), \
+            mock.patch.object(network, "_windows", spy_windows(calls)):
+        indices, dists = _nearest(net, queries)
+    assert key_names(calls) == ["sum"]
+    for j, q in enumerate(queries.tolist()):
+        ref_indices, ref_dists = nearest_direct(inputs.tolist(), q, 1)
+        np.testing.assert_array_equal(indices[j], ref_indices)
+        assert np.array_equal(dists[j], ref_dists)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e308])
+def test_searches_on_huge_windows_warn_nothing(scale):
+    # At 1e200 squared differences overflow; at 1e308 the coordinate sums do
+    # too, so the first coordinate stays the key.
+    windows = np.lib.stride_tricks.sliding_window_view(gen_logistic(303).values, 3)[:300]
+    targets = gen_logistic(300, x0=0.6).values
+    model = BelpmModel(r=3, horizon=1, cm=CmWeights(1.0, 0.5, 0.0),
+                       bl=AdaptiveNetwork(_bl_feature_matrix(windows * scale), targets, k=4),
+                       mo=AdaptiveNetwork(windows * scale, targets, k=4))
+    queries = windows[::3] * scale
+    calls = []
+
+    def run():
+        return ([loo_predictions(net) for net in (model.bl, model.mo)],
+                predict_many(model, queries))
+    with mock.patch.object(network, "_windows", spy_windows(calls)):
+        loo, preds = run()
+    if scale == 1e308:
+        assert set(key_names(calls)) == {"x0"}
+    with mock.patch.object(network, "_WINDOW_SHARE", 0.0):
+        full_loo, full_preds = run()
+    np.testing.assert_array_equal(loo, full_loo)
+    np.testing.assert_array_equal(preds, full_preds)
+    assert np.isfinite(preds).all()
 
 
 # Finite coordinates (stored pairs must be finite); the 1e200 ones make
