@@ -5,23 +5,25 @@ a leading ``time,...`` header row skipped, and one row per line in a single
 form: a series CSV holds ``value`` or ``time,value`` rows, a predictions CSV
 ``time,observed,predicted`` rows. Times are integers with one uniform step.
 
-Model file: line-oriented ``key = value`` text under a ``belpm-model v3``
-header, arrays as comma-separated 17-significant-digit numerals, matrices
-flattened row-major next to a ``*_shape`` key, and a trailing
+Model file: line-oriented ``key = value`` text under a ``belpm-model v4``
+header, arrays as the padded base64 of their little-endian float64 bytes,
+matrices flattened row-major next to a ``*_shape`` key, and a trailing
 ``checksum = <crc32 hex>`` over every preceding byte. The ``kind`` field
 names the ``MODEL_KINDS`` entry that writes and reads the other fields. The
 stored training data is part of the model (memory-based models), so a loaded
 model predicts bit-identically to the saved one; a ``belpm`` model's windows
-are stored once, as ``mo_inputs``. v2 files also hold the primary network's
-features (``bl_inputs``), which must equal those of the windows, and the
-ignored ``train_lr``, ``train_epochs`` and ``train_ridge``; v1 files are v2
-plus the ignored constant ``lo_w`` and ``cm_wa`` weights.
+are stored once, as ``mo_inputs``. v1-v3 files, decoded by their version,
+hold arrays as comma-separated numerals. v2 files also hold the primary
+network's features (``bl_inputs``), which must equal those of the windows,
+and the ignored ``train_lr``, ``train_epochs`` and ``train_ridge``; v1 files
+are v2 plus the ignored constant ``lo_w`` and ``cm_wa`` weights.
 
 Bytes that are not UTF-8 are a data error; a path that cannot be read or
 written is a config error."""
 
 from __future__ import annotations
 
+import base64
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -47,8 +49,9 @@ from .network import AdaptiveNetwork, KernelKind
 from .series import EmbeddedDataset, TimeSeries
 
 MODEL_HEADER = "belpm-model"
-MODEL_VERSION = "v3"
-_READABLE_VERSIONS = ("v1", "v2", MODEL_VERSION)
+MODEL_VERSION = "v4"
+_DECIMAL_VERSIONS = ("v1", "v2", "v3")  # arrays as numerals, not base64
+_READABLE_VERSIONS = (*_DECIMAL_VERSIONS, MODEL_VERSION)
 
 GAP_ERROR = "error"
 GAP_INTERPOLATE = "linear_interpolate"
@@ -205,14 +208,14 @@ class LoadedModel:
 
 
 def _render(fields: dict) -> str:
-    """The model document: one line per field in order, arrays and floats as
-    numerals, a 2-D array preceded by its ``*_shape`` line, then the checksum."""
+    """The model document: one line per field in order, arrays in base64 and
+    floats as numerals, a 2-D array after its ``*_shape`` line, then the checksum."""
     lines = [f"{MODEL_HEADER} {MODEL_VERSION}"]
     for key, value in fields.items():
         if isinstance(value, np.ndarray):
             if value.ndim == 2:
                 lines.append(f"{key}_shape = {value.shape[0]},{value.shape[1]}")
-            value = ("%.17g," * value.size % tuple(value.ravel().tolist()))[:-1]  # format_float's
+            value = base64.b64encode(value.astype("<f8", copy=False).tobytes()).decode("ascii")
         elif isinstance(value, (float, np.floating)):
             value = format_float(value)
         lines.append(f"{key} = {value}")
@@ -230,11 +233,21 @@ def _field(fields: dict[str, str], key: str, convert: Callable[[str], Any] = flo
         raise CorruptFile(f"field {key!r} has malformed value {fields[key]!r}") from None
 
 
-def _array(fields: dict[str, str], key: str) -> np.ndarray:
-    return _field(fields, key, lambda raw: np.array(list(map(float, raw.split(",")))))
+class _Fields(dict):
+    """A model file's ``key -> value`` texts; its ``version`` picks the array decoder."""
+
+    version: str
 
 
-def _matrix(fields: dict[str, str], key: str) -> np.ndarray:
+def _array(fields: _Fields, key: str) -> np.ndarray:
+    if fields.version in _DECIMAL_VERSIONS:
+        return _field(fields, key, lambda raw: np.array(list(map(float, raw.split(",")))))
+    # the standard, padded base64 of little-endian float64 bytes
+    return _field(fields, key,
+                  lambda raw: np.frombuffer(base64.b64decode(raw, validate=True), "<f8"))
+
+
+def _matrix(fields: _Fields, key: str) -> np.ndarray:
     shape = _field(fields, f"{key}_shape", lambda raw: tuple(int(tok) for tok in raw.split(",")))
     flat = _array(fields, key)
     if len(shape) != 2 or min(shape) < 1 or flat.size != shape[0] * shape[1]:
@@ -252,7 +265,7 @@ def _network_fields(prefix: str, net: AdaptiveNetwork) -> dict:
     }
 
 
-def _read_network(fields: dict[str, str], prefix: str, inputs: np.ndarray) -> AdaptiveNetwork:
+def _read_network(fields: _Fields, prefix: str, inputs: np.ndarray) -> AdaptiveNetwork:
     return AdaptiveNetwork(
         train_inputs=inputs,
         train_targets=_array(fields, f"{prefix}_targets"),
@@ -275,7 +288,7 @@ def _belpm_fields(model: BelpmModel, embedding) -> dict:
     return fields
 
 
-def _read_belpm(fields: dict[str, str]) -> BelpmModel:
+def _read_belpm(fields: _Fields) -> BelpmModel:
     cm_w = _array(fields, "cm_w")
     if cm_w.size != 3:
         raise CorruptFile(f"field 'cm_w' holds {cm_w.size} values, expected 3")
@@ -292,27 +305,37 @@ def _read_belpm(fields: dict[str, str]) -> BelpmModel:
     )
 
 
+def _checked_width(model, r: int) -> int:
+    """``r``, which must be the width of ``model``'s inputs (``InvalidParameter``)."""
+    if model.dim != r:
+        raise InvalidParameter(f"embedding_r = {r}, but the inputs are {model.dim} values wide")
+    return r
+
+
 def _wknn_fields(model: WknnModel, embedding) -> dict:
     r, horizon = embedding or (model.dim, 1)
-    return {"embedding_r": r, "embedding_horizon": horizon, "k": model.k,
-            "inputs": model.train_inputs, "targets": model.train_targets}
+    return {"embedding_r": _checked_width(model, r), "embedding_horizon": horizon,
+            "k": model.k, "inputs": model.train_inputs, "targets": model.train_targets}
 
 
-def _read_wknn(fields: dict[str, str]) -> WknnModel:
-    return WknnModel(train_inputs=_matrix(fields, "inputs"),
-                     train_targets=_array(fields, "targets"),
-                     k=_field(fields, "k", int))
+def _read_wknn(fields: _Fields) -> WknnModel:
+    model = WknnModel(train_inputs=_matrix(fields, "inputs"),
+                      train_targets=_array(fields, "targets"), k=_field(fields, "k", int))
+    _checked_width(model, _field(fields, "embedding_r", int))
+    return model
 
 
 def _classic_fields(model: ClassicBelModel, embedding) -> dict:
     r, horizon = embedding or (model.dim, 1)
-    return {"embedding_r": r, "embedding_horizon": horizon, "v": model.v, "w": model.w,
-            "alpha": model.alpha, "beta": model.beta}
+    return {"embedding_r": _checked_width(model, r), "embedding_horizon": horizon,
+            "v": model.v, "w": model.w, "alpha": model.alpha, "beta": model.beta}
 
 
-def _read_classic(fields: dict[str, str]) -> ClassicBelModel:
-    return ClassicBelModel(v=_array(fields, "v"), w=_array(fields, "w"),
-                           alpha=_field(fields, "alpha"), beta=_field(fields, "beta"))
+def _read_classic(fields: _Fields) -> ClassicBelModel:
+    model = ClassicBelModel(v=_array(fields, "v"), w=_array(fields, "w"),
+                            alpha=_field(fields, "alpha"), beta=_field(fields, "beta"))
+    _checked_width(model, _field(fields, "embedding_r", int))
+    return model
 
 
 class ModelKind(NamedTuple):
@@ -322,7 +345,7 @@ class ModelKind(NamedTuple):
 
     cls: type
     to_fields: Callable[[Any, tuple[int, int] | None], dict]
-    from_fields: Callable[[dict[str, str]], Any]
+    from_fields: Callable[[_Fields], Any]
     predict_many: Callable[[Any, np.ndarray], np.ndarray]
 
 
@@ -351,7 +374,7 @@ def save_model(model, path, embedding: tuple[int, int] | None = None) -> None:
     write_text(path, _render({"kind": name, **MODEL_KINDS[name].to_fields(model, embedding)}))
 
 
-def _parse_document(path) -> dict[str, str]:
+def _parse_document(path) -> _Fields:
     text = read_text(path, "model file", CorruptFile)
     lines = text.splitlines()
     if not lines:
@@ -372,7 +395,8 @@ def _parse_document(path) -> dict[str, str]:
     actual = f"{zlib.crc32(body) & 0xFFFFFFFF:08x}"
     if actual != expected:
         raise CorruptFile(f"{path}: checksum mismatch")
-    fields: dict[str, str] = {}
+    fields = _Fields()
+    fields.version = header[1]
     for line in lines[1:-1]:
         if not line.strip():
             continue

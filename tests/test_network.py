@@ -1,10 +1,11 @@
 import math
 from dataclasses import replace
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from belpm import network
@@ -252,17 +253,29 @@ def _stored_family(data, n, dim, family=None):
     return x
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_window_and_fallback_searches_match_direct_ranking(data):
+class SearchCase(NamedTuple):
+    """Stored rows, the query rows (None: each stored row, itself left out),
+    k, and the search settings ``_WINDOW_SHARE``, ``_BLOCK_DISTANCES``,
+    ``_KEY_SAMPLE`` and ``_SUM_KEY_SHARE`` to run them under."""
+
+    inputs: np.ndarray
+    queries: np.ndarray | None
+    k: int
+    share: float
+    block: int
+    key_sample: int
+    key_share: float
+
+
+@st.composite
+def search_cases(draw):
+    data = draw(st.data())
     n = data.draw(st.integers(2, 60), label="n")
     dim = data.draw(st.integers(1, 4), label="dim")
     inputs = _stored_family(data, n, dim)
-    net = StoredPairs(inputs, np.zeros(n), data.draw(st.integers(1, 14), label="k"))
-    loo = data.draw(st.booleans(), label="loo")
-    if loo:
-        queries = inputs
-    else:
+    k = data.draw(st.integers(1, 14), label="k")
+    queries = None
+    if not data.draw(st.booleans(), label="loo"):
         # Coordinates the stored samples hold, so queries tie with them, and
         # infinities, which the window leaves to the full scan.
         pool = sorted(set(inputs.ravel().tolist())) + [np.inf, -np.inf]
@@ -277,6 +290,31 @@ def test_window_and_fallback_searches_match_direct_ranking(data):
     key_sample = data.draw(st.sampled_from([4, network._KEY_SAMPLE]), label="key sample")
     key_share = data.draw(st.sampled_from([0.0, network._SUM_KEY_SHARE, np.inf]),
                           label="sum key share")
+    return SearchCase(inputs, queries, k, share, block, key_sample, key_share)
+
+
+def _sum_key_case(base, ulps, queries=None):
+    """Offset-family rows, ``base`` plus ``ulps`` of its spacing, searched for
+    their nearest neighbour through windows of the sum key that one row in 4 picks."""
+    def offset(u):
+        return None if u is None else base + np.spacing(base) * np.array(u, dtype=np.float64)
+    return SearchCase(offset(ulps), offset(queries), 1, 1.0, network._BLOCK_DISTANCES, 4, np.inf)
+
+
+# Rows near the diagonal, 3 or 4 coordinates wide, whose rounded coordinate
+# sums lie further apart than sqrt(d) times their distance: without the sum
+# bound's slack their nearest neighbours fall out of the windows.
+@example(case=_sum_key_case(1e16, [[-1, 0, 0], [1, 3, 3], [-1, -2, -2]]))
+@example(case=_sum_key_case(2.0 ** 53, [[-2, -2, -2], [2, 1, 3]],
+                            [[-2, -2, 1], [1, -2, 2], [2, 3, 2]]))
+@example(case=_sum_key_case(1e16, [[-4, -4, -4, -5], [1, 1, 0, 0], [2, 2, 2, 1]]))
+@settings(max_examples=200, deadline=None)
+@given(case=search_cases())
+def test_window_and_fallback_searches_match_direct_ranking(case):
+    inputs, queries, k, share, block, key_sample, key_share = case
+    loo = queries is None
+    queries = inputs if loo else queries
+    net = StoredPairs(inputs, np.zeros(len(inputs)), k)
     with mock.patch.object(network, "_WINDOW_SHARE", share), \
             mock.patch.object(network, "_BLOCK_DISTANCES", block), \
             mock.patch.object(network, "_KEY_SAMPLE", key_sample), \

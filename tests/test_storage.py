@@ -1,3 +1,4 @@
+import base64
 import re
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from belpm.baselines import WknnModel, wknn_predict
+from belpm.cli import main
 from belpm.classic import ClassicBelModel, bel_predict, bel_train
 from belpm.errors import (
     BelpmError,
@@ -19,6 +21,7 @@ from belpm.errors import (
 from belpm.model import BelpmConfig, predict, train
 from belpm.series import TimeSeries, embed, gen_logistic, split
 from belpm.storage import (
+    format_float,
     load_model_file,
     load_predicted_series,
     load_predictions_csv,
@@ -30,9 +33,41 @@ from belpm.storage import (
 
 from oracles import rechecksum
 
-# A belpm model written in the v2 format: trained_models()'s belpm model, saved
-# when the writer also stored the primary features and the training settings.
+# trained_models()'s belpm model in older formats: v2, written when the writer
+# also stored the primary features and the training settings, and v3, written
+# when arrays were comma-separated numerals.
 V2_MODEL = Path(__file__).parent / "data" / "logistic_v2.belpm"
+V3_MODEL = Path(__file__).parent / "data" / "logistic_v3.belpm"
+# The array fields of each kind, which v4 writes in base64 and v1-v3 as numerals.
+ARRAY_FIELDS = {"bl_bandwidths", "bl_targets", "mo_bandwidths", "mo_targets", "mo_inputs",
+                "cm_w", "inputs", "targets", "v", "w"}
+
+
+def b64(values) -> str:
+    """A v4 array payload: the base64 of the values' little-endian doubles."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def field_of(text, key):
+    return re.search(rf"^{key} = (.*)$", text, re.M).group(1)
+
+
+def with_field(text, key, value):
+    """``text`` with field ``key``'s value replaced by ``value``."""
+    return re.sub(rf"^{key} = .*$", lambda _: f"{key} = {value}", text, count=1, flags=re.M)
+
+
+def v3_text(text):
+    """The bytes the v3 writer wrote for a v4 model text: the arrays' doubles
+    as 17-significant-digit numerals, under a v3 header, re-checksummed."""
+    def numerals(match):
+        key, raw = match.groups()
+        if key not in ARRAY_FIELDS:
+            return match.group()
+        values = np.frombuffer(base64.b64decode(raw, validate=True), "<f8").tolist()
+        return f"{key} = {','.join(map(format_float, values))}"
+    text = text.replace("belpm-model v4\n", "belpm-model v3\n", 1)
+    return rechecksum(re.sub(r"^(\w+) = (.*)$", numerals, text, flags=re.M))
 
 
 class TestSeriesCsv:
@@ -283,9 +318,10 @@ class TestModelPersistence:
             q = rng.uniform(0, 1, size=3)
             assert predict(from_v1, q) == predict(from_v2, q) == predict(model, q)
 
-    def test_v2_file_loads_bit_identically_and_resaves_as_v3(self, tmp_path):
+    @pytest.mark.parametrize("fixture", [V2_MODEL, V3_MODEL], ids=["v2", "v3"])
+    def test_old_file_loads_bit_identically_and_resaves_as_v4(self, tmp_path, fixture):
         model, _, _ = trained_models()
-        loaded = load_model_file(V2_MODEL).model
+        loaded = load_model_file(fixture).model
         ds = embed(gen_logistic(80, r=3.9, x0=0.3), 3, 1)
         for q in ds.inputs:
             assert predict(loaded, q) == predict(model, q)
@@ -293,24 +329,32 @@ class TestModelPersistence:
         save_model(model, fresh)
         save_model(loaded, resaved)
         assert resaved.read_bytes() == fresh.read_bytes()
+        assert fresh.read_text().startswith("belpm-model v4\n")
+
+    def test_each_version_holds_the_previous_ones_values(self, tmp_path):
         # v3 is the v2 document without the stored features and settings
         dropped = ("bl_inputs_shape = ", "bl_inputs = ", "train_lr = ", "train_epochs = ",
                    "train_ridge = ")
         v2_lines = V2_MODEL.read_text().splitlines()
-        v3_lines = fresh.read_text().splitlines()
+        v3_lines = V3_MODEL.read_text().splitlines()
         assert v3_lines[0] == "belpm-model v3"
         assert v3_lines[1:-1] == [line for line in v2_lines[1:-1]
                                   if not line.startswith(dropped)]
+        # v4 is the v3 document with each array's doubles, bit for bit, in base64
+        model, _, _ = trained_models()
+        fresh = tmp_path / "fresh.belpm"
+        save_model(model, fresh)
+        assert v3_text(fresh.read_text()) == V3_MODEL.read_bytes()
 
     def test_malformed_number_is_corrupt(self, tmp_path):
-        belpm, wknn, classic = trained_models()
+        # The decimal readers of v1-v3 files: a v3 text of each kind, and v2.
+        _, wknn, classic = trained_models()
         path = tmp_path / "m.belpm"
-        save_model(belpm, path)
-        text = path.read_text()
+        text = V3_MODEL.read_text()
         save_model(wknn, path, embedding=(3, 1))
-        wknn_text = path.read_text()
+        wknn_text = v3_text(path.read_text()).decode("utf-8")
         save_model(classic, path, embedding=(3, 1))
-        classic_text = path.read_text()
+        classic_text = v3_text(path.read_text()).decode("utf-8")
         v2_text = V2_MODEL.read_text()
 
         def first_value(text, key, token):
@@ -321,6 +365,7 @@ class TestModelPersistence:
         bad_texts = [
             text.replace("bl_k = 4", "bl_k = x8", 1),
             first_value(classic_text, "alpha", "x"),
+            first_value(classic_text, "v", "0x1"),
             text.replace("mo_inputs_shape = 60,3", "mo_inputs_shape = 180", 1),
             text.replace(cm_w, cm_w.rsplit(",", 1)[0], 1),  # two fusion weights
             text.replace("mo_inputs_shape = 60,3", "mo_inputs_shape = -60,-3", 1),
@@ -340,16 +385,105 @@ class TestModelPersistence:
         ]
         for bad_text in bad_texts:
             assert bad_text not in (text, wknn_text, classic_text, v2_text)
+            assert bad_text.startswith(("belpm-model v2\n", "belpm-model v3\n"))
             bad = tmp_path / "bad.belpm"
             bad.write_bytes(rechecksum(bad_text))
             with pytest.raises(CorruptFile):
                 load_model_file(bad)
 
+    def test_malformed_array_is_corrupt(self, tmp_path):
+        # The base64 reader of v4 files; `belpm predict` reports each as a data error.
+        belpm, wknn, classic = trained_models()
+        texts = []
+        for model in (belpm, wknn, classic):
+            save_model(model, tmp_path / "m.belpm", embedding=(3, 1))
+            texts.append((tmp_path / "m.belpm").read_text())
+        text, wknn_text, classic_text = texts
+
+        def values(text, key):
+            return np.frombuffer(base64.b64decode(field_of(text, key)), "<f8")
+
+        def raw(text, key):
+            return base64.b64decode(field_of(text, key))
+
+        def encoded(data):
+            return base64.b64encode(data).decode("ascii")
+
+        mo_inputs = field_of(text, "mo_inputs")
+        bad_texts = [
+            # not base64: a foreign character, the URL-safe alphabet, inner
+            # padding, missing padding, a space
+            with_field(text, "mo_inputs", "!" + mo_inputs[1:]),
+            with_field(wknn_text, "targets", "-" + field_of(wknn_text, "targets")[1:]),
+            with_field(text, "mo_inputs", mo_inputs[:4] + "=" + mo_inputs[5:]),
+            with_field(text, "bl_bandwidths", field_of(text, "bl_bandwidths").rstrip("=")),
+            with_field(classic_text, "w", field_of(classic_text, "w").replace("A", " A", 1)),
+            # a byte count that is not a multiple of 8, or no bytes at all
+            with_field(text, "bl_targets", encoded(raw(text, "bl_targets")[:-1])),
+            with_field(wknn_text, "inputs", encoded(raw(wknn_text, "inputs") + bytes(4))),
+            with_field(classic_text, "w", encoded(raw(classic_text, "w")[:-4])),
+            with_field(text, "cm_w", ""),
+            # non-finite stored data, bandwidths or fusion weights
+            with_field(text, "bl_targets", b64([np.nan, *values(text, "bl_targets")[1:]])),
+            with_field(text, "mo_inputs", b64([np.inf, *values(text, "mo_inputs")[1:]])),
+            with_field(text, "mo_bandwidths", b64([-np.inf, *values(text, "mo_bandwidths")[1:]])),
+            with_field(text, "cm_w", b64([1.0, np.nan, 0.0])),
+            with_field(wknn_text, "targets", b64([np.nan, *values(wknn_text, "targets")[1:]])),
+            with_field(wknn_text, "inputs", b64([np.inf, *values(wknn_text, "inputs")[1:]])),
+            # a length that disagrees with the *_shape line
+            with_field(text, "mo_inputs", b64([*values(text, "mo_inputs"), 0.5])),
+            with_field(text, "mo_inputs_shape", "61,3"),
+            with_field(wknn_text, "inputs", b64(values(wknn_text, "inputs")[:-3])),
+            with_field(text, "cm_w", b64([1.0, 0.0])),
+        ]
+        series = tmp_path / "series.csv"
+        save_series_csv(gen_logistic(80, r=3.9, x0=0.3), series)
+        for bad_text in bad_texts:
+            assert bad_text not in texts and bad_text.startswith("belpm-model v4\n")
+            bad = tmp_path / "bad.belpm"
+            bad.write_bytes(rechecksum(bad_text))
+            with pytest.raises(CorruptFile):
+                load_model_file(bad)
+            assert main(["predict", "--model", str(bad), "--data", str(series),
+                         "--out", str(tmp_path / "p.csv")]) == 2
+
+    def test_non_finite_classic_weights_load_bit_for_bit(self, tmp_path):
+        _, _, model = trained_models()
+        path = tmp_path / "m.bel"
+        save_model(model, path, embedding=(3, 1))
+        v = np.array([np.nan, np.inf, -np.inf])
+        v[0] = np.frombuffer(bytes.fromhex("0100000000f8ff7f"), "<f8")[0]  # a NaN payload
+        path.write_bytes(rechecksum(with_field(path.read_text(), "v", b64(v))))
+        assert load_model_file(path).model.v.tobytes() == v.tobytes()
+        path.write_bytes(v3_text(path.read_text()))
+        loaded = load_model_file(path).model
+        np.testing.assert_array_equal(loaded.v, v)
+        np.testing.assert_array_equal(loaded.w, model.w)
+
+    @pytest.mark.parametrize("kind", [1, 2], ids=["wknn", "classic_bel"])
+    def test_embedding_width_must_match_the_inputs(self, tmp_path, kind):
+        model = trained_models()[kind]
+        path = tmp_path / "m.belpm"
+        for r in (2, 4):
+            with pytest.raises(InvalidParameter, match=f"embedding_r = {r}, .* 3 values wide"):
+                save_model(model, path, embedding=(r, 1))
+        assert not path.exists()
+        save_model(model, path, embedding=(3, 1))
+        series = tmp_path / "series.csv"
+        save_series_csv(gen_logistic(80, r=3.9, x0=0.3), series)
+        text = path.read_text()
+        for r in (2, 4):
+            path.write_bytes(rechecksum(text.replace("embedding_r = 3", f"embedding_r = {r}", 1)))
+            with pytest.raises(CorruptFile, match=f"embedding_r = {r}, .* 3 values wide"):
+                load_model_file(path)
+            assert main(["predict", "--model", str(path), "--data", str(series),
+                         "--out", str(tmp_path / "p.csv")]) == 2
+
     def test_version_mismatch(self, tmp_path):
         model, _, _ = trained_models()
         path = tmp_path / "m.belpm"
         save_model(model, path)
-        content = path.read_text().replace("belpm-model v3", "belpm-model v4", 1)
+        content = path.read_text().replace("belpm-model v4", "belpm-model v5", 1)
         path.write_text(content)
         with pytest.raises(VersionMismatch):
             load_model_file(path)
@@ -375,19 +509,25 @@ class TestModelPersistence:
 
 @pytest.fixture(scope="module")
 def model_texts(tmp_path_factory):
-    """The model-file text of each trained kind."""
+    """The model-file text of each trained kind, as written (v4) and as v3."""
     path = tmp_path_factory.mktemp("models") / "m.belpm"
     texts = []
     for model in trained_models():
         save_model(model, path, embedding=(3, 1))
-        texts.append(path.read_text())
+        texts += [path.read_text(), v3_text(path.read_text()).decode("utf-8")]
     return texts
 
 
-@settings(max_examples=200, deadline=None,
+# Spans of base64 text keep a v4 payload decodable, to doubles of any bits.
+_B64_TEXT = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=",
+                    max_size=12)
+
+
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(kind=st.integers(0, 2), at=st.floats(0, 1), cut=st.integers(0, 12),
-       insert=st.text(max_size=12), checksum=st.booleans(), raw=st.binary(max_size=64))
+@given(kind=st.integers(0, 5), at=st.floats(0, 1), cut=st.integers(0, 12),
+       insert=st.text(max_size=12) | _B64_TEXT, checksum=st.booleans(),
+       raw=st.binary(max_size=64))
 def test_fuzz_model_reader(tmp_path, model_texts, kind, at, cut, insert, checksum, raw):
     """A saved model with a span replaced (re-checksummed or not), and raw bytes."""
     text = model_texts[kind]
