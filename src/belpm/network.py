@@ -10,8 +10,9 @@ so the loss never ends above where it started.
 
 The kernel, weighting and gradient take rank-major (kk, m) arrays, whose row
 j holds each query's j-th neighbor. The descent keeps its table that way and
-works in scratch allocated once. Its sums keep the order numpy takes over a
-sample-major table, so the bits are those of the sample-major code.
+works in scratch allocated once. Every sum over ranks or over samples runs in
+plain order: the first term, then one term at a time, then + 0.0, so a -0.0
+sum reads 0.0. That order is the library's own, not numpy's.
 """
 
 from __future__ import annotations
@@ -173,27 +174,13 @@ def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray, out=None) -> np
 
 
 def _rank_sum(a: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Sums over the ranks (axis 0) of ``a`` into ``out``, in the order numpy
-    sums a contiguous column. numpy's loop runs where the ranks are adjacent
-    in memory (a forward pass's transposed search) or number over 128. Else
-    whole rows are added: below 8 ranks in order from 0.0, or in 8 lanes
-    (rank j into lane j % 8) summed in a fixed tree, then 0.0 and the last
-    kk % 8 ranks in order. ``work`` has a's shape and may be ``a``."""
-    kk = len(a)
-    if kk > 128 or a.flags.f_contiguous:
-        return np.add.reduce(np.asfortranarray(a), axis=0, out=out)
-    whole = 1 if kk < 8 else kk - kk % 8
-    if kk < 8:
-        out = np.add(a[0], 0.0, out=out)
-    else:
-        lanes = a[:8]
-        for j in range(8, whole, 8):
-            lanes = np.add(lanes, a[j:j + 8], out=work[:8])
-        pairs = np.add(lanes[0::2], lanes[1::2], out=work[0:8:2])
-        pairs[0::2] += pairs[1::2]
-        out = np.add(pairs[0], pairs[2], out=out)
-        out += 0.0  # a -0.0 becomes 0.0; later sums then match numpy's
-    for row in a[whole:]:
+    """Sums over the ranks (axis 0) of ``a`` into ``out``, in plain order. One
+    column, a single query, is one accumulate down it into ``work``, which has
+    a's shape and may be ``a``; more columns add whole rank rows to ``out``."""
+    if a.shape[1] == 1:
+        return np.add(np.add.accumulate(a, out=work)[-1], 0.0, out=out)
+    out = np.add(a[0], 0.0, out=out)  # adding 0.0 first or last gives the same bits
+    for row in a[1:]:
         out += row
     return out
 
@@ -428,7 +415,7 @@ def _grad(net: AdaptiveNetwork, table: tuple, bw: np.ndarray, weighed: tuple,
 
         dy/db_m = (dK_m/db_m) * (t_m - y) / S
 
-    and the loss contributions sum over samples (``_sample_sum``). Samples
+    and the loss contributions sum over samples in plain order. Samples
     on the uniform fallback have constant weights and contribute nothing. A
     kernel value vanishing at a huge distance has derivative 0 there, not
     inf * 0 = NaN.
@@ -460,12 +447,9 @@ def _grad(net: AdaptiveNetwork, table: tuple, bw: np.ndarray, weighed: tuple,
 
 
 def _sample_sum(a: np.ndarray) -> np.ndarray:
-    """Sums along the rows of rank-major ``a``, overwriting it, in numpy's
-    order for the columns of ``a.T``: one sample after another from 0.0, or
-    pairwise for one rank, a column that numpy sums as a contiguous row."""
-    if len(a) == 1 or not a.shape[1]:
-        return a.sum(axis=1)
-    return np.cumsum(a, axis=1, out=a)[:, -1] + 0.0
+    """Sums along the rows of rank-major ``a``, overwriting it, in plain order:
+    one sample after another, for every rank count."""
+    return np.cumsum(a, axis=1, out=a)[:, -1] + 0.0 if a.shape[1] else np.zeros(len(a))
 
 
 def grad_bandwidths(net: AdaptiveNetwork) -> np.ndarray:

@@ -230,7 +230,12 @@ def _field(fields: dict[str, str], key: str, convert: Callable[[str], Any] = flo
     try:
         return convert(fields[key])
     except ValueError:
-        raise CorruptFile(f"field {key!r} has malformed value {fields[key]!r}") from None
+        raise CorruptFile(f"field {key!r} has malformed value {_excerpt(fields[key])}") from None
+
+
+def _excerpt(text: str) -> str:
+    """A value for an error message: its first 80 characters, quoted, and its length."""
+    return f"{text[:80]!r} ({len(text)} characters)"
 
 
 class _Fields(dict):
@@ -401,7 +406,7 @@ def _parse_document(path) -> _Fields:
         if not line.strip():
             continue
         if " = " not in line:
-            raise CorruptFile(f"{path}: malformed line {line!r}")
+            raise CorruptFile(f"{path}: malformed line {_excerpt(line)}")
         key, value = line.split(" = ", 1)
         fields[key.strip()] = value.strip()
     return fields

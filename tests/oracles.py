@@ -3,8 +3,8 @@
 Everything here is written in plain Python (math module, explicit loops,
 no shared code with the package) so agreement is meaningful. The one
 exception is the row-major weighting and gradient at the end: numpy code
-kept verbatim from before the descent went rank-major, so the rank-major
-code can be held to its bits.
+from before the descent went rank-major, its sums taken in the library's
+plain order, so the rank-major code can be held to its bits.
 """
 
 import math
@@ -143,10 +143,22 @@ def rechecksum(text):
     return body + f"checksum = {zlib.crc32(body) & 0xFFFFFFFF:08x}\n".encode("utf-8")
 
 
-# The network's row-major weighting and gradient, verbatim: tables are
-# (n, kk), one row per sample, and numpy sums each row pairwise and each
-# column sample after sample.
+# The network's row-major weighting and gradient: tables are (n, kk), one
+# row per sample, and each row and each column is summed by `in_order_sum`.
 from belpm.network import BANDWIDTH_FLOOR, KernelKind, _MAX_BACKTRACKS, _nearest  # noqa: E402
+
+
+def in_order_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sums of ``a`` along ``axis`` in the library's plain order: the first
+    term, then one term at a time, then + 0.0 so a -0.0 sum reads 0.0. An
+    empty axis sums to 0.0."""
+    terms = np.moveaxis(a, axis, 0)
+    if not len(terms):
+        return np.zeros(terms.shape[1:])
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total + 0.0
 
 
 def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
@@ -177,11 +189,11 @@ def _weigh(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Row sums (axis kept) of raw weights, and the targets weighed by them
     normalized, or uniformly where the sum is 0: the one weighting rule of the
     networks and wknn. Normalizing first keeps k=1 recalling a target exactly."""
-    total = raw.sum(axis=-1, keepdims=True)
+    total = in_order_sum(raw, -1)[..., None]
     dead = total == 0.0
     weights = raw / total if not dead.any() else np.where(
         dead, 1.0 / raw.shape[-1], raw / np.where(dead, 1.0, total))
-    return total, (weights * targets).sum(axis=-1)
+    return total, in_order_sum(weights * targets, -1)
 
 
 def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray,
@@ -225,7 +237,7 @@ def _grad(net, table: tuple, bw: np.ndarray, weighed: tuple) -> np.ndarray:
         y, truth, draw, targets, total = (a[live] for a in (y, truth, draw, targets, total))
     contrib = 2.0 * (y - truth)[:, None] * draw * (targets - y[:, None]) / total
     grad = np.zeros(net.k)
-    grad[:kk] = contrib.sum(axis=0)
+    grad[:kk] = in_order_sum(contrib, 0)
     return grad
 
 

@@ -1,5 +1,6 @@
 """The rank-major weighting, gradient and descent against the row-major code
-they replaced (``oracles``), bit for bit, and their sums against numpy's."""
+they replaced (``oracles``), bit for bit, and their sums against plain
+Python sums in order."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from belpm import network
 from belpm.baselines import DISTANCE_EPSILON, WknnModel, _wknn
 from belpm.network import AdaptiveNetwork, KernelKind, grad_bandwidths, loo_predictions
 
-# Rank counts: every count up to 20 and one past numpy's 128-element blocks.
+# Rank counts: every count up to 20, and 130.
 RANKS = st.integers(1, 20) | st.just(130)
 
 
@@ -31,21 +32,28 @@ def summands(rng, shape) -> np.ndarray:
     return x
 
 
+def plain_sum(values) -> float:
+    """The first value, then one value at a time, then + 0.0, over Python floats."""
+    total = values[0]
+    for v in values[1:]:
+        total += v
+    return total + 0.0
+
+
 @settings(max_examples=150, deadline=None)
-@given(kk=RANKS, m=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
-def test_sums_have_numpys_bits(kk, m, seed):
-    # The reference is numpy's own sum over a row-major copy, as the
-    # row-major code took it: each sample's ranks, and each rank's samples.
+@given(kk=RANKS, m=st.integers(1, 300) | st.just(1), seed=st.integers(0, 2 ** 32 - 1))
+def test_sums_run_in_plain_order(kk, m, seed):
     a = summands(np.random.default_rng(seed), (kk, m))
-    row_major = np.ascontiguousarray(a.T)
+    by_sample = [plain_sum(a[:, j].tolist()) for j in range(m)]
+    by_rank = [plain_sum(a[j].tolist()) for j in range(kk)]
     out = np.empty(m)
-    assert same_bits(network._rank_sum(a, out, np.empty_like(a)), row_major.sum(axis=-1))
-    # The forward passes hand it transposed row-major searches.
-    assert same_bits(network._rank_sum(row_major.T, out, np.empty_like(a)),
-                     row_major.sum(axis=-1))
+    # C-ordered, as the descent's table, and F-ordered, as a forward pass's
+    # transposed search; then summed in place.
+    assert same_bits(network._rank_sum(a, out, np.empty_like(a)), by_sample)
+    assert same_bits(network._rank_sum(np.asfortranarray(a), out, np.empty_like(a)), by_sample)
     work = a.copy()
-    assert same_bits(network._rank_sum(work, out, work), row_major.sum(axis=-1))
-    assert same_bits(network._sample_sum(a.copy()), row_major.sum(axis=0))
+    assert same_bits(network._rank_sum(work, out, work), by_sample)
+    assert same_bits(network._sample_sum(a.copy()), by_rank)
 
 
 def network_case(data) -> AdaptiveNetwork:

@@ -38,6 +38,9 @@ from oracles import rechecksum
 # when arrays were comma-separated numerals.
 V2_MODEL = Path(__file__).parent / "data" / "logistic_v2.belpm"
 V3_MODEL = Path(__file__).parent / "data" / "logistic_v3.belpm"
+# A model trained with BelpmConfig(), whose k_a = k_o = 8 ranks the k = 4
+# fixtures above do not reach, on the logistic map: r = 3, n_train = 200.
+DEFAULT_K_MODEL = Path(__file__).parent / "data" / "logistic_k8_v4.belpm"
 # The array fields of each kind, which v4 writes in base64 and v1-v3 as numerals.
 ARRAY_FIELDS = {"bl_bandwidths", "bl_targets", "mo_bandwidths", "mo_targets", "mo_inputs",
                 "cm_w", "inputs", "targets", "v", "w"}
@@ -478,6 +481,28 @@ class TestModelPersistence:
                 load_model_file(path)
             assert main(["predict", "--model", str(path), "--data", str(series),
                          "--out", str(tmp_path / "p.csv")]) == 2
+
+    def test_default_config_training_reproduces_its_fixture(self, tmp_path):
+        train_set, _ = split(embed(gen_logistic(223), 3, 1), 200)
+        path = tmp_path / "m.belpm"
+        save_model(train(train_set, BelpmConfig()), path)
+        assert path.read_bytes() == DEFAULT_K_MODEL.read_bytes()
+
+    def test_malformed_field_message_is_bounded(self, tmp_path, capsys):
+        model, _, _ = trained_models()
+        path = tmp_path / "m.belpm"
+        save_model(model, path)
+        text = path.read_text()
+        mo_inputs = field_of(text, "mo_inputs")
+        assert len(mo_inputs) > 1000
+        path.write_bytes(rechecksum(with_field(text, "mo_inputs", "!" + mo_inputs[1:])))
+        series = tmp_path / "series.csv"
+        save_series_csv(gen_logistic(80, r=3.9, x0=0.3), series)
+        assert main(["predict", "--model", str(path), "--data", str(series),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "mo_inputs" in err and f"({len(mo_inputs)} characters)" in err
+        assert all(len(line.encode("utf-8")) < 300 for line in err.splitlines())
 
     def test_version_mismatch(self, tmp_path):
         model, _, _ = trained_models()
