@@ -9,8 +9,9 @@ by steepest descent on the leave-one-out squared error, with backtracking
 so the loss never ends above where it started.
 
 The kernel, weighting and gradient take rank-major (kk, m) arrays, whose row
-j holds each query's j-th neighbor. The descent keeps its table that way and
-works in scratch allocated once. Every sum over ranks or over samples runs in
+j holds each query's j-th neighbor. The descent keeps its table that way,
+evaluates each candidate's kernel once and reuses the accepted one's arrays
+for the next gradient. Every sum over ranks or over samples runs in
 plain order: the first term, then one term at a time, then + 0.0, so a -0.0
 sum reads 0.0. That order is the library's own, not numpy's.
 """
@@ -147,7 +148,7 @@ def _distances(cols: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.sqrt(lanes[0], out=lanes[0])
 
 
-def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray, out=None) -> np.ndarray:
+def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
     """Kernel values for rank-major neighbor distances (kk, m): row j holds
     every query's j-th nearest distance and takes bandwidth ``bw[j]``.
 
@@ -165,7 +166,7 @@ def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray, out=None) -> np
         # Distances are non-negative, so a zero max means a zero numerator.
         return (d_max - (dists - dists.min(axis=0))) / np.where(d_max == 0, 1.0, d_max)
     exponential = kind is KernelKind.EXPONENTIAL  # d * -b is -(d * b), bit for bit
-    scaled = np.multiply(dists, (-bw if exponential else bw)[: len(dists), None], out=out)
+    scaled = dists * (-bw if exponential else bw)[: len(dists), None]
     if exponential:
         return np.exp(scaled, out=scaled)
     with np.errstate(over="ignore"):  # a square past the float range: kernel 0
@@ -173,25 +174,25 @@ def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray, out=None) -> np
     return np.divide(1.0, np.add(scaled, 1.0, out=scaled), out=scaled)
 
 
-def _rank_sum(a: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Sums over the ranks (axis 0) of ``a`` into ``out``, in plain order. One
-    column, a single query, is one accumulate down it into ``work``, which has
-    a's shape and may be ``a``; more columns add whole rank rows to ``out``."""
+def _rank_sum(a: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Sums over the ranks (axis 0) of ``a``, in plain order. One column, a
+    single query, is one accumulate down it into ``work``, which has a's shape
+    and may be ``a``; more columns add whole rank rows."""
     if a.shape[1] == 1:
-        return np.add(np.add.accumulate(a, out=work)[-1], 0.0, out=out)
-    out = np.add(a[0], 0.0, out=out)  # adding 0.0 first or last gives the same bits
+        return np.add.accumulate(a, out=work)[-1] + 0.0
+    out = a[0] + 0.0  # adding 0.0 first or last gives the same bits
     for row in a[1:]:
         out += row
     return out
 
 
-def _weigh(raw: np.ndarray, targets: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _weigh(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sums over ranks of rank-major raw weights (kk, m), and the targets
     weighed by them normalized, or uniformly where the sum is 0: the one
     weighting rule of the networks and wknn. Normalizing first keeps k=1
-    recalling a target exactly. ``out``: scratch of raw's shape, sums, outputs."""
-    weights, total, y = out or (np.empty_like(raw), None, None)
-    total = _rank_sum(raw, total, weights)
+    recalling a target exactly."""
+    weights = np.empty_like(raw)
+    total = _rank_sum(raw, weights)
     if total.all():
         np.divide(raw, total, out=weights)
     else:
@@ -199,16 +200,15 @@ def _weigh(raw: np.ndarray, targets: np.ndarray, out=None) -> tuple[np.ndarray, 
         np.divide(raw, np.where(dead, 1.0, total), out=weights)
         weights[:, dead] = 1.0 / len(raw)
     weights *= targets
-    return total, _rank_sum(weights, y, weights)
+    return total, _rank_sum(weights, weights)
 
 
-def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray, bw: np.ndarray,
-             out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray,
+             bw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw kernel values over rank-major distances and targets (kk, m), then
-    ``_weigh``'s sums and network outputs; ``out``: scratch, then the three."""
-    work, raw, total, y = out or (None,) * 4
-    raw = _kernel(kind, dists, bw, raw)
-    return (raw, *_weigh(raw, targets, out and (work, total, y)))
+    ``_weigh``'s sums and network outputs."""
+    raw = _kernel(kind, dists, bw)
+    return (raw, *_weigh(raw, targets))
 
 
 def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> float:
@@ -227,8 +227,8 @@ def _rank_smallest(d: np.ndarray, m: int, kth=None) -> tuple[np.ndarray, np.ndar
     if m < d.shape[1]:
         if kth is None:
             kth = np.partition(d, m - 1, axis=1)[:, m - 1]
-        win = d <= kth[:, None]  # at least m entries per row, unless kth is NaN
-        if np.count_nonzero(win) == len(d) * m and not np.isnan(kth).any():
+        win = d <= kth[:, None]  # at least m entries per row
+        if np.count_nonzero(win) == len(d) * m:
             top = (np.flatnonzero(win) % d.shape[1]).reshape(-1, m)
         else:  # a row with other than m entries up to kth is ranked in full
             full = np.count_nonzero(win, axis=1) != m
@@ -327,7 +327,7 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
     it is finite and its windows around a sample of rows (``_KEY_SAMPLE``)
     hold fewer samples, as on delay windows, whose coordinates move together.
     A block whose window spans over ``_WINDOW_SHARE`` of the samples (as an
-    infinite R' does) or holds a NaN or inf query is ranked against all, in
+    infinite R' does) or holds an inf query is ranked against all, in
     chunks of ``_BLOCK_DISTANCES``.
     """
     n = net.n_samples
@@ -404,11 +404,9 @@ def _loss(net: AdaptiveNetwork, outputs: np.ndarray) -> float:
         return float(resid @ resid)
 
 
-def _grad(net: AdaptiveNetwork, table: tuple, bw: np.ndarray, weighed: tuple,
-          out=None) -> np.ndarray:
+def _grad(net: AdaptiveNetwork, table: tuple, bw: np.ndarray, weighed: tuple) -> np.ndarray:
     """Gradient of the leave-one-out squared error with respect to each rank's
-    bandwidth, at ``bw`` whose ``_outputs`` over ``table`` is ``weighed``;
-    ``out``: two scratch arrays of the table's shape.
+    bandwidth, at ``bw`` whose ``_outputs`` over ``table`` is ``weighed``.
 
     Only rank m's kernel value depends on b_m, so with raw values n1, mass
     S = sum(n1) and output y = sum(n1 * t) / S,
@@ -423,23 +421,21 @@ def _grad(net: AdaptiveNetwork, table: tuple, bw: np.ndarray, weighed: tuple,
     dists, targets = table
     raw, total, y = weighed
     kk = len(dists)
-    draw, spread = out or (np.empty_like(dists), np.empty_like(dists))
     # -dK/db, whose sign joins the residual factor below: negating is exact.
     with np.errstate(over="ignore", invalid="ignore"):
         if net.kernel is KernelKind.EXPONENTIAL:
-            np.multiply(dists, raw, out=draw)
+            draw = dists * raw
         else:
-            np.multiply(np.square(dists, out=draw), 2.0, out=draw)
+            draw = np.square(dists) * 2.0
             draw *= bw[:kk, None]
-            draw *= np.square(raw, out=spread)
+            draw *= np.square(raw)
     draw[np.isnan(draw)] = 0.0
     truth = net.train_targets
     live = total > 0.0
     if not live.all():
         y, truth, draw, targets, total = (a[..., live] for a in (y, truth, draw, targets, total))
-        spread = np.empty_like(draw)
     draw *= 2.0 * (truth - y)
-    draw *= np.subtract(targets, y, out=spread)
+    draw *= targets - y
     draw /= total
     grad = np.zeros(net.k)
     grad[:kk] = _sample_sum(draw)
@@ -490,25 +486,23 @@ def _train_sd_loo(net: AdaptiveNetwork, lr: float,
         raise InvalidParameter(f"epochs must be >= 0, got {epochs}")
     table = _loo_table(net)
     b = net.bandwidths
-    # One kernel evaluation per candidate, into scratch the accepted values
-    # swap with: they serve the next gradient and the returned responses.
-    work, raw, spare = np.empty((3, *table[0].shape))
-    weighed = _outputs(net.kernel, *table, b, (work, raw, *np.empty((2, net.n_samples))))
+    # One kernel evaluation per candidate; the accepted one's arrays serve the
+    # next gradient and the returned responses.
+    weighed = _outputs(net.kernel, *table, b)
     loss = _loss(net, weighed[2])
     if not net.kernel.parametric:
         # No learnable parameter: descent is a no-op with a flat trace.
         return net, np.full(epochs + 1, loss), weighed[2]
-    spare = (spare, *np.empty((2, net.n_samples)))
     trace = [loss]
     for _ in range(epochs):
-        g = _grad(net, table, b, weighed, (work, spare[0]))
+        g = _grad(net, table, b, weighed)
         step = lr
         for _attempt in range(_MAX_BACKTRACKS):
             cand = np.maximum(b - step * g, BANDWIDTH_FLOOR)
-            cand_weighed = _outputs(net.kernel, *table, cand, (work, *spare))
+            cand_weighed = _outputs(net.kernel, *table, cand)
             cand_loss = _loss(net, cand_weighed[2])
             if cand_loss <= loss:
-                b, loss, weighed, spare = cand, cand_loss, cand_weighed, weighed
+                b, loss, weighed = cand, cand_loss, cand_weighed
                 break
             step *= 0.5
         else:

@@ -585,6 +585,24 @@ def test_distances_sum_squares_in_documented_order(data):
     assert np.array_equal(d, ref)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_distances_are_never_nan(data):
+    # Stored coordinates are finite and query coordinates finite or infinite,
+    # so each square is inf or >= 0 and no sum meets inf - inf: the search
+    # never ranks a NaN distance.
+    dim = data.draw(st.integers(1, 6), label="dim")
+    n = data.draw(st.integers(1, 8), label="n")
+    m = data.draw(st.integers(1, 8), label="block rows")
+    finite = st.floats(-1e308, 1e308)
+    inputs = data.draw(arrays(np.float64, (n, dim), elements=finite), label="inputs")
+    queries = data.draw(arrays(np.float64, (m, dim), elements=finite | st.sampled_from(
+        [1e308, -1e308, np.inf, -np.inf])), label="queries")
+    d = network._distances(StoredPairs(inputs, np.zeros(n), 1).train_inputs.T, queries)
+    assert d.shape == (m, n) and not np.isnan(d).any()
+
+
 def two_neighbor_output(kind, d1, d2, bandwidths=None):
     """Forward output for a query at 0 with neighbors at distances d1 < d2
     holding targets 1 and 0: the first neighbor's normalized weight."""
