@@ -5,10 +5,15 @@ associations and never unlearns (its update clamps at zero once its summed
 output reaches the reinforcement), while the orbitofrontal bank W tracks the
 signed output error and inhibits whatever the amygdala over-predicts. The
 model output is the difference of the two summed responses.
+
+Training can diverge past the float range. Each public call runs under one
+``np.errstate`` that silences numpy's overflow and invalid warnings, and
+``bel_train`` warns once (``UserWarning``) when it returns non-finite weights.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,9 +53,10 @@ class ClassicBelModel:
 def bel_forward(model: ClassicBelModel, s) -> tuple[float, np.ndarray, np.ndarray]:
     """Output E = sum(A) - sum(O) with per-node responses A = v*s, O = w*s."""
     arr = _query(s, model.dim)
-    a = model.v * arr
-    o = model.w * arr
-    return float(a.sum() - o.sum()), a, o
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = model.v * arr
+        o = model.w * arr
+        return float(a.sum() - o.sum()), a, o
 
 
 def _step(v, w, alpha, beta, s, rew):
@@ -69,18 +75,24 @@ def bel_update(model: ClassicBelModel, s, rew: float) -> ClassicBelModel:
     """
     if not np.isfinite(rew):
         raise InvalidParameter(f"reinforcement must be finite, got {rew}")
-    v, w = _step(model.v, model.w, model.alpha, model.beta, _query(s, model.dim), float(rew))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, w = _step(model.v, model.w, model.alpha, model.beta, _query(s, model.dim), float(rew))
     return replace(model, v=v, w=w)
 
 
 def bel_train(model: ClassicBelModel, dataset: EmbeddedDataset, epochs: int) -> ClassicBelModel:
-    """``bel_update`` over the dataset's pairs in order, repeated ``epochs`` times."""
+    """``bel_update`` over the dataset's pairs in order, repeated ``epochs``
+    times. Warns once when the returned weights are not finite."""
     if epochs < 0:
         raise InvalidParameter(f"epochs must be >= 0, got {epochs}")
     v, w, inputs = model.v, model.w, _query(dataset.inputs, model.dim, batch=True)
-    for _ in range(epochs):
-        for s, rew in zip(inputs, dataset.targets.tolist()):
-            v, w = _step(v, w, model.alpha, model.beta, s, rew)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            for s, rew in zip(inputs, dataset.targets.tolist()):
+                v, w = _step(v, w, model.alpha, model.beta, s, rew)
+    if not (np.isfinite(v).all() and np.isfinite(w).all()):
+        warnings.warn("classic BEL training diverged: its weights are not finite",
+                      UserWarning, stacklevel=2)
     return replace(model, v=v, w=w)
 
 
@@ -93,4 +105,5 @@ def bel_predict(model: ClassicBelModel, s) -> float:
 def bel_predict_many(model: ClassicBelModel, inputs) -> np.ndarray:
     """``bel_predict`` for each row of an (m, r) matrix, bit for bit."""
     x = _query(inputs, model.dim, batch=True)
-    return (x * model.v).sum(1) - (x * model.w).sum(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (x * model.v).sum(1) - (x * model.w).sum(1)

@@ -6,11 +6,15 @@ that widened feature vector, the secondary (MO) network predicts the primary
 network's own error from the raw stimulus, and a fusion stage combines the
 two responses linearly. Training is hybrid: steepest descent fits each
 network's kernel bandwidths on its leave-one-out loss, then regularized least
-squares fits the fusion weights.
+squares fits the fusion weights: normal equations summed over the samples in
+plain order, solved by a written-out 3x3 Cholesky in Python floats, so the
+default fit makes no BLAS or LAPACK call. LAPACK's least squares serves only
+ridge=0 and a system whose Cholesky pivot vanishes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +25,15 @@ from .errors import (
     SingularSystem,
     TooFewSamples,
 )
-from .network import AdaptiveNetwork, KernelKind, _forward_many, _train_sd_loo
+from .network import AdaptiveNetwork, KernelKind, _forward_many, _sample_sum, _train_sd_loo
 from .series import EmbeddedDataset, TimeSeries, _query, embed
 
 # Relative tolerance for verifying an unregularized normal-equation solution;
 # beyond it the system counts as numerically singular.
 _NORMAL_EQ_TOL = 1e-10
+# A Cholesky pivot at or below this share of the normal equations' largest
+# diagonal entry sends a ridge > 0 system to least squares.
+_PIVOT_FLOOR = 3 * 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -97,9 +104,14 @@ def cm_lse_fit(r_a_list, r_o_list, r_u_list, ridge: float = 1e-8) -> CmWeights:
     """Least-squares fit of the fusion weights over per-sample responses.
 
     Minimizes sum((w1*r_a + w2*r_o + w3 - r_u)^2) + ridge * |w|^2 through the
-    3x3 normal equations. Rank-deficient designs resolve to the minimum-norm
-    minimizer. ``SingularSystem`` means the normal equations are not finite,
-    or at ridge=0 even that minimizer fails them numerically (retry ridge > 0).
+    3x3 normal equations, whose eight sums (``_normal_equations``) run over
+    the samples in plain order. With ridge > 0 a written-out Cholesky in
+    Python floats solves them, unless a pivot is not above ``_PIVOT_FLOOR``
+    times the largest diagonal entry; that system, and every ridge=0 one, goes
+    to LAPACK's least squares, so only those depend on the numpy build.
+    Rank-deficient designs resolve to the minimum-norm minimizer.
+    ``SingularSystem`` means the normal equations are not finite, or at
+    ridge=0 even that minimizer fails them numerically (retry ridge > 0).
     """
     ra = np.asarray(r_a_list, dtype=np.float64)
     ro = np.asarray(r_o_list, dtype=np.float64)
@@ -108,13 +120,58 @@ def cm_lse_fit(r_a_list, r_o_list, r_u_list, ridge: float = 1e-8) -> CmWeights:
         raise LengthMismatch("response sequences must be equal-length and non-empty")
     if not 0 <= ridge < np.inf:
         raise InvalidParameter(f"ridge must be >= 0 and finite, got {ridge}")
-    x = np.column_stack([ra, ro, np.ones(ra.size)])
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        a = x.T @ x + ridge * np.eye(3)
-        b = x.T @ ru
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    a, b = _normal_equations(ra, ro, ru, ridge)
+    if not all(map(math.isfinite, (*a[0], *a[1], *a[2], *b))):
         # LAPACK's least squares can spin without end on a non-finite system.
         raise SingularSystem("normal equations are not finite; rescale the data")
+    w = _cholesky_solve(a, b) if ridge > 0.0 else None
+    if w is None:
+        w = _lstsq(np.array(a), np.array(b), ridge)
+    return CmWeights(w1=w[0], w2=w[1], w3=w[2])
+
+
+def _normal_equations(ra: np.ndarray, ro: np.ndarray, ru: np.ndarray, ridge: float):
+    """The 3x3 normal equations of the fusion fit, with ridge on the diagonal,
+    as nested tuples of Python floats: one ``_sample_sum`` over the stacked
+    products ra*ra, ra*ro, ra, ro*ro, ro, ra*ru, ro*ru, ru, and n for the
+    intercept's entry."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by the caller
+        sums = _sample_sum(np.stack([ra * ra, ra * ro, ra, ro * ro, ro, ra * ru, ro * ru, ru]))
+    aa, ao, a1, oo, o1, au, ou, u1 = sums.tolist()
+    a = ((aa + ridge, ao, a1), (ao, oo + ridge, o1), (a1, o1, ra.size + ridge))
+    return a, (au, ou, u1)
+
+
+def _cholesky_solve(a, b):
+    """Solution of the symmetric 3x3 system ``a w = b`` by Cholesky in Python
+    floats, or None when a pivot is not above ``_PIVOT_FLOOR`` times the
+    largest diagonal entry."""
+    (a11, a12, a13), (_, a22, a23), (_, _, a33) = a
+    floor = _PIVOT_FLOOR * max(a11, a22, a33)
+    if not a11 > floor:
+        return None
+    l11 = math.sqrt(a11)
+    l21, l31 = a12 / l11, a13 / l11
+    p2 = a22 - l21 * l21
+    if not p2 > floor:
+        return None
+    l22 = math.sqrt(p2)
+    l32 = (a23 - l31 * l21) / l22
+    p3 = a33 - l31 * l31 - l32 * l32
+    if not p3 > floor:
+        return None
+    l33 = math.sqrt(p3)
+    y1 = b[0] / l11
+    y2 = (b[1] - l21 * y1) / l22
+    y3 = (b[2] - l31 * y1 - l32 * y2) / l33
+    w3 = y3 / l33
+    w2 = (y2 - l32 * w3) / l22
+    return (y1 - l21 * w2 - l31 * w3) / l11, w2, w3
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray, ridge: float):
+    """LAPACK's minimum-norm least-squares solution of the finite system
+    ``a w = b``; at ridge=0 it must satisfy the equations to _NORMAL_EQ_TOL."""
     try:
         w, *_ = np.linalg.lstsq(a, b, rcond=None)
     except np.linalg.LinAlgError as exc:
@@ -128,7 +185,7 @@ def cm_lse_fit(r_a_list, r_o_list, r_u_list, ridge: float = 1e-8) -> CmWeights:
         if float(np.abs(a @ w - b).max()) > _NORMAL_EQ_TOL * scale:
             raise SingularSystem("normal equations are numerically singular; "
                                  "use ridge > 0")
-    return CmWeights(w1=float(w[0]), w2=float(w[1]), w3=float(w[2]))
+    return w.tolist()
 
 
 def train(train_set: EmbeddedDataset, config: BelpmConfig = BelpmConfig()) -> BelpmModel:

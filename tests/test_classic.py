@@ -140,13 +140,17 @@ def test_train_equals_the_update_fold_bit_for_bit(r):
     assert_train_equals_update_fold(ClassicBelModel.zeros(r, alpha=0.3, beta=0.2), ds, 4)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_diverges_exactly_as_the_update_fold():
-    # AE-scale stimuli drive the banks past the float range to inf and NaN.
+    # AE-scale stimuli drive the banks past the float range to inf and NaN;
+    # training warns once, and numpy's overflow warnings stay silent.
     x = 600.0 + 500.0 * np.sin(np.arange(83) / 5.0)
     ds = EmbeddedDataset(np.lib.stride_tricks.sliding_window_view(x[:-1], 3), x[3:],
                          r=3, horizon=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        trained = assert_train_equals_update_fold(ClassicBelModel.zeros(3, 0.1, 0.1), ds, 10)
+    with np.errstate(over="ignore", invalid="ignore"):  # update_fold's own numpy arithmetic
+        with pytest.warns(UserWarning, match="diverged") as record:
+            trained = assert_train_equals_update_fold(ClassicBelModel.zeros(3, 0.1, 0.1), ds, 10)
+    assert len(record) == 1
     assert not np.isfinite(trained.w).all()
 
 
@@ -168,3 +172,14 @@ def test_non_finite_stimulus_refused():
     for call in (bel_predict, bel_forward, lambda m, s: bel_update(m, s, 1.0)):
         with pytest.raises(InvalidParameter, match="query must be finite"):
             call(model, [np.nan, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ClassicBelModel(v=[1.0, 2.0], w=[1.0], alpha=0.5, beta=0.5), "equal length"),
+    (lambda: bel_train(ClassicBelModel.zeros(2),
+                       EmbeddedDataset(np.ones((3, 2)), np.ones(3), r=2, horizon=1), epochs=-1),
+     "epochs must be >= 0"),
+])
+def test_classic_refusals(build, message):
+    with pytest.raises(InvalidParameter, match=message):
+        build()

@@ -208,6 +208,7 @@ def test_eval_exits_3_when_metric_sums_overflow(tmp_path, capsys):
     assert "overflows the float range" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bench_exits_3_when_classic_bel_diverges(tmp_path, capsys):
     # AE-scale values drive classic_bel's weights to NaN, so it predicts NaN.
     series = tmp_path / "big.csv"
@@ -216,7 +217,7 @@ def test_bench_exits_3_when_classic_bel_diverges(tmp_path, capsys):
     cfg.write_text(json.dumps({"data_path": str(series), "model": "classic_bel",
                                "n_train": 80}))
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
+    with pytest.warns(UserWarning, match="diverged"):
         assert run("bench", "--config", str(cfg)) == 3
     out = capsys.readouterr()
     assert "sequences must be finite" in out.err and "nmse" not in out.out
@@ -348,3 +349,11 @@ def test_train_inverse_quadratic_with_huge_steps(tmp_path):
                "inverse_quadratic", "--mo-kernel", "inverse_quadratic", "--lr", "1e300",
                "--epochs", "2", "--out", str(model)) == 0
     load_model_file(model)
+
+
+@pytest.mark.parametrize("doc", [{"experiments": [1]}, {"experiments": [{}, "x"]}])
+def test_bench_refuses_an_experiment_that_is_no_object(tmp_path, capsys, doc):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(doc))
+    assert run("bench", "--config", str(cfg)) == 1
+    assert "must be a JSON object" in capsys.readouterr().err

@@ -8,6 +8,7 @@ allocation or a loop draw only small values, so every call is quick.
 
 import json
 import shutil
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,3 +130,16 @@ def test_fuzz_cli_exit_codes(files, data):
     assert code in (0, 1, 2, 3)
     if argv[0] == "train" and code == 0:
         load_model_file(out)  # a model that train writes must load
+
+
+def test_classic_bel_divergence_warns_once(files):
+    # logistic x 1e200 drives classic_bel's weights past the float range:
+    # numpy's overflow warnings stay silent, and training says so once
+    root = files["root"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["train", "--data", str(root / "huge.csv"), "--n-train", "30",
+                     "--model", "classic_bel", "--out", str(root / "huge.model")]) == 0
+    assert [w.category for w in caught] == [UserWarning]
+    assert "diverged" in str(caught[0].message)

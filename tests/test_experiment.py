@@ -6,7 +6,7 @@ import pytest
 
 from belpm.cli import main
 from belpm.errors import ConfigError
-from belpm.experiment import ExperimentConfig, run_experiment
+from belpm.experiment import ExperimentConfig, resolve_series, run_experiment
 
 MINIMAL = ExperimentConfig(
     generator="logistic", gen_n=120, gen_x0=0.3, gen_rate=3.9,
@@ -109,3 +109,9 @@ def test_bench_labels_and_order(tmp_path, capsys):
     assert [line.split(": ")[0] for line in lines] == ["0:wknn", "1:classic_bel"]
     for line, cfg in zip(lines, configs):
         assert f"n={run_experiment(cfg).n} " in line
+
+
+@pytest.mark.parametrize("generator", ["x", "Logistic", ""])
+def test_unknown_generator_is_a_config_error(generator):
+    with pytest.raises(ConfigError, match=f"unknown generator {generator!r}"):
+        resolve_series(ExperimentConfig(generator=generator))

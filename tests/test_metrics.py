@@ -192,3 +192,15 @@ class TestMatchPeaks:
     def test_observed_index_out_of_predicted_range(self):
         with pytest.raises(LengthMismatch):
             match_peaks([25], bump_series(10, [5]), window=2, top_m=1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: nmse([], []), LengthMismatch, "non-empty"),
+    (lambda: match_peaks([], bump_series(10, [5]), window=-1, top_m=1), InvalidParameter,
+     "window must be >= 0"),
+    (lambda: match_peaks([[5]], bump_series(10, [5]), window=2, top_m=1), InvalidParameter,
+     "1-D index sequence"),
+])
+def test_metric_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -1,4 +1,6 @@
 import dataclasses
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from belpm.model import (
     BelpmModel,
     CmWeights,
     _bl_feature_matrix,
+    _normal_equations,
     cm_lse_fit,
     predict,
     predict_many,
@@ -33,6 +36,13 @@ FAST = BelpmConfig(k_a=4, k_o=4, epochs=5)
 def logistic_sets(n=160, n_train=120, r=3, horizon=1):
     ds = embed(gen_logistic(n, r=3.9, x0=0.3), r, horizon)
     return split(ds, n_train)
+
+
+def forbid_linalg(monkeypatch):
+    """Make every ``np.linalg`` function fail the test when called."""
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, lambda *_, **__: pytest.fail("linalg called"))
 
 
 def widened(q):
@@ -127,6 +137,15 @@ class TestValidation:
         with pytest.raises(InvalidParameter, match="lr must be positive and finite"):
             network.train_bandwidths_sd(net, lr=lr, epochs=1)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"k_a": 0}, "neighbor counts must be >= 1"),
+        ({"k_o": 0}, "neighbor counts must be >= 1"),
+        ({"epochs": -1}, "epochs must be >= 0"),
+    ])
+    def test_config_refusals(self, fields, message):
+        with pytest.raises(InvalidParameter, match=message):
+            BelpmConfig(**fields)
+
     @pytest.mark.parametrize("ridge", [-1e-8, np.nan, np.inf])
     def test_ridge_must_be_non_negative_and_finite(self, ridge):
         with pytest.raises(InvalidParameter, match="ridge must be >= 0 and finite"):
@@ -187,8 +206,59 @@ class TestCmLseFit:
         with pytest.raises(LengthMismatch):
             cm_lse_fit([1.0], [1.0, 2.0], [1.0], ridge=0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_normal_equation_sums_run_in_plain_order(self, n):
+        rng = np.random.default_rng(n)
+        ra, ro, ru = (rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n) for _ in range(3))
+        x, y, z = ra.tolist(), ro.tolist(), ru.tolist()
+
+        def plain(terms):
+            return reduce(operator.add, terms) + 0.0
+
+        def dot(p, q):
+            return plain([pi * qi for pi, qi in zip(p, q)])
+
+        ridge = 0.25
+        assert _normal_equations(ra, ro, ru, ridge) == (
+            ((dot(x, x) + ridge, dot(x, y), plain(x)),
+             (dot(x, y), dot(y, y) + ridge, plain(y)),
+             (plain(x), plain(y), n + ridge)),
+            (dot(x, z), dot(y, z), plain(z)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ridge_solve_matches_lstsq(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        ra, ro, ru = rng.normal(size=(3, int(rng.integers(3, 300))))
+        a, b = (np.array(part) for part in _normal_equations(ra, ro, ru, 1e-8))
+        ref = np.linalg.lstsq(a, b, rcond=None)[0]
+        for name in ("dot", "matmul", "einsum", "inner", "vdot"):
+            monkeypatch.setattr(np, name, lambda *_, **__: pytest.fail("product called"))
+        forbid_linalg(monkeypatch)
+        w = cm_lse_fit(ra, ro, ru, ridge=1e-8)
+        assert np.abs([w.w1 - ref[0], w.w2 - ref[1], w.w3 - ref[2]]).max() <= \
+            1e-12 * np.abs(ref).max()
+
+    def test_singular_ridge_system_falls_back_to_lstsq(self, monkeypatch):
+        # ridge 1e-8 vanishes next to 1.4e11, so the Cholesky's second pivot is 0
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kwargs: calls.append(args) or lstsq(*args, **kwargs))
+        ra = np.array([1e5, 2e5, 3e5])
+        w = cm_lse_fit(ra, ra, 2.0 * ra, ridge=1e-8)
+        assert len(calls) == 1
+        assert np.isfinite([w.w1, w.w2, w.w3]).all()
+        assert w.w1 == pytest.approx(w.w2, rel=1e-12)
+
 
 class TestTrain:
+    def test_default_config_calls_no_linalg(self, monkeypatch):
+        # the data of tests/data/logistic_k8_v4.belpm
+        train_set, _ = split(embed(gen_logistic(223), 3, 1), 200)
+        forbid_linalg(monkeypatch)
+        model = train(train_set, BelpmConfig())
+        assert np.isfinite([model.cm.w1, model.cm.w2, model.cm.w3]).all()
+
     def test_needs_two_samples(self):
         ds = EmbeddedDataset(np.ones((1, 3)), np.ones(1), r=3, horizon=1)
         with pytest.raises(TooFewSamples):

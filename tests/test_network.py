@@ -965,3 +965,15 @@ class TestTrainBandwidths:
         net = AdaptiveNetwork(X, y, k=2, kernel=KernelKind.EXPONENTIAL)
         trained, _ = train_bandwidths_sd(net, lr=100.0, epochs=40)
         assert np.all(trained.bandwidths >= 1e-8)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AdaptiveNetwork(np.ones((3, 2)), np.ones(3), k=2, bandwidths=[1.0]),
+     "bandwidths must have length k=2"),
+    (lambda: network._train_sd_loo(AdaptiveNetwork(np.arange(6.0).reshape(3, 2), np.ones(3), k=2),
+                                   lr=0.05, epochs=-1),
+     "epochs must be >= 0"),
+])
+def test_network_refusals(build, message):
+    with pytest.raises(InvalidParameter, match=message):
+        build()

@@ -164,3 +164,17 @@ class TestLogistic:
 def test_empty_dataset_allowed_as_split_leftover():
     ds = EmbeddedDataset(np.empty((0, 3)), np.empty(0), r=3, horizon=1)
     assert len(ds) == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    ((np.ones(3), np.ones(3), 3, 1), "expected a 2-D array"),
+    ((np.ones((2, 3)), np.ones(2), 0, 1), "embedding dimension must be >= 1"),
+    ((np.ones((2, 3)), np.ones(2), 3, 0), "horizon must be >= 1"),
+    ((np.ones((2, 2)), np.ones(2), 3, 1), "input vectors have 2 entries"),
+    ((np.ones((2, 3)), np.ones(3), 3, 1), "equal length"),
+    ((np.array([[1.0, np.nan, 2.0]]), np.ones(1), 3, 1), "inputs must be finite"),
+    ((np.ones((1, 3)), np.array([np.inf]), 3, 1), "targets must be finite"),
+])
+def test_embedded_dataset_refusals(args, message):
+    with pytest.raises(InvalidParameter, match=message):
+        EmbeddedDataset(*args)

@@ -22,6 +22,7 @@ from belpm.model import BelpmConfig, predict, train
 from belpm.series import TimeSeries, embed, gen_logistic, split
 from belpm.storage import (
     format_float,
+    kind_of,
     load_model_file,
     load_predicted_series,
     load_predictions_csv,
@@ -35,9 +36,13 @@ from oracles import rechecksum
 
 # trained_models()'s belpm model in older formats: v2, written when the writer
 # also stored the primary features and the training settings, and v3, written
-# when arrays were comma-separated numerals.
+# when arrays were comma-separated numerals. Both predate the plain-order
+# fusion fit, so their fusion weights differ from today's training in the
+# last bits: they are compared with each other, not with a fresh model.
 V2_MODEL = Path(__file__).parent / "data" / "logistic_v2.belpm"
 V3_MODEL = Path(__file__).parent / "data" / "logistic_v3.belpm"
+# trained_models()'s belpm model as today's code trains and writes it.
+V4_MODEL = Path(__file__).parent / "data" / "logistic_v4.belpm"
 # A model trained with BelpmConfig(), whose k_a = k_o = 8 ranks the k = 4
 # fixtures above do not reach, on the logistic map: r = 3, n_train = 200.
 DEFAULT_K_MODEL = Path(__file__).parent / "data" / "logistic_k8_v4.belpm"
@@ -307,7 +312,6 @@ class TestModelPersistence:
 
     def test_v1_file_loads_bit_identically(self, tmp_path):
         # v1 = the v2 document plus the constant fused-punishment weights
-        model, _, _ = trained_models()
         lines = V2_MODEL.read_text().splitlines(keepends=True)
         assert lines[0] == "belpm-model v2\n"
         lines[0] = "belpm-model v1\n"
@@ -315,24 +319,25 @@ class TestModelPersistence:
         lines[at:at] = ["cm_wa = 1,-1,0\n", "lo_w = 1,0\n"]
         v1 = tmp_path / "m1.belpm"
         v1.write_bytes(rechecksum("".join(lines)))
-        from_v1, from_v2 = load_model_file(v1).model, load_model_file(V2_MODEL).model
+        from_v1, from_v2, from_v3 = (load_model_file(path).model for path in (v1, V2_MODEL, V3_MODEL))
         rng = np.random.default_rng(3)
         for _ in range(100):
             q = rng.uniform(0, 1, size=3)
-            assert predict(from_v1, q) == predict(from_v2, q) == predict(model, q)
+            assert predict(from_v1, q) == predict(from_v2, q) == predict(from_v3, q)
 
     @pytest.mark.parametrize("fixture", [V2_MODEL, V3_MODEL], ids=["v2", "v3"])
     def test_old_file_loads_bit_identically_and_resaves_as_v4(self, tmp_path, fixture):
-        model, _, _ = trained_models()
         loaded = load_model_file(fixture).model
+        other = load_model_file(V3_MODEL if fixture == V2_MODEL else V2_MODEL).model
+        resaved, other_resaved = tmp_path / "resaved.belpm", tmp_path / "other.belpm"
+        save_model(loaded, resaved)
+        save_model(other, other_resaved)
+        assert resaved.read_bytes() == other_resaved.read_bytes()
+        assert resaved.read_text().startswith("belpm-model v4\n")
+        from_v4 = load_model_file(resaved).model
         ds = embed(gen_logistic(80, r=3.9, x0=0.3), 3, 1)
         for q in ds.inputs:
-            assert predict(loaded, q) == predict(model, q)
-        fresh, resaved = tmp_path / "fresh.belpm", tmp_path / "resaved.belpm"
-        save_model(model, fresh)
-        save_model(loaded, resaved)
-        assert resaved.read_bytes() == fresh.read_bytes()
-        assert fresh.read_text().startswith("belpm-model v4\n")
+            assert predict(loaded, q) == predict(other, q) == predict(from_v4, q)
 
     def test_each_version_holds_the_previous_ones_values(self, tmp_path):
         # v3 is the v2 document without the stored features and settings
@@ -344,10 +349,9 @@ class TestModelPersistence:
         assert v3_lines[1:-1] == [line for line in v2_lines[1:-1]
                                   if not line.startswith(dropped)]
         # v4 is the v3 document with each array's doubles, bit for bit, in base64
-        model, _, _ = trained_models()
-        fresh = tmp_path / "fresh.belpm"
-        save_model(model, fresh)
-        assert v3_text(fresh.read_text()) == V3_MODEL.read_bytes()
+        resaved = tmp_path / "resaved.belpm"
+        save_model(load_model_file(V3_MODEL).model, resaved)
+        assert v3_text(resaved.read_text()) == V3_MODEL.read_bytes()
 
     def test_malformed_number_is_corrupt(self, tmp_path):
         # The decimal readers of v1-v3 files: a v3 text of each kind, and v2.
@@ -488,6 +492,11 @@ class TestModelPersistence:
         save_model(train(train_set, BelpmConfig()), path)
         assert path.read_bytes() == DEFAULT_K_MODEL.read_bytes()
 
+    def test_training_reproduces_its_v4_fixture(self, tmp_path):
+        path = tmp_path / "m.belpm"
+        save_model(trained_models()[0], path)
+        assert path.read_bytes() == V4_MODEL.read_bytes()
+
     def test_malformed_field_message_is_bounded(self, tmp_path, capsys):
         model, _, _ = trained_models()
         path = tmp_path / "m.belpm"
@@ -564,3 +573,32 @@ def test_fuzz_model_reader(tmp_path, model_texts, kind, at, cut, insert, checksu
     _returns_or_raises_belpm_error(load_model_file, path)
     path.write_bytes(raw)
     _returns_or_raises_belpm_error(load_model_file, path)
+
+
+def _series_with_times(tmp_path, times):
+    path = tmp_path / "s.csv"
+    path.write_text("".join(f"{t},1.0\n" for t in times))
+    return load_series_csv(path)
+
+
+def _model_with_field(tmp_path, key, value):
+    path = tmp_path / "m.belpm"
+    save_model(trained_models()[0], path)
+    path.write_bytes(rechecksum(with_field(path.read_text(), key, value)))
+    return load_model_file(path)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp_path: _series_with_times(tmp_path, [5, 5]), ParseError, "strictly increasing"),
+    (lambda tmp_path: _series_with_times(tmp_path, [5, 3, 1]), ParseError, "strictly increasing"),
+    (lambda tmp_path: kind_of(object()), InvalidParameter, "object is not a model kind"),
+    (lambda tmp_path: save_model(BelpmConfig(), tmp_path / "m"), InvalidParameter,
+     "BelpmConfig is not a model kind"),
+    (lambda tmp_path: _model_with_field(tmp_path, "embedding_r", "0"), CorruptFile,
+     "embedding_r and embedding_horizon must be >= 1"),
+    (lambda tmp_path: _model_with_field(tmp_path, "embedding_horizon", "-2"), CorruptFile,
+     "embedding_r and embedding_horizon must be >= 1"),
+])
+def test_storage_refusals(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
