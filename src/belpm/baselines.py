@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TooFewSamples
 from .network import StoredPairs, _nearest, _weigh
 from .series import EmbeddedDataset, _query
 
@@ -19,6 +20,8 @@ class WknnModel(StoredPairs):
 
     @classmethod
     def from_dataset(cls, dataset: EmbeddedDataset, k: int) -> "WknnModel":
+        if len(dataset) == 0:
+            raise TooFewSamples("training needs at least one embedded pair")
         return cls(dataset.inputs, dataset.targets, k)
 
 

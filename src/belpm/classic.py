@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, TooFewSamples
 from .series import EmbeddedDataset, _frozen_f64, _query
 
 
@@ -82,9 +82,12 @@ def bel_update(model: ClassicBelModel, s, rew: float) -> ClassicBelModel:
 
 def bel_train(model: ClassicBelModel, dataset: EmbeddedDataset, epochs: int) -> ClassicBelModel:
     """``bel_update`` over the dataset's pairs in order, repeated ``epochs``
-    times. Warns once when the returned weights are not finite."""
+    times; a dataset with no pairs raises ``TooFewSamples``. Warns once when
+    the returned weights are not finite."""
     if epochs < 0:
         raise InvalidParameter(f"epochs must be >= 0, got {epochs}")
+    if len(dataset) == 0:
+        raise TooFewSamples("training needs at least one embedded pair")
     v, w, inputs = model.v, model.w, _query(dataset.inputs, model.dim, batch=True)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):

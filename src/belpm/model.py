@@ -25,7 +25,7 @@ from .errors import (
     SingularSystem,
     TooFewSamples,
 )
-from .network import AdaptiveNetwork, KernelKind, _forward_many, _sample_sum, _train_sd_loo
+from .network import AdaptiveNetwork, KernelKind, _forward_many, _sample_sum, train_bandwidths_sd
 from .series import EmbeddedDataset, TimeSeries, _query, embed
 
 # Relative tolerance for verifying an unregularized normal-equation solution;
@@ -110,8 +110,8 @@ def cm_lse_fit(r_a_list, r_o_list, r_u_list, ridge: float = 1e-8) -> CmWeights:
     times the largest diagonal entry; that system, and every ridge=0 one, goes
     to LAPACK's least squares, so only those depend on the numpy build.
     Rank-deficient designs resolve to the minimum-norm minimizer.
-    ``SingularSystem`` means the normal equations are not finite, or at
-    ridge=0 even that minimizer fails them numerically (retry ridge > 0).
+    ``SingularSystem`` means the normal equations or weights are not finite,
+    or at ridge=0 even that minimizer fails them numerically (retry ridge > 0).
     """
     ra = np.asarray(r_a_list, dtype=np.float64)
     ro = np.asarray(r_o_list, dtype=np.float64)
@@ -171,18 +171,18 @@ def _cholesky_solve(a, b):
 
 def _lstsq(a: np.ndarray, b: np.ndarray, ridge: float):
     """LAPACK's minimum-norm least-squares solution of the finite system
-    ``a w = b``; at ridge=0 it must satisfy the equations to _NORMAL_EQ_TOL."""
+    ``a w = b``: finite, and at ridge=0 true to the equations to _NORMAL_EQ_TOL."""
     try:
         w, *_ = np.linalg.lstsq(a, b, rcond=None)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
+    if not np.all(np.isfinite(w)):
+        raise SingularSystem("normal equations produced non-finite weights; rescale the data")
     if ridge == 0.0:
-        if not np.all(np.isfinite(w)):
-            raise SingularSystem("normal equations produced non-finite weights; "
-                                 "use ridge > 0")
-        scale = max(float(np.abs(a).max() * np.abs(w).max()),
-                    float(np.abs(b).max()), 1.0)
-        if float(np.abs(a @ w - b).max()) > _NORMAL_EQ_TOL * scale:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf scale accepts, NaN miss refuses
+            scale = max(float(np.abs(a).max() * np.abs(w).max()), float(np.abs(b).max()), 1.0)
+            miss = float(np.abs(a @ w - b).max())
+        if not miss <= _NORMAL_EQ_TOL * scale:
             raise SingularSystem("normal equations are numerically singular; "
                                  "use ridge > 0")
     return w.tolist()
@@ -192,8 +192,8 @@ def train(train_set: EmbeddedDataset, config: BelpmConfig = BelpmConfig()) -> Be
     """Fit the full pipeline on embedded training pairs.
 
     In order: build the widened features and descend the primary network's
-    bandwidths on its leave-one-out loss; take the leave-one-out primary
-    responses and their residuals; fit the secondary network to those
+    bandwidths on its leave-one-out loss (``train_bandwidths_sd``, which also
+    gives its leave-one-out responses); fit the secondary network to their
     residuals (independent descent); then least-squares fit the fusion
     weights over the two networks' leave-one-out responses. Deterministic
     for fixed data and config.
@@ -202,11 +202,11 @@ def train(train_set: EmbeddedDataset, config: BelpmConfig = BelpmConfig()) -> Be
         raise TooFewSamples("training needs at least two embedded pairs")
     bl = AdaptiveNetwork(_bl_feature_matrix(train_set.inputs), train_set.targets,
                          k=config.k_a, kernel=config.bl_kernel)
-    bl, _, r_a = _train_sd_loo(bl, lr=config.lr, epochs=config.epochs)
+    bl, _, r_a = train_bandwidths_sd(bl, lr=config.lr, epochs=config.epochs)
     residuals = train_set.targets - r_a
 
     mo = AdaptiveNetwork(train_set.inputs, residuals, k=config.k_o, kernel=config.mo_kernel)
-    mo, _, r_o = _train_sd_loo(mo, lr=config.lr, epochs=config.epochs)
+    mo, _, r_o = train_bandwidths_sd(mo, lr=config.lr, epochs=config.epochs)
     cm = cm_lse_fit(r_a, r_o, train_set.targets, ridge=config.ridge)
     return BelpmModel(r=train_set.r, horizon=train_set.horizon,
                       bl=bl, mo=mo, cm=cm)

@@ -460,26 +460,16 @@ def grad_bandwidths(net: AdaptiveNetwork) -> np.ndarray:
     return _grad(net, table, net.bandwidths, _outputs(net.kernel, *table, net.bandwidths))
 
 
-def train_bandwidths_sd(
-    net: AdaptiveNetwork,
-    lr: float,
-    epochs: int,
-) -> tuple[AdaptiveNetwork, np.ndarray]:
+def train_bandwidths_sd(net: AdaptiveNetwork, lr: float,
+                        epochs: int) -> tuple[AdaptiveNetwork, np.ndarray, np.ndarray]:
     """Steepest descent on the leave-one-out loss with per-epoch backtracking.
 
     Each epoch proposes ``b - lr * grad`` (floored at ``BANDWIDTH_FLOOR``) and
     halves the step until the loss stops increasing; once no step helps, the
     bandwidths are at a fixed point and the trace repeats the loss. Returns
-    the trained network and the loss trace (initial loss first, one entry per
-    epoch after)."""
-    trained, trace, _ = _train_sd_loo(net, lr, epochs)
-    return trained, trace
-
-
-def _train_sd_loo(net: AdaptiveNetwork, lr: float,
-                  epochs: int) -> tuple[AdaptiveNetwork, np.ndarray, np.ndarray]:
-    """``train_bandwidths_sd``, plus the trained network's leave-one-out
-    responses (``loo_predictions``) from the same neighbor table."""
+    the trained network, the loss trace (initial loss first, one entry per
+    epoch after) and the trained network's leave-one-out responses
+    (``loo_predictions``), all from one neighbor table."""
     if not 0 < lr < np.inf:
         raise InvalidParameter(f"lr must be positive and finite, got {lr}")
     if epochs < 0:

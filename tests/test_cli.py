@@ -338,6 +338,18 @@ def test_train_rejects_non_finite_lr_and_ridge(tmp_path, capsys, flag, value):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("kind", ["belpm", "wknn", "classic_bel"])
+def test_train_on_no_pairs_is_a_data_error(tmp_path, capsys, kind):
+    series = tmp_path / "series.csv"
+    model = tmp_path / "model.txt"
+    run("gen", "--kind", "logistic", "--n", "40", "--out", str(series))
+    capsys.readouterr()
+    assert run("train", "--data", str(series), "--n-train", "0", "--model", kind,
+               "--out", str(model)) == 2
+    assert "training needs at least" in capsys.readouterr().err
+    assert not model.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_inverse_quadratic_with_huge_steps(tmp_path):
     # lr = 1e300 drives bandwidths so high that scaled distances overflow

@@ -238,17 +238,52 @@ class TestCmLseFit:
         assert np.abs([w.w1 - ref[0], w.w2 - ref[1], w.w3 - ref[2]]).max() <= \
             1e-12 * np.abs(ref).max()
 
-    def test_singular_ridge_system_falls_back_to_lstsq(self, monkeypatch):
-        # ridge 1e-8 vanishes next to 1.4e11, so the Cholesky's second pivot is 0
+    @pytest.mark.parametrize("ra, ro, ridge", [
+        # first pivot: a11 is the ridge alone
+        ([0.0] * 4, [0.0, 1.0, 2.0, 3.0], 1e-20),
+        # second: ridge 1e-8 vanishes next to 1.4e11, so a22 - l21^2 is 0
+        ([1e5, 2e5, 3e5, 4e5], [1e5, 2e5, 3e5, 4e5], 1e-8),
+        # third: ra is the intercept's column, so a33 - l31^2 - l32^2 is 0
+        ([1.0] * 4, [0.0, 1.0, 2.0, 3.0], 1e-20),
+    ])
+    def test_singular_ridge_system_falls_back_to_lstsq(self, ra, ro, ridge, monkeypatch):
         calls = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *args, **kwargs: calls.append(args) or lstsq(*args, **kwargs))
-        ra = np.array([1e5, 2e5, 3e5])
-        w = cm_lse_fit(ra, ra, 2.0 * ra, ridge=1e-8)
+        ru = np.array([1.0, 3.0, 2.0, 5.0]) + np.array(ro)
+        w = cm_lse_fit(ra, ro, ru, ridge=ridge)
         assert len(calls) == 1
+        # the design's own minimum-norm least-squares weights
+        ref = lstsq(np.column_stack([ra, ro, np.ones(4)]), ru, rcond=None)[0]
+        np.testing.assert_allclose([w.w1, w.w2, w.w3], ref, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("ra, ro, ru, ridge", [
+        # w1 = 1.4e301 / 3.2e-15
+        ([4e-8, -4e-8, 0.0], [0.0] * 3, [1.7e308, -1.7e308, 0.0], 0.0),
+        # the first pivot goes to lstsq, whose w2 = 1e296 / 1e-14
+        ([0.0, 0.0], [1e-7, 0.0], [1e303, 0.0], 1e-300),
+    ])
+    def test_overflowing_lstsq_solution_is_singular(self, ra, ro, ru, ridge):
+        with pytest.raises(SingularSystem, match="non-finite weights"):
+            cm_lse_fit(ra, ro, ru, ridge=ridge)
+
+    def test_ridge_0_check_takes_an_overflowing_scale(self):
+        # |a| * |w| passes the float range: the tolerance is inf, and no
+        # RuntimeWarning escapes
+        w = cm_lse_fit([-1e-60, -5e-61, -8e-61], [-4e5, 1.5e6, 1.2e6],
+                       [-3e300, 4e300, 1e300], ridge=0.0)
         assert np.isfinite([w.w1, w.w2, w.w3]).all()
-        assert w.w1 == pytest.approx(w.w2, rel=1e-12)
+
+    def test_nearly_collinear_ridge_0_design_is_singular(self):
+        # ro - ra is 1e-9 * z: the normal equations' smallest singular value is
+        # under lstsq's cutoff, so the minimum-norm solution misses ru's
+        # component along z by far more than the tolerance
+        rng = np.random.default_rng(0)
+        ra, z = rng.normal(size=(2, 50))
+        with pytest.raises(SingularSystem, match="numerically singular"):
+            cm_lse_fit(ra, ra + 1e-9 * z, z, ridge=0.0)
+        cm_lse_fit(ra, ra + 1e-9 * z, z, ridge=1e-8)
 
 
 class TestTrain:

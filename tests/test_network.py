@@ -859,7 +859,7 @@ class TestGradient:
                               np.arange(5.0), k=4, kernel=kind)
         g = grad_bandwidths(net)
         assert np.isfinite(g).all() and g[3] == 0.0 and np.any(g != 0.0)
-        trained, trace = train_bandwidths_sd(net, lr=0.05, epochs=3)
+        trained, trace, _ = train_bandwidths_sd(net, lr=0.05, epochs=3)
         assert trace[-1] < trace[0]
         assert trained.bandwidths[3] == 1.0
 
@@ -869,7 +869,7 @@ class TestTrainBandwidths:
         rng = np.random.default_rng(12)
         net = random_instance(rng, n=10, r=2, k=3,
                              kind=KernelKind.EXPONENTIAL)
-        trained, trace = train_bandwidths_sd(net, lr=0.1, epochs=0)
+        trained, trace, _ = train_bandwidths_sd(net, lr=0.1, epochs=0)
         np.testing.assert_array_equal(trained.bandwidths, net.bandwidths)
         assert trace.shape == (1,)
         assert trace[0] == pytest.approx(loo_loss(net), rel=1e-12)
@@ -879,7 +879,7 @@ class TestTrainBandwidths:
         X = rng.normal(size=(8, 2))
         y = np.zeros(8)
         net = AdaptiveNetwork(X, y, k=3, kernel=KernelKind.EXPONENTIAL)
-        trained, trace = train_bandwidths_sd(net, lr=0.1, epochs=5)
+        trained, trace, _ = train_bandwidths_sd(net, lr=0.1, epochs=5)
         np.testing.assert_array_equal(trace, np.zeros(6))
         np.testing.assert_array_equal(trained.bandwidths, net.bandwidths)
 
@@ -887,7 +887,7 @@ class TestTrainBandwidths:
         rng = np.random.default_rng(14)
         for kind in PARAMETRIC:
             net = random_instance(rng, n=25, r=3, k=6, kind=kind)
-            _, trace = train_bandwidths_sd(net, lr=0.5, epochs=20)
+            _, trace, _ = train_bandwidths_sd(net, lr=0.5, epochs=20)
             assert trace.shape == (21,)
             assert trace[-1] <= trace[0]
             assert np.all(np.diff(trace) <= 1e-12)
@@ -896,7 +896,7 @@ class TestTrainBandwidths:
         rng = np.random.default_rng(15)
         net = random_instance(rng, n=10, r=2, k=3,
                              kind=KernelKind.LINEAR_RESCALE)
-        trained, trace = train_bandwidths_sd(net, lr=0.1, epochs=4)
+        trained, trace, _ = train_bandwidths_sd(net, lr=0.1, epochs=4)
         assert trained is net
         assert trace.shape == (5,)
         assert np.all(trace == trace[0])
@@ -908,7 +908,7 @@ class TestTrainBandwidths:
         assert len(ds) == 200
         net = AdaptiveNetwork(ds.inputs, ds.targets, k=8,
                               kernel=KernelKind.EXPONENTIAL)
-        _, trace = train_bandwidths_sd(net, lr=0.05, epochs=50)
+        _, trace, _ = train_bandwidths_sd(net, lr=0.05, epochs=50)
         assert trace.shape == (51,)
         assert trace[-1] <= trace[0]
 
@@ -919,7 +919,7 @@ class TestTrainBandwidths:
         # public functions, with lr large enough that steps backtrack.
         net = random_instance(np.random.default_rng(17), n=30, r=2, k=5, kind=kind)
         lr, epochs = 20.0, 8
-        trained, trace, responses = network._train_sd_loo(net, lr, epochs)
+        trained, trace, responses = train_bandwidths_sd(net, lr, epochs)
         b, loss = net.bandwidths, loo_loss(net)
         ref_trace, backtracks = [loss], 0
         for _ in range(epochs):
@@ -949,9 +949,9 @@ class TestTrainBandwidths:
         monkeypatch.setattr(network, "_outputs", lambda *a: calls.append(1) or outputs(*a))
         ds = embed(gen_logistic(43, r=3.9, x0=0.3), 3, 1)
         net = AdaptiveNetwork(ds.inputs, ds.targets, k=4, kernel=KernelKind.INVERSE_QUADRATIC)
-        short = network._train_sd_loo(net, lr=1e12, epochs=10)
+        short = train_bandwidths_sd(net, lr=1e12, epochs=10)
         n_short = len(calls)
-        long = network._train_sd_loo(net, lr=1e12, epochs=40)
+        long = train_bandwidths_sd(net, lr=1e12, epochs=40)
         assert len(calls) - n_short == n_short < 1 + 10 * network._MAX_BACKTRACKS
         np.testing.assert_array_equal(long[0].bandwidths, short[0].bandwidths)
         np.testing.assert_array_equal(long[1], np.append(short[1], [short[1][-1]] * 30))
@@ -963,15 +963,15 @@ class TestTrainBandwidths:
         X = np.array([[0.0], [0.2], [0.4], [0.9]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
         net = AdaptiveNetwork(X, y, k=2, kernel=KernelKind.EXPONENTIAL)
-        trained, _ = train_bandwidths_sd(net, lr=100.0, epochs=40)
+        trained, _, _ = train_bandwidths_sd(net, lr=100.0, epochs=40)
         assert np.all(trained.bandwidths >= 1e-8)
 
 
 @pytest.mark.parametrize("build, message", [
     (lambda: AdaptiveNetwork(np.ones((3, 2)), np.ones(3), k=2, bandwidths=[1.0]),
      "bandwidths must have length k=2"),
-    (lambda: network._train_sd_loo(AdaptiveNetwork(np.arange(6.0).reshape(3, 2), np.ones(3), k=2),
-                                   lr=0.05, epochs=-1),
+    (lambda: train_bandwidths_sd(AdaptiveNetwork(np.arange(6.0).reshape(3, 2), np.ones(3), k=2),
+                                 lr=0.05, epochs=-1),
      "epochs must be >= 0"),
 ])
 def test_network_refusals(build, message):

@@ -83,7 +83,7 @@ def test_descent_matches_the_row_major_replay(data):
     net = network_case(data)
     lr = data.draw(st.sampled_from([0.05, 1.0, 20.0, 1e12]), label="lr")
     epochs = data.draw(st.integers(0, 8), label="epochs")
-    trained, trace, responses = network._train_sd_loo(net, lr, epochs)
+    trained, trace, responses = network.train_bandwidths_sd(net, lr, epochs)
     ref_bw, ref_trace, ref_responses = oracles.sd_replay(net, lr, epochs)
     assert same_bits(trained.bandwidths, ref_bw)
     assert same_bits(trace, ref_trace)
