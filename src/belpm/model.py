@@ -126,7 +126,16 @@ def cm_lse_fit(r_a_list, r_o_list, r_u_list, ridge: float = 1e-8) -> CmWeights:
         raise SingularSystem("normal equations are not finite; rescale the data")
     w = _cholesky_solve(a, b) if ridge > 0.0 else None
     if w is None:
-        w = _lstsq(np.array(a), np.array(b), ridge)
+        w = _lstsq(np.array(a), np.array(b))
+    if not all(map(math.isfinite, w)):
+        raise SingularSystem("normal equations produced non-finite weights; rescale the data")
+    if ridge == 0.0:
+        a, v = np.array(a), np.array(w)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf scale accepts, NaN miss refuses
+            scale = max(float(np.abs(a).max() * np.abs(v).max()), max(map(abs, b)), 1.0)
+            miss = float(np.abs(a @ v - b).max())
+        if not miss <= _NORMAL_EQ_TOL * scale:
+            raise SingularSystem("normal equations are numerically singular; use ridge > 0")
     return CmWeights(w1=w[0], w2=w[1], w3=w[2])
 
 
@@ -169,22 +178,12 @@ def _cholesky_solve(a, b):
     return (y1 - l21 * w2 - l31 * w3) / l11, w2, w3
 
 
-def _lstsq(a: np.ndarray, b: np.ndarray, ridge: float):
-    """LAPACK's minimum-norm least-squares solution of the finite system
-    ``a w = b``: finite, and at ridge=0 true to the equations to _NORMAL_EQ_TOL."""
+def _lstsq(a: np.ndarray, b: np.ndarray):
+    """LAPACK's minimum-norm least-squares solution of the finite system ``a w = b``."""
     try:
         w, *_ = np.linalg.lstsq(a, b, rcond=None)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
-    if not np.all(np.isfinite(w)):
-        raise SingularSystem("normal equations produced non-finite weights; rescale the data")
-    if ridge == 0.0:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf scale accepts, NaN miss refuses
-            scale = max(float(np.abs(a).max() * np.abs(w).max()), float(np.abs(b).max()), 1.0)
-            miss = float(np.abs(a @ w - b).max())
-        if not miss <= _NORMAL_EQ_TOL * scale:
-            raise SingularSystem("normal equations are numerically singular; "
-                                 "use ridge > 0")
     return w.tolist()
 
 

@@ -238,6 +238,18 @@ class TestCmLseFit:
         assert np.abs([w.w1 - ref[0], w.w2 - ref[1], w.w3 - ref[2]]).max() <= \
             1e-12 * np.abs(ref).max()
 
+    def test_singular_ridge_system_falls_back_to_lstsq(self, monkeypatch):
+        # ridge 1e-8 vanishes next to 1.4e11, so the Cholesky's second pivot is 0
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kwargs: calls.append(args) or lstsq(*args, **kwargs))
+        ra = np.array([1e5, 2e5, 3e5])
+        w = cm_lse_fit(ra, ra, 2.0 * ra, ridge=1e-8)
+        assert len(calls) == 1
+        assert np.isfinite([w.w1, w.w2, w.w3]).all()
+        assert w.w1 == pytest.approx(w.w2, rel=1e-12)
+
     @pytest.mark.parametrize("ra, ro, ridge", [
         # first pivot: a11 is the ridge alone
         ([0.0] * 4, [0.0, 1.0, 2.0, 3.0], 1e-20),
@@ -246,7 +258,7 @@ class TestCmLseFit:
         # third: ra is the intercept's column, so a33 - l31^2 - l32^2 is 0
         ([1.0] * 4, [0.0, 1.0, 2.0, 3.0], 1e-20),
     ])
-    def test_singular_ridge_system_falls_back_to_lstsq(self, ra, ro, ridge, monkeypatch):
+    def test_each_cholesky_pivot_falls_back_to_lstsq(self, ra, ro, ridge, monkeypatch):
         calls = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq",
@@ -263,8 +275,10 @@ class TestCmLseFit:
         ([4e-8, -4e-8, 0.0], [0.0] * 3, [1.7e308, -1.7e308, 0.0], 0.0),
         # the first pivot goes to lstsq, whose w2 = 1e296 / 1e-14
         ([0.0, 0.0], [1e-7, 0.0], [1e303, 0.0], 1e-300),
+        # the Cholesky solves it, and its Python-float division gives w1 = inf
+        ([1e-3, 0.0], [0.0, 0.0], [1.7e308, 0.0], 1e-8),
     ])
-    def test_overflowing_lstsq_solution_is_singular(self, ra, ro, ru, ridge):
+    def test_overflowing_solution_is_singular(self, ra, ro, ru, ridge):
         with pytest.raises(SingularSystem, match="non-finite weights"):
             cm_lse_fit(ra, ro, ru, ridge=ridge)
 
