@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--top-m", type=int, default=None)
     p.add_argument("--predicted", default=None, help="series or predictions CSV")
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--window", type=int, default=_DEFAULTS.peak_window)
 
     p = sub.add_parser("bench", help="run experiment config(s) end to end")
     p.add_argument("--config", required=True, help="JSON experiment config")

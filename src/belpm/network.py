@@ -130,22 +130,18 @@ def _distances(cols: np.ndarray, queries: np.ndarray) -> np.ndarray:
     samples ``cols``, ``train_inputs.T`` or a column subset of it: the one
     distance formula of every neighbor search.
 
-    Squares are summed in one fixed order, even coordinates ascending, then
-    odd ones ascending, then the two sums, so a distance has the same bits in
-    any block and subset. An overflow gives inf without a warning.
+    Squares are summed left to right, coordinate 0 to d - 1, into one buffer,
+    so a distance has the same bits in any block and subset. An overflow
+    gives inf without a warning.
     """
-    lanes = []  # running sums of the even and of the odd coordinates' squares
     with np.errstate(over="ignore"):
-        for j, col in enumerate(cols):
-            sq = col - queries[:, j, None]  # (m, c): the inner loop runs over c
+        out = cols[0] - queries[:, :1]  # (m, c): the inner loop runs over c
+        out *= out
+        for j in range(1, len(cols)):
+            sq = cols[j] - queries[:, j, None]
             sq *= sq
-            if j < 2:
-                lanes.append(sq)
-            else:
-                lanes[j % 2] += sq
-        if len(lanes) == 2:
-            lanes[0] += lanes[1]
-    return np.sqrt(lanes[0], out=lanes[0])
+            out += sq
+    return np.sqrt(out, out=out)
 
 
 def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:

@@ -18,19 +18,13 @@ def euclid(a, b):
 
 
 def sq_distance_direct(row, query):
-    """Squared distance summed in the library's documented order: the even
-    coordinates in ascending order, then the odd ones, then the two sums.
-    Explicit loops, because ``sum`` may compensate its rounding."""
-    sq = [(a - b) * (a - b) for a, b in zip(row, query)]
-    even = sq[0]
-    for v in sq[2::2]:
-        even += v
-    if len(sq) == 1:
-        return even
-    odd = sq[1]
-    for v in sq[3::2]:
-        odd += v
-    return even + odd
+    """Squared distance summed in the library's documented order: coordinate
+    0 to d - 1, left to right. An explicit loop, because ``sum`` may
+    compensate its rounding."""
+    total = 0.0  # adding a square to 0.0 is exact
+    for a, b in zip(row, query):
+        total += (a - b) * (a - b)
+    return total
 
 
 def nearest_direct(inputs, q, k, exclude=None):

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from belpm import cli
 from belpm.cli import main
-from belpm.experiment import render_peak_report
+from belpm.experiment import ExperimentConfig, render_peak_report
 from belpm.metrics import find_peaks, match_peaks
 from belpm.model import predict
 from belpm.series import TimeSeries, embed, gen_logistic
@@ -369,3 +370,10 @@ def test_bench_refuses_an_experiment_that_is_no_object(tmp_path, capsys, doc):
     cfg.write_text(json.dumps(doc))
     assert run("bench", "--config", str(cfg)) == 1
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_peak_window_defaults_come_from_the_config(monkeypatch):
+    monkeypatch.setattr(cli, "_DEFAULTS", ExperimentConfig(peak_window=5))
+    parser = cli.build_parser()
+    assert parser.parse_args(["peaks", "--data", "s.csv"]).window == 5
+    assert parser.parse_args(["eval", "--predictions", "p.csv"]).peak_window == 5

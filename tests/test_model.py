@@ -289,6 +289,15 @@ class TestCmLseFit:
                        [-3e300, 4e300, 1e300], ridge=0.0)
         assert np.isfinite([w.w1, w.w2, w.w3]).all()
 
+    def test_lstsq_failure_is_singular(self, monkeypatch):
+        # numpy raises LinAlgError when its SVD does not converge, which no
+        # finite 3x3 system has been seen to do: the failure is simulated
+        def fail(*_, **__):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        with pytest.raises(SingularSystem, match="SVD did not converge"):
+            cm_lse_fit([1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 2.0, 3.0], ridge=0.0)
+
     def test_nearly_collinear_ridge_0_design_is_singular(self):
         # ro - ra is 1e-9 * z: the normal equations' smallest singular value is
         # under lstsq's cutoff, so the minimum-norm solution misses ru's

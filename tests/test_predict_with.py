@@ -25,7 +25,8 @@ SCALE = st.sampled_from([1.0, 1e200])
 
 @st.composite
 def stored_pairs(draw, max_dim=4):
-    # Up to 40 neighbors: numpy sums more than 8 terms in unrolled lanes.
+    # Up to 40 stored pairs: sums over many neighbor ranks, and batches whose
+    # key windows cover only part of the stored samples.
     n = draw(st.integers(1, 8) | st.integers(9, 40))
     dim = draw(st.integers(1, max_dim))
     scale = draw(SCALE)

@@ -56,6 +56,11 @@ class TestEmbed:
         with pytest.raises(SeriesTooShort):
             embed(TimeSeries([1, 2, 3]), r=3, horizon=1)
 
+    @pytest.mark.parametrize("r, horizon", [(0, 1), (3, 0)])
+    def test_width_and_horizon_below_one(self, r, horizon):
+        with pytest.raises(InvalidParameter, match="r and horizon must be >= 1"):
+            embed(TimeSeries(np.arange(10.0)), r=r, horizon=horizon)
+
     @given(
         values=st.lists(st.floats(-100, 100), min_size=4, max_size=40),
         r=st.integers(1, 3),

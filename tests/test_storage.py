@@ -65,6 +65,16 @@ def with_field(text, key, value):
     return re.sub(rf"^{key} = .*$", lambda _: f"{key} = {value}", text, count=1, flags=re.M)
 
 
+def assert_matches_fixture(path, fixture):
+    """The file at ``path`` equals ``fixture`` byte for byte. The ``key = value``
+    fields are compared first, so a mismatch names the fields that moved."""
+    fresh, committed = (dict(re.findall(r"^(\w+) = (.*)$", p.read_text(), re.M))
+                        for p in (path, fixture))
+    moved = [key for key in fresh.keys() | committed.keys() if fresh.get(key) != committed.get(key)]
+    assert not moved, f"fields differ from {fixture.name}: {sorted(moved)}"
+    assert path.read_bytes() == fixture.read_bytes()
+
+
 def v3_text(text):
     """The bytes the v3 writer wrote for a v4 model text: the arrays' doubles
     as 17-significant-digit numerals, under a v3 header, re-checksummed."""
@@ -454,6 +464,29 @@ class TestModelPersistence:
             assert main(["predict", "--model", str(bad), "--data", str(series),
                          "--out", str(tmp_path / "p.csv")]) == 2
 
+    def test_blank_lines_between_fields_are_skipped(self, tmp_path):
+        model, _, _ = trained_models()
+        path = tmp_path / "m.belpm"
+        save_model(model, path)
+        # an empty line after every line, and one of spaces before `kind`
+        path.write_bytes(rechecksum(path.read_text().replace("\n", "\n\n").replace(
+            "\nkind", "\n   \nkind", 1)))
+        loaded = load_model_file(path).model
+        queries = np.random.default_rng(3).uniform(0, 1, size=(20, 3))
+        for q in queries:
+            assert predict(loaded, q) == predict(model, q)
+
+    def test_unknown_kind_is_corrupt(self, tmp_path):
+        path = tmp_path / "m.belpm"
+        save_model(trained_models()[0], path)
+        path.write_bytes(rechecksum(with_field(path.read_text(), "kind", "nonsense")))
+        with pytest.raises(CorruptFile, match="unknown model kind 'nonsense'"):
+            load_model_file(path)
+        series = tmp_path / "series.csv"
+        save_series_csv(gen_logistic(80, r=3.9, x0=0.3), series)
+        assert main(["predict", "--model", str(path), "--data", str(series),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+
     def test_non_finite_classic_weights_load_bit_for_bit(self, tmp_path):
         _, _, model = trained_models()
         path = tmp_path / "m.bel"
@@ -490,12 +523,12 @@ class TestModelPersistence:
         train_set, _ = split(embed(gen_logistic(223), 3, 1), 200)
         path = tmp_path / "m.belpm"
         save_model(train(train_set, BelpmConfig()), path)
-        assert path.read_bytes() == DEFAULT_K_MODEL.read_bytes()
+        assert_matches_fixture(path, DEFAULT_K_MODEL)
 
     def test_training_reproduces_its_v4_fixture(self, tmp_path):
         path = tmp_path / "m.belpm"
         save_model(trained_models()[0], path)
-        assert path.read_bytes() == V4_MODEL.read_bytes()
+        assert_matches_fixture(path, V4_MODEL)
 
     def test_malformed_field_message_is_bounded(self, tmp_path, capsys):
         model, _, _ = trained_models()
