@@ -170,12 +170,11 @@ def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
     return np.divide(1.0, np.add(scaled, 1.0, out=scaled), out=scaled)
 
 
-def _rank_sum(a: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _rank_sum(a: np.ndarray) -> np.ndarray:
     """Sums over the ranks (axis 0) of ``a``, in plain order. One column, a
-    single query, is one accumulate down it into ``work``, which has a's shape
-    and may be ``a``; more columns add whole rank rows."""
+    single query, is one accumulate down it; more columns add whole rank rows."""
     if a.shape[1] == 1:
-        return np.add.accumulate(a, out=work)[-1] + 0.0
+        return np.add.accumulate(a)[-1] + 0.0
     out = a[0] + 0.0  # adding 0.0 first or last gives the same bits
     for row in a[1:]:
         out += row
@@ -188,7 +187,7 @@ def _weigh(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray
     weighting rule of the networks and wknn. Normalizing first keeps k=1
     recalling a target exactly."""
     weights = np.empty_like(raw)
-    total = _rank_sum(raw, weights)
+    total = _rank_sum(raw)
     if total.all():
         np.divide(raw, total, out=weights)
     else:
@@ -196,7 +195,7 @@ def _weigh(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray
         np.divide(raw, np.where(dead, 1.0, total), out=weights)
         weights[:, dead] = 1.0 / len(raw)
     weights *= targets
-    return total, _rank_sum(weights, weights)
+    return total, _rank_sum(weights)
 
 
 def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray,
@@ -214,15 +213,12 @@ def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> float:
     return float(_forward_many(net, q, None if exclude is None else [exclude])[0])
 
 
-def _rank_smallest(d: np.ndarray, m: int, kth=None) -> tuple[np.ndarray, np.ndarray]:
+def _rank_smallest(d: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and values of the m smallest entries in each row of ``d``, ranked
-    as a stable argsort ranks them: by value, ties to the lower index. ``kth``,
-    per row a value at least the m-th smallest, spares the partition: a row
-    with exactly m entries up to it takes them."""
+    as a stable argsort ranks them: by value, ties to the lower index."""
     rows = np.arange(len(d))[:, None]
     if m < d.shape[1]:
-        if kth is None:
-            kth = np.partition(d, m - 1, axis=1)[:, m - 1]
+        kth = np.partition(d, m - 1, axis=1)[:, m - 1]
         win = d <= kth[:, None]  # at least m entries per row
         if np.count_nonzero(win) == len(d) * m:
             top = (np.flatnonzero(win) % d.shape[1]).reshape(-1, m)
@@ -241,8 +237,7 @@ def _rank_smallest(d: np.ndarray, m: int, kth=None) -> tuple[np.ndarray, np.ndar
 
 def _windows(cols: np.ndarray, order: np.ndarray, q: np.ndarray, m: int, key):
     """Rows ``q[lo:hi]``, ascending indices ``cand`` of the samples that can be
-    among a row's m nearest (None: all), the rows' distances ``d`` to them and,
-    if the window adds no flank to the guess, its m-th distances (else None).
+    among a row's m nearest (None: all) and the rows' distances ``d`` to them.
     ``key``: the ascending keys of the samples in ``order`` and of the rows,
     then ``_key_bound``'s terms. Blocks of 32 rows share a window, reusing its
     guess's distances; a block whose window fails is scanned in chunks. A
@@ -250,14 +245,13 @@ def _windows(cols: np.ndarray, order: np.ndarray, q: np.ndarray, m: int, key):
     after a fallback); after f failed guesses, f blocks skip theirs."""
     keys, qkeys = key[0], key[1]
     pos = np.searchsorted(keys, qkeys).tolist()  # ascending, as qkeys is
-    finite = np.isfinite(q).all(axis=1).tolist()
     reach, fails, skip, limit = m, 0, 0, _WINDOW_SHARE * len(keys)
     for lo in range(0, len(q), 32):
         hi = min(lo + 32, len(q))
         a, b = max(pos[lo] - reach, 0), min(pos[hi - 1] + reach, len(keys))
         if skip:
             skip -= 1
-        elif b - a <= limit and all(finite[lo:hi]):
+        elif b - a <= limit:
             guess = _distances(cols[:, order[a:b]], q[lo:hi])
             kth = np.partition(guess, m - 1)[:, m - 1]
             bound = _key_bound(key, slice(lo, hi), kth)
@@ -268,17 +262,17 @@ def _windows(cols: np.ndarray, order: np.ndarray, q: np.ndarray, m: int, key):
                 i, j = max(a, start), min(b, stop)
                 d = guess[:, i - a:j - a]
                 if start < i or j < stop:
-                    kth, outside = None, np.concatenate([order[start:i], order[j:stop]])
+                    outside = np.concatenate([order[start:i], order[j:stop]])
                     flanks = _distances(cols[:, outside], q[lo:hi])
                     d = np.concatenate([flanks[:, :i - start], d, flanks[:, i - start:]], axis=1)
                 by_index = np.argsort(order[start:stop])  # so ties go to the lower index
-                yield lo, hi, order[start:stop][by_index], d[:, by_index], kth
+                yield lo, hi, order[start:stop][by_index], d[:, by_index]
                 reach, fails = max(m, pos[lo] - start, stop - pos[hi - 1]), 0
                 continue
             fails = skip = fails + 1
         reach, step = m, max(1, _BLOCK_DISTANCES // len(keys))
         for s in range(lo, hi, step):
-            yield s, min(s + step, hi), None, _distances(cols, q[s:min(s + step, hi)]), None
+            yield s, min(s + step, hi), None, _distances(cols, q[s:min(s + step, hi)])
 
 
 def _key_bound(key, rows, r: np.ndarray) -> np.ndarray:
@@ -323,8 +317,9 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
     it is finite and its windows around a sample of rows (``_KEY_SAMPLE``)
     hold fewer samples, as on delay windows, whose coordinates move together.
     A block whose window spans over ``_WINDOW_SHARE`` of the samples (as an
-    infinite R' does) or holds an inf query is ranked against all, in
-    chunks of ``_BLOCK_DISTANCES``.
+    infinite R' does) is ranked against all, in chunks of ``_BLOCK_DISTANCES``.
+    Every query is finite: ``_query`` and ``StoredPairs`` refuse NaN and inf,
+    and a finite window's max and min, the primary network's features, are too.
     """
     n = net.n_samples
     if exclude is not None:
@@ -338,8 +333,8 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
     cols = net.train_inputs.T
     if len(queries) == 1:
         # One stable sort of the n distances; a window would first sort the n
-        # first coordinates. `_rank_smallest` takes a sixth of the time, but the
-        # benchmark's per-query memory then breaks its bound (ROADMAP item 1).
+        # first coordinates. `_rank_smallest` takes a third of the time, but the
+        # benchmark's per-query memory then breaks its bound (ROADMAP items 1a, 12).
         d = _distances(cols, queries)[0]
         top = np.argsort(d, kind="stable")[None, :m]
         return _drop_excluded(top, d[top], exclude)
@@ -356,9 +351,9 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
         key = summed if width[0] < _SUM_KEY_SHARE * width[1] else key
     order = np.argsort(key[0], kind="stable")
     rest = rest[np.argsort(key[1][rest], kind="stable")]
-    for lo, hi, cand, d, kth in _windows(cols, order, queries[rest], m,
-                                         (key[0][order], key[1][rest], key[2], key[3][rest])):
-        ranked, near[rest[lo:hi]] = _rank_smallest(d, m, kth)
+    for lo, hi, cand, d in _windows(cols, order, queries[rest], m,
+                                    (key[0][order], key[1][rest], key[2], key[3][rest])):
+        ranked, near[rest[lo:hi]] = _rank_smallest(d, m)
         top[rest[lo:hi]] = ranked if cand is None else cand[ranked]
     return _drop_excluded(top, near, exclude)
 

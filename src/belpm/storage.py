@@ -281,10 +281,12 @@ def _read_network(fields: _Fields, prefix: str, inputs: np.ndarray) -> AdaptiveN
 
 
 def _belpm_fields(model: BelpmModel, embedding) -> dict:
-    # The model carries its own embedding, so ``embedding`` goes unused.
+    r, horizon = embedding or (model.r, model.horizon)
+    if horizon != model.horizon:
+        raise InvalidParameter(f"embedding_horizon = {horizon}, but the model's is {model.horizon}")
     fields = {
-        "embedding_r": model.r,
-        "embedding_horizon": model.horizon,
+        "embedding_r": _checked_width(model.mo, r),
+        "embedding_horizon": horizon,
         **_network_fields("bl", model.bl),
         **_network_fields("mo", model.mo),
         "cm_w": np.array([model.cm.w1, model.cm.w2, model.cm.w3]),
@@ -372,8 +374,9 @@ def kind_of(model) -> str:
 def save_model(model, path, embedding: tuple[int, int] | None = None) -> None:
     """Serialize a model (any of the kinds) to a versioned text file.
 
-    ``embedding`` records (r, horizon) for kinds that do not carry them
-    intrinsically; it defaults to the model's feature dimension and horizon 1.
+    ``embedding`` records (r, horizon): by default the inputs' width and a
+    ``belpm`` model's horizon, or 1. One that contradicts the model raises
+    ``InvalidParameter`` and writes nothing.
     """
     name = kind_of(model)
     write_text(path, _render({"kind": name, **MODEL_KINDS[name].to_fields(model, embedding)}))

@@ -6,7 +6,9 @@ import pytest
 
 from belpm.cli import main
 from belpm.errors import ConfigError
-from belpm.experiment import ExperimentConfig, resolve_series, run_experiment
+from belpm.experiment import ExperimentConfig, resolve_series, run_experiment, train_model
+from belpm.series import embed, split
+from belpm.storage import MODEL_KINDS
 
 MINIMAL = ExperimentConfig(
     generator="logistic", gen_n=120, gen_x0=0.3, gen_rate=3.9,
@@ -86,11 +88,14 @@ def test_repeat_runs_are_byte_identical(tmp_path):
 
 
 def test_all_three_model_kinds_run():
-    for kind in ("belpm", "wknn", "classic_bel"):
+    # Every kind in the table has a trainer, which builds that kind's class.
+    for kind in MODEL_KINDS:
         cfg = dataclasses.replace(
             MINIMAL, model=kind,
             k_a=4, k_o=4, epochs=3, bel_epochs=3,
         )
+        train_set, _ = split(embed(resolve_series(cfg), cfg.embed_r, cfg.horizon), cfg.n_train)
+        assert type(train_model(cfg, train_set)) is MODEL_KINDS[kind].cls
         report = run_experiment(cfg)
         assert math.isfinite(report.mse)
 

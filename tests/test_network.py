@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from belpm import network
+from belpm import baselines, network
+from belpm.baselines import WknnModel, wknn_predict, wknn_predict_many
 from belpm.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -25,8 +26,9 @@ from belpm.network import (
     loo_predictions,
     train_bandwidths_sd,
 )
-from belpm.model import BelpmModel, CmWeights, _bl_feature_matrix, predict_many
-from belpm.series import embed, gen_logistic
+from belpm.model import (BelpmConfig, BelpmModel, CmWeights, _bl_feature_matrix, predict,
+                         predict_many, predict_series, train)
+from belpm.series import EmbeddedDataset, TimeSeries, embed, gen_logistic
 
 from oracles import forward_direct, kernel_value, nearest_direct, sq_distance_direct
 
@@ -182,10 +184,9 @@ class TestSelectKMin:
 
 
 # Few distinct coordinates make duplicate windows and ties at the k-th
-# distance; the 1e200 scale makes squared differences overflow to inf, and
-# so do infinite query coordinates (stored pairs must be finite).
+# distance; the 1e200 scale makes squared differences overflow to inf.
+# Queries are finite, as every predictor and stored pair checks.
 COORD = st.integers(-2, 2).map(float) | st.floats(-3.0, 3.0)
-QUERY_COORD = COORD | st.sampled_from([np.inf, -np.inf])
 
 
 @settings(max_examples=300, deadline=None)
@@ -201,7 +202,7 @@ def test_batched_nearest_matches_direct_ranking(data):
         queries = inputs
     else:
         m = data.draw(st.integers(0, 7), label="m")
-        queries = data.draw(arrays(np.float64, (m, dim), elements=QUERY_COORD),
+        queries = data.draw(arrays(np.float64, (m, dim), elements=COORD),
                             label="queries") * scale
     block = data.draw(st.integers(1, 3 * n), label="block distances")
     with mock.patch.object(network, "_BLOCK_DISTANCES", block):
@@ -276,12 +277,11 @@ def search_cases(draw):
     k = data.draw(st.integers(1, 14), label="k")
     queries = None
     if not data.draw(st.booleans(), label="loo"):
-        # Coordinates the stored samples hold, so queries tie with them, and
-        # infinities, which the window leaves to the full scan.
-        pool = sorted(set(inputs.ravel().tolist())) + [np.inf, -np.inf]
+        # Coordinates the stored samples hold, so queries tie with them.
+        pool = sorted(set(inputs.ravel().tolist()))
         queries = data.draw(arrays(np.float64, (data.draw(st.integers(0, 70), label="m"), dim),
                                    elements=st.sampled_from(pool)), label="queries")
-    # Share 1 forces the window wherever the queries are finite, 0 the full scan.
+    # Share 1 forces the window, 0 the full scan.
     share = data.draw(st.sampled_from([0.0, network._WINDOW_SHARE, 1.0]), label="share")
     block = data.draw(st.just(network._BLOCK_DISTANCES) | st.integers(1, 3 * n),
                       label="block distances")
@@ -563,6 +563,58 @@ def test_searches_on_huge_windows_warn_nothing(scale):
     np.testing.assert_array_equal(loo, full_loo)
     np.testing.assert_array_equal(preds, full_preds)
     assert np.isfinite(preds).all()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_every_search_sees_finite_queries(scale):
+    # The search ranks no NaN or inf query: every predictor refuses one before
+    # it searches, and stored inputs and their max and min are finite. At 1e200
+    # the squared differences overflow, so every distance is inf.
+    values = chaotic_mackey_glass(260)
+    data = embed(TimeSeries(values), 3, 1)
+    train_set = EmbeddedDataset(data.inputs[:200] * scale, data.targets[:200], 3, 1)
+    queries = data.inputs[200:] * scale
+    finite = []
+
+    def spy(search):
+        def recorded(net, rows, exclude=None):
+            finite.append(bool(np.isfinite(rows).all()))
+            return search(net, rows, exclude)
+        return recorded
+
+    with mock.patch.object(network, "_nearest", spy(network._nearest)), \
+            mock.patch.object(baselines, "_nearest", spy(baselines._nearest)):
+        model = train(train_set, BelpmConfig(k_a=4, k_o=4, epochs=2))
+        assert len(finite) == 2  # one leave-one-out table per network
+        net, wknn = model.mo, WknnModel.from_dataset(train_set, k=2)
+        calls = {
+            "forward": lambda: forward(net, queries[0]),
+            "forward, exclude": lambda: forward(net, train_set.inputs[5], exclude=5),
+            "predict": lambda: predict(model, queries[0]),
+            "predict_many": lambda: predict_many(model, queries),
+            "predict_series": lambda: predict_series(model, TimeSeries(values * scale)),
+            "wknn_predict": lambda: wknn_predict(wknn, queries[0]),
+            "wknn_predict_many": lambda: wknn_predict_many(wknn, queries),
+            "loo_predictions": lambda: loo_predictions(net),
+            "grad_bandwidths": lambda: grad_bandwidths(net),
+            "train_bandwidths_sd": lambda: train_bandwidths_sd(net, 0.05, 2),
+        }
+        for name, call in calls.items():
+            searched = len(finite)
+            call()
+            assert len(finite) > searched, name
+        assert all(finite)
+        searched = len(finite)
+        for bad in (np.nan, np.inf, -np.inf):
+            rows = queries.copy()
+            rows[3, 1] = bad
+            for call in (lambda: forward(net, rows[3]), lambda: predict(model, rows[3]),
+                         lambda: predict_many(model, rows), lambda: wknn_predict(wknn, rows[3]),
+                         lambda: wknn_predict_many(wknn, rows),
+                         lambda: AdaptiveNetwork(rows, np.zeros(len(rows)), k=2)):
+                with pytest.raises(InvalidParameter):
+                    call()
+        assert len(finite) == searched
 
 
 # Finite coordinates (stored pairs must be finite); the 1e200 ones make

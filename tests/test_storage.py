@@ -500,13 +500,16 @@ class TestModelPersistence:
         np.testing.assert_array_equal(loaded.v, v)
         np.testing.assert_array_equal(loaded.w, model.w)
 
-    @pytest.mark.parametrize("kind", [1, 2], ids=["wknn", "classic_bel"])
+    @pytest.mark.parametrize("kind", [0, 1, 2], ids=["belpm", "wknn", "classic_bel"])
     def test_embedding_width_must_match_the_inputs(self, tmp_path, kind):
         model = trained_models()[kind]
         path = tmp_path / "m.belpm"
         for r in (2, 4):
             with pytest.raises(InvalidParameter, match=f"embedding_r = {r}, .* 3 values wide"):
                 save_model(model, path, embedding=(r, 1))
+        if kind == 0:  # a belpm model carries its horizon, 1
+            with pytest.raises(InvalidParameter, match="embedding_horizon = 2, .* is 1"):
+                save_model(model, path, embedding=(3, 2))
         assert not path.exists()
         save_model(model, path, embedding=(3, 1))
         series = tmp_path / "series.csv"
@@ -514,7 +517,8 @@ class TestModelPersistence:
         text = path.read_text()
         for r in (2, 4):
             path.write_bytes(rechecksum(text.replace("embedding_r = 3", f"embedding_r = {r}", 1)))
-            with pytest.raises(CorruptFile, match=f"embedding_r = {r}, .* 3 values wide"):
+            message = f"embedding_r = {r}, .* 3 values wide" if kind else f"r={r}, got 3"
+            with pytest.raises(CorruptFile, match=message):
                 load_model_file(path)
             assert main(["predict", "--model", str(path), "--data", str(series),
                          "--out", str(tmp_path / "p.csv")]) == 2
