@@ -51,7 +51,9 @@ class CmWeights:
 
 @dataclass(frozen=True)
 class BelpmConfig:
-    """Training hyperparameters for both networks and the fusion fit."""
+    """Training hyperparameters for both networks and the fusion fit. ``epochs``
+    is an upper bound: each descent ends after an epoch that lowers its finite
+    loss by at most ``network._SD_RTOL`` (1e-6) of it."""
 
     k_a: int = 8
     k_o: int = 8
@@ -85,6 +87,8 @@ class BelpmModel:
     cm: CmWeights
 
     def __post_init__(self):
+        if self.horizon < 1:
+            raise InvalidParameter(f"horizon must be >= 1, got {self.horizon}")
         if self.mo.dim != self.r:
             raise InvalidParameter(
                 f"secondary network expects dimension r={self.r}, got {self.mo.dim}"
@@ -194,8 +198,10 @@ def train(train_set: EmbeddedDataset, config: BelpmConfig = BelpmConfig()) -> Be
     bandwidths on its leave-one-out loss (``train_bandwidths_sd``, which also
     gives its leave-one-out responses); fit the secondary network to their
     residuals (independent descent); then least-squares fit the fusion
-    weights over the two networks' leave-one-out responses. Deterministic
-    for fixed data and config.
+    weights over the two networks' leave-one-out responses. Each descent runs
+    at most ``config.epochs`` epochs and ends after one that lowers its finite
+    loss by at most ``network._SD_RTOL`` (1e-6) of it. Deterministic for fixed
+    data and config.
     """
     if len(train_set) < 2:
         raise TooFewSamples("training needs at least two embedded pairs")

@@ -35,6 +35,8 @@ from .series import _frozen_f64, _query
 # Lower bound keeping parametric kernels parametric during descent.
 BANDWIDTH_FLOOR = 1e-8
 _MAX_BACKTRACKS = 30
+# An epoch that lowers a finite loss by at most this share of it ends the descent.
+_SD_RTOL = 1e-6
 # Distances computed at once by the full scan (8 query rows at n = 2000).
 # Larger blocks add memory and save little time.
 _BLOCK_DISTANCES = 2 ** 14
@@ -456,11 +458,14 @@ def train_bandwidths_sd(net: AdaptiveNetwork, lr: float,
     """Steepest descent on the leave-one-out loss with per-epoch backtracking.
 
     Each epoch proposes ``b - lr * grad`` (floored at ``BANDWIDTH_FLOOR``) and
-    halves the step until the loss stops increasing; once no step helps, the
-    bandwidths are at a fixed point and the trace repeats the loss. Returns
-    the trained network, the loss trace (initial loss first, one entry per
-    epoch after) and the trained network's leave-one-out responses
-    (``loo_predictions``), all from one neighbor table."""
+    halves the step until the loss does not rise, then takes that step.
+    ``epochs`` is an upper bound: the descent ends after an epoch whose step
+    lowers a finite loss by at most ``_SD_RTOL`` (1e-6) of it, keeping that
+    step, or at an epoch where none of its ``_MAX_BACKTRACKS`` tries keeps
+    the loss from rising, moving nothing. Returns the trained network,
+    the loss trace (initial loss first, then one entry per epoch, the last
+    loss repeated up to ``epochs + 1`` entries) and the trained network's
+    leave-one-out responses (``loo_predictions``), all from one neighbor table."""
     if not 0 < lr < np.inf:
         raise InvalidParameter(f"lr must be positive and finite, got {lr}")
     if epochs < 0:
@@ -483,11 +488,14 @@ def train_bandwidths_sd(net: AdaptiveNetwork, lr: float,
             cand_weighed = _outputs(net.kernel, *table, cand)
             cand_loss = _loss(net, cand_weighed[2])
             if cand_loss <= loss:
+                stalled = np.isfinite(loss) and loss - cand_loss <= _SD_RTOL * loss
                 b, loss, weighed = cand, cand_loss, cand_weighed
                 break
             step *= 0.5
         else:
             break  # nothing moved, so every later epoch would reject the same steps
         trace.append(loss)
+        if stalled:
+            break
     trace += [loss] * (epochs + 1 - len(trace))
     return replace(net, bandwidths=b), np.asarray(trace), weighed[2]

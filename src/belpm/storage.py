@@ -375,11 +375,17 @@ def save_model(model, path, embedding: tuple[int, int] | None = None) -> None:
     """Serialize a model (any of the kinds) to a versioned text file.
 
     ``embedding`` records (r, horizon): by default the inputs' width and a
-    ``belpm`` model's horizon, or 1. One that contradicts the model raises
+    ``belpm`` model's horizon, or 1. One that contradicts the model, or holds
+    other than ints >= 1 as ``load_model_file`` requires, raises
     ``InvalidParameter`` and writes nothing.
     """
     name = kind_of(model)
-    write_text(path, _render({"kind": name, **MODEL_KINDS[name].to_fields(model, embedding)}))
+    fields = MODEL_KINDS[name].to_fields(model, embedding)
+    for key in ("embedding_r", "embedding_horizon"):
+        value = fields[key]
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise InvalidParameter(f"{key} must be an int >= 1, got {value!r}")
+    write_text(path, _render({"kind": name, **fields}))
 
 
 def _parse_document(path) -> _Fields:

@@ -139,7 +139,7 @@ def rechecksum(text):
 
 # The network's row-major weighting and gradient: tables are (n, kk), one
 # row per sample, and each row and each column is summed by `in_order_sum`.
-from belpm.network import BANDWIDTH_FLOOR, KernelKind, _MAX_BACKTRACKS, _nearest  # noqa: E402
+from belpm.network import BANDWIDTH_FLOOR, KernelKind, _MAX_BACKTRACKS, _SD_RTOL, _nearest  # noqa: E402
 
 
 def in_order_sum(a: np.ndarray, axis: int) -> np.ndarray:
@@ -254,11 +254,14 @@ def sd_replay(net, lr, epochs):
             cand_weighed = _outputs(net.kernel, *table, cand)
             cand_loss = _loss(net, cand_weighed[2])
             if cand_loss <= loss:
+                stalled = np.isfinite(loss) and loss - cand_loss <= _SD_RTOL * loss
                 b, loss, weighed = cand, cand_loss, cand_weighed
                 break
             step *= 0.5
         else:
             break
         trace.append(loss)
+        if stalled:
+            break
     trace += [loss] * (epochs + 1 - len(trace))
     return b, np.asarray(trace), weighed[2]

@@ -28,7 +28,7 @@ from belpm.network import (
 )
 from belpm.model import (BelpmConfig, BelpmModel, CmWeights, _bl_feature_matrix, predict,
                          predict_many, predict_series, train)
-from belpm.series import EmbeddedDataset, TimeSeries, embed, gen_logistic
+from belpm.series import EmbeddedDataset, TimeSeries, embed, gen_logistic, gen_mackey_glass
 
 from oracles import forward_direct, kernel_value, nearest_direct, sq_distance_direct
 
@@ -954,8 +954,6 @@ class TestTrainBandwidths:
         assert np.all(trace == trace[0])
 
     def test_mackey_glass_descends(self):
-        from belpm.series import embed, gen_mackey_glass
-
         ds = embed(gen_mackey_glass(203, tau=17, x0=1.2, warmup=100), 3, 1)
         assert len(ds) == 200
         net = AdaptiveNetwork(ds.inputs, ds.targets, k=8,
@@ -976,7 +974,7 @@ class TestTrainBandwidths:
         ref_trace, backtracks = [loss], 0
         for _ in range(epochs):
             g = grad_bandwidths(replace(net, bandwidths=b))
-            step = lr
+            step, before = lr, loss
             for _attempt in range(network._MAX_BACKTRACKS):
                 cand = np.maximum(b - step * g, network.BANDWIDTH_FLOOR)
                 cand_loss = loo_loss(replace(net, bandwidths=cand))
@@ -986,6 +984,9 @@ class TestTrainBandwidths:
                 step *= 0.5
                 backtracks += 1
             ref_trace.append(loss)
+            if before - loss <= network._SD_RTOL * before:
+                break
+        ref_trace += [loss] * (epochs + 1 - len(ref_trace))
         assert backtracks > 0 or not kind.parametric
         np.testing.assert_array_equal(trace, ref_trace)
         np.testing.assert_array_equal(trained.bandwidths, b)
@@ -1010,6 +1011,43 @@ class TestTrainBandwidths:
         np.testing.assert_array_equal(long[2], short[2])
         assert short[1][3] < short[1][2] and not np.array_equal(short[0].bandwidths,
                                                                 net.bandwidths)
+
+    def test_descent_ends_at_a_stalled_epoch(self, monkeypatch):
+        # On chaotic Mackey-Glass the first step lowers the loss by about 1e-11
+        # of itself: the descent keeps that step and runs no second epoch, so
+        # it evaluates the kernel twice, not once per epoch.
+        calls = []
+        outputs = network._outputs
+        monkeypatch.setattr(network, "_outputs", lambda *a: calls.append(1) or outputs(*a))
+        ds = embed(gen_mackey_glass(203, tau=17, x0=1.2, warmup=100), 3, 1)
+        net = AdaptiveNetwork(ds.inputs, ds.targets, k=8, kernel=KernelKind.EXPONENTIAL)
+        trained, trace, responses = train_bandwidths_sd(net, lr=0.05, epochs=50)
+        assert len(calls) == 2
+        assert trace.shape == (51,) and np.all(trace[1:] == trace[1])
+        assert 0 < trace[0] - trace[1] <= network._SD_RTOL * trace[0]
+        assert not np.array_equal(trained.bandwidths, net.bandwidths)
+        assert responses.tobytes() == loo_predictions(trained).tobytes()
+
+    def test_descent_runs_every_epoch_that_lowers_the_loss(self, monkeypatch):
+        grads = []
+        grad = network._grad
+        monkeypatch.setattr(network, "_grad", lambda *a: grads.append(1) or grad(*a))
+        ds = embed(gen_logistic(80, r=3.9, x0=0.3), 3, 1)
+        net = AdaptiveNetwork(ds.inputs, ds.targets, k=4, kernel=KernelKind.EXPONENTIAL)
+        _, trace, _ = train_bandwidths_sd(net, lr=1.0, epochs=20)
+        assert len(grads) == 20
+        assert np.all(trace[:-1] - trace[1:] > network._SD_RTOL * trace[:-1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_step_from_an_infinite_loss_is_no_stall(self):
+        # The first loss overflows and the first step makes it finite: an
+        # infinite drop, which must not end the descent before the next epoch
+        # lowers the loss again.
+        net = AdaptiveNetwork(np.array([[6.0], [3.0], [0.0], [7.0]]),
+                              np.array([-1.0, 3.0, -1.0, 1.0]) * 3e153, k=3,
+                              kernel=KernelKind.INVERSE_QUADRATIC)
+        _, trace, _ = train_bandwidths_sd(net, lr=0.05, epochs=5)
+        assert trace[0] == np.inf and np.isfinite(trace[1]) and trace[2] < trace[1]
 
     def test_bandwidth_floor_respected(self):
         X = np.array([[0.0], [0.2], [0.4], [0.9]])

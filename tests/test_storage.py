@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import re
 from pathlib import Path
 
@@ -522,6 +523,27 @@ class TestModelPersistence:
                 load_model_file(path)
             assert main(["predict", "--model", str(path), "--data", str(series),
                          "--out", str(tmp_path / "p.csv")]) == 2
+
+    @pytest.mark.parametrize("kind", [0, 1, 2], ids=["belpm", "wknn", "classic_bel"])
+    def test_only_loadable_embeddings_are_saved(self, tmp_path, kind):
+        # Save and load apply one rule: r and horizon are ints >= 1.
+        model = trained_models()[kind]
+        path = tmp_path / "m.belpm"
+        refused = [(3.0, 1), (3, True)]
+        if kind == 0:  # a belpm model carries its horizon, and refuses one below 1
+            for horizon in (0, -2):
+                with pytest.raises(InvalidParameter, match=f"horizon must be >= 1, got {horizon}"):
+                    dataclasses.replace(model, horizon=horizon)
+        else:
+            refused += [(3, 0), (3, -2), (3, 1.5)]
+        for embedding in refused:
+            with pytest.raises(InvalidParameter, match=r"embedding_\w+ must be an int >= 1"):
+                save_model(model, path, embedding=embedding)
+            assert not path.exists()
+        embedding = (np.int64(3), np.int64(1 if kind == 0 else 2))
+        save_model(model, path, embedding=embedding)
+        loaded = load_model_file(path)
+        assert (loaded.r, loaded.horizon) == embedding
 
     def test_default_config_training_reproduces_its_fixture(self, tmp_path):
         train_set, _ = split(embed(gen_logistic(223), 3, 1), 200)
