@@ -19,17 +19,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameter, TooFewSamples
-from .series import EmbeddedDataset, _frozen_f64, _query
+from .series import EmbeddedDataset, _check_embedding, _frozen_f64, _query
 
 
 @dataclass(frozen=True)
 class ClassicBelModel:
-    """Per-component weights for the excitatory (v) and inhibitory (w) banks."""
+    """Per-component weights for the excitatory (v) and inhibitory (w) banks,
+    and the horizon of the pairs trained on; the input width is ``r``."""
 
     v: np.ndarray
     w: np.ndarray
     alpha: float
     beta: float
+    horizon: int = 1
 
     def __post_init__(self):
         # Training can diverge to non-finite weights; they are kept as they are.
@@ -38,6 +40,7 @@ class ClassicBelModel:
             raise InvalidParameter("v and w must be 1-D arrays of equal length")
         if not 0.0 < self.alpha <= 1.0 or not 0.0 < self.beta <= 1.0:
             raise InvalidParameter("alpha and beta must lie in (0, 1]")
+        _check_embedding(v.size, self.horizon)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
 
@@ -46,13 +49,13 @@ class ClassicBelModel:
         return cls(v=np.zeros(dim), w=np.zeros(dim), alpha=alpha, beta=beta)
 
     @property
-    def dim(self) -> int:
+    def r(self) -> int:
         return self.v.size
 
 
 def bel_forward(model: ClassicBelModel, s) -> tuple[float, np.ndarray, np.ndarray]:
     """Output E = sum(A) - sum(O) with per-node responses A = v*s, O = w*s."""
-    arr = _query(s, model.dim)
+    arr = _query(s, model.r)
     with np.errstate(over="ignore", invalid="ignore"):
         a = model.v * arr
         o = model.w * arr
@@ -76,19 +79,19 @@ def bel_update(model: ClassicBelModel, s, rew: float) -> ClassicBelModel:
     if not np.isfinite(rew):
         raise InvalidParameter(f"reinforcement must be finite, got {rew}")
     with np.errstate(over="ignore", invalid="ignore"):
-        v, w = _step(model.v, model.w, model.alpha, model.beta, _query(s, model.dim), float(rew))
+        v, w = _step(model.v, model.w, model.alpha, model.beta, _query(s, model.r), float(rew))
     return replace(model, v=v, w=w)
 
 
 def bel_train(model: ClassicBelModel, dataset: EmbeddedDataset, epochs: int) -> ClassicBelModel:
     """``bel_update`` over the dataset's pairs in order, repeated ``epochs``
-    times; a dataset with no pairs raises ``TooFewSamples``. Warns once when
-    the returned weights are not finite."""
+    times, recording the dataset's horizon; a dataset with no pairs raises
+    ``TooFewSamples``. Warns once when the returned weights are not finite."""
     if epochs < 0:
         raise InvalidParameter(f"epochs must be >= 0, got {epochs}")
     if len(dataset) == 0:
         raise TooFewSamples("training needs at least one embedded pair")
-    v, w, inputs = model.v, model.w, _query(dataset.inputs, model.dim, batch=True)
+    v, w, inputs = model.v, model.w, _query(dataset.inputs, model.r, batch=True)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             for s, rew in zip(inputs, dataset.targets.tolist()):
@@ -96,7 +99,7 @@ def bel_train(model: ClassicBelModel, dataset: EmbeddedDataset, epochs: int) -> 
     if not (np.isfinite(v).all() and np.isfinite(w).all()):
         warnings.warn("classic BEL training diverged: its weights are not finite",
                       UserWarning, stacklevel=2)
-    return replace(model, v=v, w=w)
+    return replace(model, v=v, w=w, horizon=dataset.horizon)
 
 
 def bel_predict(model: ClassicBelModel, s) -> float:
@@ -107,6 +110,6 @@ def bel_predict(model: ClassicBelModel, s) -> float:
 
 def bel_predict_many(model: ClassicBelModel, inputs) -> np.ndarray:
     """``bel_predict`` for each row of an (m, r) matrix, bit for bit."""
-    x = _query(inputs, model.dim, batch=True)
+    x = _query(inputs, model.r, batch=True)
     with np.errstate(over="ignore", invalid="ignore"):
         return (x * model.v).sum(1) - (x * model.w).sum(1)

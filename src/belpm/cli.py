@@ -149,7 +149,7 @@ def _cmd_train(args) -> int:
     dataset = embed(resolve_series(config), config.embed_r, config.horizon)
     train_set, _ = split(dataset, config.n_train)
     model = train_model(config, train_set)
-    save_model(model, args.out, embedding=(config.embed_r, config.horizon))
+    save_model(model, args.out)
     print(f"trained {config.model} on {len(train_set)} pairs -> {args.out}")
     return 0
 

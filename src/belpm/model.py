@@ -26,7 +26,7 @@ from .errors import (
     TooFewSamples,
 )
 from .network import AdaptiveNetwork, KernelKind, _forward_many, _sample_sum, train_bandwidths_sd
-from .series import EmbeddedDataset, TimeSeries, _query, embed
+from .series import EmbeddedDataset, TimeSeries, _check_embedding, _query, embed
 
 # Relative tolerance for verifying an unregularized normal-equation solution;
 # beyond it the system counts as numerically singular.
@@ -87,8 +87,7 @@ class BelpmModel:
     cm: CmWeights
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise InvalidParameter(f"horizon must be >= 1, got {self.horizon}")
+        _check_embedding(self.r, self.horizon)
         if self.mo.dim != self.r:
             raise InvalidParameter(
                 f"secondary network expects dimension r={self.r}, got {self.mo.dim}"

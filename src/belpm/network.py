@@ -19,7 +19,6 @@ sum reads 0.0. That order is the library's own, not numpy's.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -287,11 +286,10 @@ def _sum_key(cols: np.ndarray, queries: np.ndarray):
     d * 2**-51 * (A + sum |q_j|), A the largest sum |x_j| stored; None unless
     each 2 * (A + sum |q_j|) is finite, as then no key, bound or gap overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mass = (functools.reduce(np.add, np.abs(cols)).max()
-                + functools.reduce(np.add, np.abs(queries.T)))
+        mass = _rank_sum(np.abs(cols)).max() + _rank_sum(np.abs(queries.T))
         if not np.isfinite(2 * mass).all():
             return None
-    return (functools.reduce(np.add, cols), functools.reduce(np.add, queries.T),
+    return (_rank_sum(cols), _rank_sum(queries.T),
             len(cols) ** 0.5 * (1 + 1e-12), len(cols) * 2.0 ** -51 * mass)
 
 
@@ -458,11 +456,13 @@ def train_bandwidths_sd(net: AdaptiveNetwork, lr: float,
     """Steepest descent on the leave-one-out loss with per-epoch backtracking.
 
     Each epoch proposes ``b - lr * grad`` (floored at ``BANDWIDTH_FLOOR``) and
-    halves the step until the loss does not rise, then takes that step.
-    ``epochs`` is an upper bound: the descent ends after an epoch whose step
-    lowers a finite loss by at most ``_SD_RTOL`` (1e-6) of it, keeping that
-    step, or at an epoch where none of its ``_MAX_BACKTRACKS`` tries keeps
-    the loss from rising, moving nothing. Returns the trained network,
+    halves the step until the bandwidths are finite and the loss is finite
+    and does not rise, then takes that step. ``epochs`` is an upper bound:
+    the descent ends after an epoch whose step lowers a finite loss by at
+    most ``_SD_RTOL`` (1e-6) of it, keeping that step, or at an epoch whose
+    gradient is not finite or where none of its ``_MAX_BACKTRACKS`` tries
+    passes, moving nothing; a linear-rescale network has nothing to descend.
+    No overflow on the way warns. Returns the trained network,
     the loss trace (initial loss first, then one entry per epoch, the last
     loss repeated up to ``epochs + 1`` entries) and the trained network's
     leave-one-out responses (``loo_predictions``), all from one neighbor table."""
@@ -476,26 +476,30 @@ def train_bandwidths_sd(net: AdaptiveNetwork, lr: float,
     # next gradient and the returned responses.
     weighed = _outputs(net.kernel, *table, b)
     loss = _loss(net, weighed[2])
-    if not net.kernel.parametric:
-        # No learnable parameter: descent is a no-op with a flat trace.
-        return net, np.full(epochs + 1, loss), weighed[2]
     trace = [loss]
-    for _ in range(epochs):
-        g = _grad(net, table, b, weighed)
-        step = lr
-        for _attempt in range(_MAX_BACKTRACKS):
-            cand = np.maximum(b - step * g, BANDWIDTH_FLOOR)
-            cand_weighed = _outputs(net.kernel, *table, cand)
-            cand_loss = _loss(net, cand_weighed[2])
-            if cand_loss <= loss:
-                stalled = np.isfinite(loss) and loss - cand_loss <= _SD_RTOL * loss
-                b, loss, weighed = cand, cand_loss, cand_weighed
+    # A step past the float range is refused, a kernel product past it gives
+    # 0, and a gradient past it ends the descent.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs if net.kernel.parametric else 0):
+            g = _grad(net, table, b, weighed)
+            if not np.isfinite(g).all():
+                break  # no direction to step along
+            step = lr
+            for _attempt in range(_MAX_BACKTRACKS):
+                cand = np.maximum(b - step * g, BANDWIDTH_FLOOR)
+                if np.isfinite(cand).all():
+                    cand_weighed = _outputs(net.kernel, *table, cand)
+                    cand_loss = _loss(net, cand_weighed[2])
+                    if cand_loss <= loss and cand_loss < np.inf:
+                        stalled = np.isfinite(loss) and loss - cand_loss <= _SD_RTOL * loss
+                        b, loss, weighed = cand, cand_loss, cand_weighed
+                        break
+                step *= 0.5
+            else:
+                break  # nothing moved, so every later epoch would reject the same steps
+            trace.append(loss)
+            if stalled:
                 break
-            step *= 0.5
-        else:
-            break  # nothing moved, so every later epoch would reject the same steps
-        trace.append(loss)
-        if stalled:
-            break
     trace += [loss] * (epochs + 1 - len(trace))
-    return replace(net, bandwidths=b), np.asarray(trace), weighed[2]
+    trained = net if b is net.bandwidths else replace(net, bandwidths=b)  # no step: the start
+    return trained, np.asarray(trace), weighed[2]

@@ -40,6 +40,16 @@ def _query(x, dim: int, batch: bool = False) -> np.ndarray:
     return arr
 
 
+def _check_embedding(r, horizon) -> None:
+    """The one rule for an embedding (r, horizon): each an int >= 1, numpy
+    ints accepted and bools refused, or ``InvalidParameter``."""
+    for name, value in (("r", r), ("horizon", horizon)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidParameter(f"{name} must be an int, got {value!r}")
+        if value < 1:
+            raise InvalidParameter(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Uniformly sampled scalar observations.
@@ -102,10 +112,7 @@ class EmbeddedDataset:
     def __post_init__(self):
         inputs = _frozen_f64(self.inputs, ndim=2)
         targets = _frozen_f64(self.targets, ndim=1)
-        if self.r < 1:
-            raise InvalidParameter(f"embedding dimension must be >= 1, got {self.r}")
-        if self.horizon < 1:
-            raise InvalidParameter(f"horizon must be >= 1, got {self.horizon}")
+        _check_embedding(self.r, self.horizon)
         if inputs.shape[1] != self.r and inputs.shape[0] > 0:
             raise InvalidParameter(
                 f"input vectors have {inputs.shape[1]} entries, expected r={self.r}"
@@ -129,8 +136,7 @@ def embed(series: TimeSeries, r: int, horizon: int) -> EmbeddedDataset:
     Pair ``j`` couples the window ``values[j : j+r]`` with the target
     ``values[j + r - 1 + horizon]``; ordering is preserved.
     """
-    if r < 1 or horizon < 1:
-        raise InvalidParameter("r and horizon must be >= 1")
+    _check_embedding(r, horizon)
     n = len(series) - r - horizon + 1
     if n < 1:
         raise SeriesTooShort(

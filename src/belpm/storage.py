@@ -8,9 +8,10 @@ form: a series CSV holds ``value`` or ``time,value`` rows, a predictions CSV
 Model file: line-oriented ``key = value`` text under a ``belpm-model v4``
 header, arrays as the padded base64 of their little-endian float64 bytes,
 matrices flattened row-major next to a ``*_shape`` key, and a trailing
-``checksum = <crc32 hex>`` over every preceding byte. The ``kind`` field
-names the ``MODEL_KINDS`` entry that writes and reads the other fields. The
-stored training data is part of the model (memory-based models), so a loaded
+``checksum = <crc32 hex>`` over every preceding byte. After ``kind`` come
+the model's ``embedding_r`` and ``embedding_horizon``, then the fields that
+the ``kind``'s ``MODEL_KINDS`` entry writes and reads. The stored training
+data is part of the model (memory-based models), so a loaded
 model predicts bit-identically to the saved one; a ``belpm`` model's windows
 are stored once, as ``mo_inputs``. v1-v3 files, decoded by their version,
 hold arrays as comma-separated numerals. v2 files also hold the primary
@@ -199,7 +200,7 @@ def save_pairs_csv(dataset: EmbeddedDataset, path) -> None:
 
 @dataclass(frozen=True)
 class LoadedModel:
-    """A deserialized model plus the embedding shape recorded with it."""
+    """A deserialized model, its kind, and the embedding (r, horizon) it records."""
 
     kind: str
     model: BelpmModel | WknnModel | ClassicBelModel
@@ -280,17 +281,9 @@ def _read_network(fields: _Fields, prefix: str, inputs: np.ndarray) -> AdaptiveN
     )
 
 
-def _belpm_fields(model: BelpmModel, embedding) -> dict:
-    r, horizon = embedding or (model.r, model.horizon)
-    if horizon != model.horizon:
-        raise InvalidParameter(f"embedding_horizon = {horizon}, but the model's is {model.horizon}")
-    fields = {
-        "embedding_r": _checked_width(model.mo, r),
-        "embedding_horizon": horizon,
-        **_network_fields("bl", model.bl),
-        **_network_fields("mo", model.mo),
-        "cm_w": np.array([model.cm.w1, model.cm.w2, model.cm.w3]),
-    }
+def _belpm_fields(model: BelpmModel) -> dict:
+    fields = {**_network_fields("bl", model.bl), **_network_fields("mo", model.mo),
+              "cm_w": np.array([model.cm.w1, model.cm.w2, model.cm.w3])}
     del fields["bl_inputs"]  # the features of ``mo_inputs``
     return fields
 
@@ -312,46 +305,32 @@ def _read_belpm(fields: _Fields) -> BelpmModel:
     )
 
 
-def _checked_width(model, r: int) -> int:
-    """``r``, which must be the width of ``model``'s inputs (``InvalidParameter``)."""
-    if model.dim != r:
-        raise InvalidParameter(f"embedding_r = {r}, but the inputs are {model.dim} values wide")
-    return r
-
-
-def _wknn_fields(model: WknnModel, embedding) -> dict:
-    r, horizon = embedding or (model.dim, 1)
-    return {"embedding_r": _checked_width(model, r), "embedding_horizon": horizon,
-            "k": model.k, "inputs": model.train_inputs, "targets": model.train_targets}
+def _wknn_fields(model: WknnModel) -> dict:
+    return {"k": model.k, "inputs": model.train_inputs, "targets": model.train_targets}
 
 
 def _read_wknn(fields: _Fields) -> WknnModel:
-    model = WknnModel(train_inputs=_matrix(fields, "inputs"),
-                      train_targets=_array(fields, "targets"), k=_field(fields, "k", int))
-    _checked_width(model, _field(fields, "embedding_r", int))
-    return model
+    return WknnModel(_matrix(fields, "inputs"), _array(fields, "targets"), _field(fields, "k", int),
+                     horizon=_field(fields, "embedding_horizon", int))
 
 
-def _classic_fields(model: ClassicBelModel, embedding) -> dict:
-    r, horizon = embedding or (model.dim, 1)
-    return {"embedding_r": _checked_width(model, r), "embedding_horizon": horizon,
-            "v": model.v, "w": model.w, "alpha": model.alpha, "beta": model.beta}
+def _classic_fields(model: ClassicBelModel) -> dict:
+    return {"v": model.v, "w": model.w, "alpha": model.alpha, "beta": model.beta}
 
 
 def _read_classic(fields: _Fields) -> ClassicBelModel:
-    model = ClassicBelModel(v=_array(fields, "v"), w=_array(fields, "w"),
-                            alpha=_field(fields, "alpha"), beta=_field(fields, "beta"))
-    _checked_width(model, _field(fields, "embedding_r", int))
-    return model
+    return ClassicBelModel(v=_array(fields, "v"), w=_array(fields, "w"),
+                           alpha=_field(fields, "alpha"), beta=_field(fields, "beta"),
+                           horizon=_field(fields, "embedding_horizon", int))
 
 
 class ModelKind(NamedTuple):
-    """A model class, its file fields and its batch predictor: ``to_fields(model,
-    embedding)`` gives the fields after ``kind``, ``from_fields(fields)`` rebuilds
+    """A model class, its file fields and its batch predictor: ``to_fields(model)``
+    gives the fields after ``embedding_horizon``, ``from_fields(fields)`` rebuilds
     the model, and ``predict_many(model, inputs)`` predicts each input row."""
 
     cls: type
-    to_fields: Callable[[Any, tuple[int, int] | None], dict]
+    to_fields: Callable[[Any], dict]
     from_fields: Callable[[_Fields], Any]
     predict_many: Callable[[Any, np.ndarray], np.ndarray]
 
@@ -371,21 +350,13 @@ def kind_of(model) -> str:
     raise InvalidParameter(f"{type(model).__name__} is not a model kind")
 
 
-def save_model(model, path, embedding: tuple[int, int] | None = None) -> None:
-    """Serialize a model (any of the kinds) to a versioned text file.
-
-    ``embedding`` records (r, horizon): by default the inputs' width and a
-    ``belpm`` model's horizon, or 1. One that contradicts the model, or holds
-    other than ints >= 1 as ``load_model_file`` requires, raises
-    ``InvalidParameter`` and writes nothing.
-    """
+def save_model(model, path) -> None:
+    """Serialize a model (any of the kinds) to a versioned text file, with
+    the embedding (r, horizon) the model records."""
     name = kind_of(model)
-    fields = MODEL_KINDS[name].to_fields(model, embedding)
-    for key in ("embedding_r", "embedding_horizon"):
-        value = fields[key]
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise InvalidParameter(f"{key} must be an int >= 1, got {value!r}")
-    write_text(path, _render({"kind": name, **fields}))
+    write_text(path, _render({"kind": name, "embedding_r": model.r,
+                              "embedding_horizon": model.horizon,
+                              **MODEL_KINDS[name].to_fields(model)}))
 
 
 def _parse_document(path) -> _Fields:
@@ -424,19 +395,18 @@ def _parse_document(path) -> _Fields:
 def load_model_file(path) -> LoadedModel:
     """Read a model file, verify its checksum, and rebuild the model.
 
-    A missing or malformed field, and a value the model rejects, make the
-    file corrupt.
+    A missing or malformed field, a value the model rejects, and an
+    ``embedding_r`` other than the width of the stored inputs make the file
+    corrupt.
     """
     fields = _parse_document(path)
     try:
         name = _field(fields, "kind", str)
-        r = _field(fields, "embedding_r", int)
-        horizon = _field(fields, "embedding_horizon", int)
         if name not in MODEL_KINDS:
             raise CorruptFile(f"unknown model kind {name!r}")
-        if r < 1 or horizon < 1:
-            raise CorruptFile("embedding_r and embedding_horizon must be >= 1")
         model = MODEL_KINDS[name].from_fields(fields)
+        if (r := _field(fields, "embedding_r", int)) != model.r:
+            raise CorruptFile(f"embedding_r = {r}, but the inputs are {model.r} values wide")
     except (ConfigError, CorruptFile) as exc:
         raise CorruptFile(f"{path}: {exc}") from None
-    return LoadedModel(kind=name, model=model, r=r, horizon=horizon)
+    return LoadedModel(kind=name, model=model, r=model.r, horizon=model.horizon)

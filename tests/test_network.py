@@ -1049,6 +1049,25 @@ class TestTrainBandwidths:
         _, trace, _ = train_bandwidths_sd(net, lr=0.05, epochs=5)
         assert trace[0] == np.inf and np.isfinite(trace[1]) and trace[2] < trace[1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 29),
+           scale=st.floats(3e153, 2e154), kind=st.sampled_from(PARAMETRIC),
+           lr=st.sampled_from([0.05, 1.0, 20.0]))
+    def test_an_overflowing_descent_steps_only_to_finite_values(self, seed, n, scale, kind, lr):
+        # Targets near 1e154 overflow the loss, the gradient, a step or a
+        # kernel product. The descent warns nothing (a RuntimeWarning fails
+        # the test), steps only to finite bandwidths and a finite loss, and
+        # returns its start when it cannot step.
+        rng = np.random.default_rng(seed)
+        net = AdaptiveNetwork(rng.normal(size=(n, 2)), rng.normal(size=n) * scale,
+                              k=min(8, n - 1), kernel=kind)
+        trained, trace, responses = train_bandwidths_sd(net, lr=lr, epochs=6)
+        assert np.isfinite(trained.bandwidths).all() and np.all(trace[1:] <= trace[:-1])
+        if trained is net:
+            assert np.all(trace == trace[0])
+        else:
+            assert np.isfinite(trace[-1]) and np.isfinite(responses).all()
+
     def test_bandwidth_floor_respected(self):
         X = np.array([[0.0], [0.2], [0.4], [0.9]])
         y = np.array([0.0, 1.0, 0.0, 1.0])

@@ -58,7 +58,12 @@ class TestEmbed:
 
     @pytest.mark.parametrize("r, horizon", [(0, 1), (3, 0)])
     def test_width_and_horizon_below_one(self, r, horizon):
-        with pytest.raises(InvalidParameter, match="r and horizon must be >= 1"):
+        with pytest.raises(InvalidParameter, match="(r|horizon) must be >= 1, got 0"):
+            embed(TimeSeries(np.arange(10.0)), r=r, horizon=horizon)
+
+    @pytest.mark.parametrize("r, horizon", [(3.0, 1), (3, True)])
+    def test_width_and_horizon_are_ints(self, r, horizon):
+        with pytest.raises(InvalidParameter, match="(r|horizon) must be an int, got (3.0|True)"):
             embed(TimeSeries(np.arange(10.0)), r=r, horizon=horizon)
 
     @given(
@@ -173,7 +178,7 @@ def test_empty_dataset_allowed_as_split_leftover():
 
 @pytest.mark.parametrize("args, message", [
     ((np.ones(3), np.ones(3), 3, 1), "expected a 2-D array"),
-    ((np.ones((2, 3)), np.ones(2), 0, 1), "embedding dimension must be >= 1"),
+    ((np.ones((2, 3)), np.ones(2), 0, 1), "r must be >= 1, got 0"),
     ((np.ones((2, 3)), np.ones(2), 3, 0), "horizon must be >= 1"),
     ((np.ones((2, 2)), np.ones(2), 3, 1), "input vectors have 2 entries"),
     ((np.ones((2, 3)), np.ones(3), 3, 1), "equal length"),

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import re
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from belpm.errors import (
     VersionMismatch,
 )
 from belpm.model import BelpmConfig, predict, train
-from belpm.series import TimeSeries, embed, gen_logistic, split
+from belpm.series import TimeSeries, embed, gen_logistic, gen_mackey_glass, split
 from belpm.storage import (
     format_float,
     kind_of,
@@ -47,6 +48,10 @@ V4_MODEL = Path(__file__).parent / "data" / "logistic_v4.belpm"
 # A model trained with BelpmConfig(), whose k_a = k_o = 8 ranks the k = 4
 # fixtures above do not reach, on the logistic map: r = 3, n_train = 200.
 DEFAULT_K_MODEL = Path(__file__).parent / "data" / "logistic_k8_v4.belpm"
+# The sha256 of np.exp(-np.linspace(0, 40, 4097)), as CI prints it, on the CPU
+# that made the v4 fixtures: numpy's AVX-512 exp. Without AVX-512, np.exp
+# rounds otherwise, and trained bandwidths move (ROADMAP item 16).
+FIXTURE_EXP_FINGERPRINT = "0c70baa3df5bbee9432b8a93a811ce45552730d4e905bda68c43a1b95434edb1"
 # The array fields of each kind, which v4 writes in base64 and v1-v3 as numerals.
 ARRAY_FIELDS = {"bl_bandwidths", "bl_targets", "mo_bandwidths", "mo_targets", "mo_inputs",
                 "cm_w", "inputs", "targets", "v", "w"}
@@ -68,12 +73,37 @@ def with_field(text, key, value):
 
 def assert_matches_fixture(path, fixture):
     """The file at ``path`` equals ``fixture`` byte for byte. The ``key = value``
-    fields are compared first, so a mismatch names the fields that moved."""
+    fields are compared first, so a mismatch names the fields that moved, and
+    the np.exp fingerprints of this CPU and of the fixtures' one."""
     fresh, committed = (dict(re.findall(r"^(\w+) = (.*)$", p.read_text(), re.M))
                         for p in (path, fixture))
     moved = [key for key in fresh.keys() | committed.keys() if fresh.get(key) != committed.get(key)]
-    assert not moved, f"fields differ from {fixture.name}: {sorted(moved)}"
-    assert path.read_bytes() == fixture.read_bytes()
+    here = hashlib.sha256(np.exp(-np.linspace(0, 40, 4097)).tobytes()).hexdigest()
+    cpu = (f"np.exp fingerprint {here} here, {FIXTURE_EXP_FINGERPRINT} for the fixtures"
+           f"{'' if here == FIXTURE_EXP_FINGERPRINT else ': np.exp rounds otherwise on this CPU'}")
+    assert not moved, f"fields differ from {fixture.name}: {sorted(moved)}; {cpu}"
+    assert path.read_bytes() == fixture.read_bytes(), cpu
+
+
+def assert_resave_is_stable(tmp_path, kind):
+    """CLI ``train`` of ``kind`` at horizon 5, then a ``load_model_file`` ->
+    ``save_model`` copy of its file: the two files, and the predictions CSVs
+    CLI ``predict`` writes from them, are byte-identical."""
+    series = tmp_path / "mg.csv"
+    save_series_csv(gen_mackey_glass(300, warmup=100), series)
+    model, resaved = tmp_path / f"{kind}.model", tmp_path / f"{kind}.resaved"
+    assert main(["train", "--data", str(series), "--embed-r", "3", "--horizon", "5",
+                 "--n-train", "200", "--model", kind, "--epochs", "3", "--out", str(model)]) == 0
+    loaded = load_model_file(model)
+    assert (loaded.r, loaded.horizon) == (3, 5) == (loaded.model.r, loaded.model.horizon)
+    save_model(loaded.model, resaved)
+    assert resaved.read_bytes() == model.read_bytes()
+    csvs = [tmp_path / f"{kind}.{name}.csv" for name in ("model", "resaved")]
+    for path, csv in zip((model, resaved), csvs):
+        assert main(["predict", "--model", str(path), "--data", str(series),
+                     "--out", str(csv)]) == 0
+    assert csvs[0].read_text().splitlines()[1].startswith("7,")  # t = r - 1 + horizon
+    assert csvs[1].read_bytes() == csvs[0].read_bytes()
 
 
 def v3_text(text):
@@ -287,7 +317,7 @@ class TestModelPersistence:
     def test_wknn_round_trip(self, tmp_path):
         _, model, _ = trained_models()
         path = tmp_path / "m.wknn"
-        save_model(model, path, embedding=(3, 1))
+        save_model(model, path)
         loaded = load_model_file(path)
         assert loaded.kind == "wknn" and loaded.r == 3 and loaded.horizon == 1
         rng = np.random.default_rng(2)
@@ -295,21 +325,26 @@ class TestModelPersistence:
             q = rng.uniform(0, 1, size=3)
             assert wknn_predict(loaded.model, q) == wknn_predict(model, q)
         resaved = tmp_path / "again.wknn"
-        save_model(loaded.model, resaved, embedding=(loaded.r, loaded.horizon))
+        save_model(loaded.model, resaved)
         assert resaved.read_bytes() == path.read_bytes()
+        assert_resave_is_stable(tmp_path, "wknn")
 
     def test_classic_round_trip(self, tmp_path):
         _, _, model = trained_models()
         path = tmp_path / "m.bel"
-        save_model(model, path, embedding=(3, 1))
+        save_model(model, path)
         loaded = load_model_file(path)
         np.testing.assert_array_equal(loaded.model.v, model.v)
         np.testing.assert_array_equal(loaded.model.w, model.w)
         assert bel_predict(loaded.model, [0.1, 0.2, 0.3]) == \
             bel_predict(model, [0.1, 0.2, 0.3])
         resaved = tmp_path / "again.bel"
-        save_model(loaded.model, resaved, embedding=(loaded.r, loaded.horizon))
+        save_model(loaded.model, resaved)
         assert resaved.read_bytes() == path.read_bytes()
+        assert_resave_is_stable(tmp_path, "classic_bel")
+
+    def test_belpm_resave_at_horizon_5(self, tmp_path):
+        assert_resave_is_stable(tmp_path, "belpm")
 
     def test_fusion_weights_serialized_losslessly(self, tmp_path):
         model, _, _ = trained_models()
@@ -369,9 +404,9 @@ class TestModelPersistence:
         _, wknn, classic = trained_models()
         path = tmp_path / "m.belpm"
         text = V3_MODEL.read_text()
-        save_model(wknn, path, embedding=(3, 1))
+        save_model(wknn, path)
         wknn_text = v3_text(path.read_text()).decode("utf-8")
-        save_model(classic, path, embedding=(3, 1))
+        save_model(classic, path)
         classic_text = v3_text(path.read_text()).decode("utf-8")
         v2_text = V2_MODEL.read_text()
 
@@ -414,7 +449,7 @@ class TestModelPersistence:
         belpm, wknn, classic = trained_models()
         texts = []
         for model in (belpm, wknn, classic):
-            save_model(model, tmp_path / "m.belpm", embedding=(3, 1))
+            save_model(model, tmp_path / "m.belpm")
             texts.append((tmp_path / "m.belpm").read_text())
         text, wknn_text, classic_text = texts
 
@@ -491,7 +526,7 @@ class TestModelPersistence:
     def test_non_finite_classic_weights_load_bit_for_bit(self, tmp_path):
         _, _, model = trained_models()
         path = tmp_path / "m.bel"
-        save_model(model, path, embedding=(3, 1))
+        save_model(model, path)
         v = np.array([np.nan, np.inf, -np.inf])
         v[0] = np.frombuffer(bytes.fromhex("0100000000f8ff7f"), "<f8")[0]  # a NaN payload
         path.write_bytes(rechecksum(with_field(path.read_text(), "v", b64(v))))
@@ -503,16 +538,8 @@ class TestModelPersistence:
 
     @pytest.mark.parametrize("kind", [0, 1, 2], ids=["belpm", "wknn", "classic_bel"])
     def test_embedding_width_must_match_the_inputs(self, tmp_path, kind):
-        model = trained_models()[kind]
         path = tmp_path / "m.belpm"
-        for r in (2, 4):
-            with pytest.raises(InvalidParameter, match=f"embedding_r = {r}, .* 3 values wide"):
-                save_model(model, path, embedding=(r, 1))
-        if kind == 0:  # a belpm model carries its horizon, 1
-            with pytest.raises(InvalidParameter, match="embedding_horizon = 2, .* is 1"):
-                save_model(model, path, embedding=(3, 2))
-        assert not path.exists()
-        save_model(model, path, embedding=(3, 1))
+        save_model(trained_models()[kind], path)
         series = tmp_path / "series.csv"
         save_series_csv(gen_logistic(80, r=3.9, x0=0.3), series)
         text = path.read_text()
@@ -526,24 +553,23 @@ class TestModelPersistence:
 
     @pytest.mark.parametrize("kind", [0, 1, 2], ids=["belpm", "wknn", "classic_bel"])
     def test_only_loadable_embeddings_are_saved(self, tmp_path, kind):
-        # Save and load apply one rule: r and horizon are ints >= 1.
+        # Every model, and so save and load, applies one rule: r and horizon
+        # are ints >= 1, bools refused and numpy ints accepted.
         model = trained_models()[kind]
+        for horizon in (0, -2):
+            with pytest.raises(InvalidParameter, match=f"horizon must be >= 1, got {horizon}"):
+                dataclasses.replace(model, horizon=horizon)
+        for horizon in (1.5, True):
+            with pytest.raises(InvalidParameter, match=f"horizon must be an int, got {horizon}"):
+                dataclasses.replace(model, horizon=horizon)
+        if kind == 0:  # the other kinds take r from their inputs
+            for r in (3.0, True):
+                with pytest.raises(InvalidParameter, match=f"r must be an int, got {r}"):
+                    dataclasses.replace(model, r=r)
         path = tmp_path / "m.belpm"
-        refused = [(3.0, 1), (3, True)]
-        if kind == 0:  # a belpm model carries its horizon, and refuses one below 1
-            for horizon in (0, -2):
-                with pytest.raises(InvalidParameter, match=f"horizon must be >= 1, got {horizon}"):
-                    dataclasses.replace(model, horizon=horizon)
-        else:
-            refused += [(3, 0), (3, -2), (3, 1.5)]
-        for embedding in refused:
-            with pytest.raises(InvalidParameter, match=r"embedding_\w+ must be an int >= 1"):
-                save_model(model, path, embedding=embedding)
-            assert not path.exists()
-        embedding = (np.int64(3), np.int64(1 if kind == 0 else 2))
-        save_model(model, path, embedding=embedding)
+        save_model(dataclasses.replace(model, horizon=np.int64(2)), path)
         loaded = load_model_file(path)
-        assert (loaded.r, loaded.horizon) == embedding
+        assert (loaded.r, loaded.horizon) == (3, 2) == (loaded.model.r, loaded.model.horizon)
 
     def test_default_config_training_reproduces_its_fixture(self, tmp_path):
         train_set, _ = split(embed(gen_logistic(223), 3, 1), 200)
@@ -606,7 +632,7 @@ def model_texts(tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "m.belpm"
     texts = []
     for model in trained_models():
-        save_model(model, path, embedding=(3, 1))
+        save_model(model, path)
         texts += [path.read_text(), v3_text(path.read_text()).decode("utf-8")]
     return texts
 
@@ -654,9 +680,9 @@ def _model_with_field(tmp_path, key, value):
     (lambda tmp_path: save_model(BelpmConfig(), tmp_path / "m"), InvalidParameter,
      "BelpmConfig is not a model kind"),
     (lambda tmp_path: _model_with_field(tmp_path, "embedding_r", "0"), CorruptFile,
-     "embedding_r and embedding_horizon must be >= 1"),
+     "r must be >= 1, got 0"),
     (lambda tmp_path: _model_with_field(tmp_path, "embedding_horizon", "-2"), CorruptFile,
-     "embedding_r and embedding_horizon must be >= 1"),
+     "horizon must be >= 1, got -2"),
 ])
 def test_storage_refusals(tmp_path, call, error, message):
     with pytest.raises(error, match=message):
