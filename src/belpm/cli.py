@@ -155,13 +155,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    loaded = load_model_file(args.model_path)
+    model = load_model_file(args.model_path).model
     series = resolve_series(_config(args))
-    dataset = embed(series, loaded.r, loaded.horizon)
-    preds = predict_with(loaded.model, dataset.inputs)
+    dataset = embed(series, model.r, model.horizon)
     observed = TimeSeries(dataset.targets, step=series.step,
-                          start_time=series.time_at(loaded.r - 1 + loaded.horizon))
-    save_predictions_csv(observed, preds, args.out)
+                          start_time=series.time_at(model.r - 1 + model.horizon))
+    save_predictions_csv(observed, predict_with(model, dataset.inputs), args.out)
     print(f"wrote {len(dataset)} predictions to {args.out}")
     return 0
 

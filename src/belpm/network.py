@@ -36,7 +36,7 @@ BANDWIDTH_FLOOR = 1e-8
 _MAX_BACKTRACKS = 30
 # An epoch that lowers a finite loss by at most this share of it ends the descent.
 _SD_RTOL = 1e-6
-# Distances computed at once by the full scan (8 query rows at n = 2000).
+# Distances computed at once by a pass (8 query rows of a full scan at n = 2000).
 # Larger blocks add memory and save little time.
 _BLOCK_DISTANCES = 2 ** 14
 # Widest key window, as a share of n, that `_nearest` ranks.
@@ -126,22 +126,23 @@ class AdaptiveNetwork(StoredPairs):
         object.__setattr__(self, "bandwidths", bw)
 
 
-def _distances(cols: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def _distances(cols: np.ndarray, queries: np.ndarray, at=None) -> np.ndarray:
     """Euclidean distances (m, c) from each of the m query rows to the stored
-    samples ``cols``, ``train_inputs.T`` or a column subset of it: the one
-    distance formula of every neighbor search.
+    samples ``cols`` (``train_inputs.T`` or a column subset), or to the windows
+    ``cols[j][at[i]]`` of row i: the one distance formula of every neighbor search.
 
     Squares are summed left to right, coordinate 0 to d - 1, into one buffer,
     so a distance has the same bits in any block and subset. An overflow
     gives inf without a warning.
     """
     with np.errstate(over="ignore"):
-        out = cols[0] - queries[:, :1]  # (m, c): the inner loop runs over c
-        out *= out
-        for j in range(1, len(cols)):
-            sq = cols[j] - queries[:, j, None]
+        for j in range(len(cols)):
+            sq = cols[j] - queries[:, j, None] if at is None else cols[j][at]
+            if at is not None:  # a gather is its own buffer: the difference overwrites it
+                sq -= queries[:, j, None]
             sq *= sq
-            out += sq
+            out = np.add(out, sq, out=out) if j else sq  # the inner loops run over c
+            del sq  # so at most two buffers live
     return np.sqrt(out, out=out)
 
 
@@ -214,66 +215,39 @@ def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> float:
     return float(_forward_many(net, q, None if exclude is None else [exclude])[0])
 
 
-def _rank_smallest(d: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and values of the m smallest entries in each row of ``d``, ranked
-    as a stable argsort ranks them: by value, ties to the lower index."""
+def _rank_smallest(d: np.ndarray, m: int, order=None, at=None) -> tuple[np.ndarray, np.ndarray]:
+    """Stored indices and values of the m smallest entries in each row of
+    ``d`` (m at most its width), ranked by value, ties to the lower stored
+    index. Column c of row i holds stored sample ``order[at[i] + c]``, or c."""
     rows = np.arange(len(d))[:, None]
-    if m < d.shape[1]:
-        kth = np.partition(d, m - 1, axis=1)[:, m - 1]
-        win = d <= kth[:, None]  # at least m entries per row
-        if np.count_nonzero(win) == len(d) * m:
-            top = (np.flatnonzero(win) % d.shape[1]).reshape(-1, m)
-        else:  # a row with other than m entries up to kth is ranked in full
-            full = np.count_nonzero(win, axis=1) != m
-            win[full] = False
-            top = np.empty((len(d), m), dtype=np.intp)
-            top[~full] = (np.flatnonzero(win) % d.shape[1]).reshape(-1, m)
-            top[full] = np.argsort(d[full], axis=1, kind="stable")[:, :m]
-    else:
-        top = np.broadcast_to(np.arange(m), d.shape)
-    vals = d[rows, top]
-    order = np.argsort(vals, axis=1, kind="stable")
-    return top[rows, order], vals[rows, order]
+    kth = np.partition(d, m - 1, axis=1)[:, m - 1]
+    win = d <= kth[:, None]  # at least m entries per row
+    if np.count_nonzero(win) == len(d) * m:
+        top = (np.flatnonzero(win) % d.shape[1]).reshape(-1, m)
+    else:  # a row with other than m entries up to kth is ranked in full
+        full = np.count_nonzero(win, axis=1) != m
+        win[full] = False
+        top = np.empty((len(d), m), dtype=np.intp)
+        top[~full] = (np.flatnonzero(win) % d.shape[1]).reshape(-1, m)
+        cols = np.arange(d.shape[1])
+        index = cols if order is None else order[at[full][:, None] + cols]
+        top[full] = np.lexsort((np.broadcast_to(index, d[full].shape), d[full]))[:, :m]
+    vals, index = d[rows, top], top if order is None else order[at[:, None] + top]
+    by = np.lexsort((index, vals))
+    return index[rows, by], vals[rows, by]
 
 
-def _windows(cols: np.ndarray, order: np.ndarray, q: np.ndarray, m: int, key):
-    """Rows ``q[lo:hi]``, ascending indices ``cand`` of the samples that can be
-    among a row's m nearest (None: all) and the rows' distances ``d`` to them.
-    ``key``: the ascending keys of the samples in ``order`` and of the rows,
-    then ``_key_bound``'s terms. Blocks of 32 rows share a window, reusing its
-    guess's distances; a block whose window fails is scanned in chunks. A
-    guess widens the rows' sorted positions by the last window's reach (m
-    after a fallback); after f failed guesses, f blocks skip theirs."""
-    keys, qkeys = key[0], key[1]
-    pos = np.searchsorted(keys, qkeys).tolist()  # ascending, as qkeys is
-    reach, fails, skip, limit = m, 0, 0, _WINDOW_SHARE * len(keys)
-    for lo in range(0, len(q), 32):
-        hi = min(lo + 32, len(q))
-        a, b = max(pos[lo] - reach, 0), min(pos[hi - 1] + reach, len(keys))
-        if skip:
-            skip -= 1
-        elif b - a <= limit:
-            guess = _distances(cols[:, order[a:b]], q[lo:hi])
-            kth = np.partition(guess, m - 1)[:, m - 1]
-            bound = _key_bound(key, slice(lo, hi), kth)
-            start = np.searchsorted(keys, (qkeys[lo:hi] - bound).min(), "left")
-            stop = np.searchsorted(keys, (qkeys[lo:hi] + bound).max(), "right")
-            if stop - start <= limit:
-                # Both windows hold each row's m nearest in the guess: they overlap.
-                i, j = max(a, start), min(b, stop)
-                d = guess[:, i - a:j - a]
-                if start < i or j < stop:
-                    outside = np.concatenate([order[start:i], order[j:stop]])
-                    flanks = _distances(cols[:, outside], q[lo:hi])
-                    d = np.concatenate([flanks[:, :i - start], d, flanks[:, i - start:]], axis=1)
-                by_index = np.argsort(order[start:stop])  # so ties go to the lower index
-                yield lo, hi, order[start:stop][by_index], d[:, by_index]
-                reach, fails = max(m, pos[lo] - start, stop - pos[hi - 1]), 0
-                continue
-            fails = skip = fails + 1
-        reach, step = m, max(1, _BLOCK_DISTANCES // len(keys))
-        for s in range(lo, hi, step):
-            yield s, min(s + step, hi), None, _distances(cols, q[s:min(s + step, hi)])
+def _scan(cols: np.ndarray, queries: np.ndarray, rows: np.ndarray, m: int, out: tuple,
+          order=None, at=None, width=None) -> None:
+    """``_rank_smallest`` of query ``rows`` into those rows of ``out``: against all
+    samples ``cols``, or with ``order`` the ``width`` samples of ``cols`` (key order)
+    from each row's start in ``at``; by chunks of ``_BLOCK_DISTANCES``, one live at a time."""
+    step = max(1, _BLOCK_DISTANCES // (width or cols.shape[1]))
+    cols = cols if order is None else np.lib.stride_tricks.sliding_window_view(cols, width, axis=1)
+    for lo in range(0, len(rows), step):
+        part, chunk = None if at is None else at[lo:lo + step], rows[lo:lo + step]
+        out[0][chunk], out[1][chunk] = _rank_smallest(_distances(cols, queries[chunk], part),
+                                                      m, order, part)
 
 
 def _key_bound(key, rows, r: np.ndarray) -> np.ndarray:
@@ -293,6 +267,23 @@ def _sum_key(cols: np.ndarray, queries: np.ndarray):
             len(cols) ** 0.5 * (1 + 1e-12), len(cols) * 2.0 ** -51 * mass)
 
 
+def _key(cols: np.ndarray, queries: np.ndarray, m: int, out: tuple):
+    """The key of a search of many rows, the rows left to search and their
+    guesses' width: twice the key's median window around the rows sampled
+    into ``out`` (``_KEY_SAMPLE``), or 4m samples when none is sampled."""
+    rows, key = np.arange(len(queries)), (cols[0], queries[:, 0], 1.0, np.zeros(len(queries)))
+    step = max(_KEY_SAMPLE, -(-len(queries) // max(1, _BLOCK_DISTANCES // cols.shape[1])))
+    picks = rows[step // 2::step]
+    if not len(picks) or (summed := _sum_key(cols, queries)) is None:
+        return key, rows, 4 * m
+    _scan(cols, queries, picks, m, out)
+    widths = [np.count_nonzero(np.abs(k[0] - k[1][picks, None])
+                               <= _key_bound(k, picks, out[1][picks, -1])[:, None], axis=1)
+              for k in (summed, key)]
+    x0 = bool(widths[0].sum() >= _SUM_KEY_SHARE * widths[1].sum())
+    return (summed, key)[x0], np.delete(rows, picks), 2 * np.median(widths[x0])
+
+
 def _nearest(net: StoredPairs, queries: np.ndarray,
              exclude=None) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances (each (len(queries), kk)) of the ``net.k``
@@ -302,24 +293,28 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
     sample ``exclude[j]`` and kk = min(k, n - 1); an index outside [0, n)
     raises ``IndexOutOfRange``, then a single stored sample ``TooFewSamples``.
 
-    A single row ranks all n distances. More rows are ranked in blocks, each
-    against the samples whose key lies near its rows' (Friedman, Baskett &
-    Shustek, 1975), R being a row's guessed m-th distance (m = kk, or kk + 1
-    with ``exclude``). A distance rounds a sqrt of rounded sums of rounded
-    squares, so a sample it puts within R is truly within R' = R * (1 + 1e-9)
-    + 2**-500 (for d below a million; underflowing squares lose less). Its
+    A single row ranks all n distances. More rows rank the samples whose key
+    lies near their own (Friedman, Baskett & Shustek, 1975), sorted once by
+    ``_key``'s key, in three passes, ties to the lower stored index in each.
+    Guess: each row ranks a window of W samples around its key. Accept: R,
+    the row's m-th distance there (m = kk, or kk + 1 with ``exclude``), bounds
+    its m-th over all n; a row keeps its guess if the samples [start, stop)
+    whose keys could lie within R lie in it. Widen: the others rank their
+    [start, stop), in passes of widths within a quarter of each other, or all
+    n if wider than ``_WINDOW_SHARE`` of them (as an infinite R makes it).
+
+    Exactness: a distance rounds a sqrt of rounded sums of rounded squares,
+    so a sample it puts within R is truly within R' = R * (1 + 1e-9) +
+    2**-500 (for d below a million; underflowing squares lose less). Its
     first coordinate, the x0 key, is then within R' of the query's. By
     Cauchy-Schwarz its coordinate sum is within sqrt(d) * R', and a sum
     rounded left to right is off by under d * 2**-53 times its absolute sum:
     the two sums' errors stay under a quarter of the slack. Window ends round
-    monotonically, so no sample within R is left out, and ranked by index the
-    window gives the full scan's result, ties included. The sum key serves if
-    it is finite and its windows around a sample of rows (``_KEY_SAMPLE``)
-    hold fewer samples, as on delay windows, whose coordinates move together.
-    A block whose window spans over ``_WINDOW_SHARE`` of the samples (as an
-    infinite R' does) is ranked against all, in chunks of ``_BLOCK_DISTANCES``.
-    Every query is finite: ``_query`` and ``StoredPairs`` refuse NaN and inf,
-    and a finite window's max and min, the primary network's features, are too.
+    monotonically, so [start, stop) holds every sample within R, the true m
+    nearest among them, and a window holding it ranks as the full scan does,
+    ties included. Every query is finite: ``_query`` and ``StoredPairs``
+    refuse NaN and inf, and a finite window's max and min, the primary
+    network's features, are too.
     """
     n = net.n_samples
     if exclude is not None:
@@ -338,24 +333,30 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
         d = _distances(cols, queries)[0]
         top = np.argsort(d, kind="stable")[None, :m]
         return _drop_excluded(top, d[top], exclude)
-    top, near = np.empty((len(queries), m), dtype=np.intp), np.empty((len(queries), m))
-    rest, key = np.arange(len(queries)), (cols[0], queries[:, 0], 1.0, np.zeros(len(queries)))
-    step = max(_KEY_SAMPLE, -(-len(queries) // max(1, _BLOCK_DISTANCES // n)))
-    picks = rest[step // 2::step]
-    if len(picks) and (summed := _sum_key(cols, queries)) is not None:
-        top[picks], near[picks] = _rank_smallest(_distances(cols, queries[picks]), m)
-        rest = np.delete(rest, picks)
-        width = [np.count_nonzero(np.abs(k[0] - k[1][picks, None])
-                                  <= _key_bound(k, picks, near[picks, -1])[:, None])
-                 for k in (summed, key)]
-        key = summed if width[0] < _SUM_KEY_SHARE * width[1] else key
+    out = np.empty((len(queries), m), dtype=np.intp), np.empty((len(queries), m))
+    key, rest, width = _key(cols, queries, m, out)
+    width, limit = min(max(int(width), m), n), _WINDOW_SHARE * n
+    if width > limit:  # an uninformative key: the full scan costs less
+        _scan(cols, queries, rest, m, out)
+        return _drop_excluded(*out, exclude)
     order = np.argsort(key[0], kind="stable")
-    rest = rest[np.argsort(key[1][rest], kind="stable")]
-    for lo, hi, cand, d in _windows(cols, order, queries[rest], m,
-                                    (key[0][order], key[1][rest], key[2], key[3][rest])):
-        ranked, near[rest[lo:hi]] = _rank_smallest(d, m)
-        top[rest[lo:hi]] = ranked if cand is None else cand[ranked]
-    return _drop_excluded(top, near, exclude)
+    keys, qkeys, cs = key[0][order], key[1][rest], cols[:, order]
+    at = np.clip(np.searchsorted(keys, qkeys) - width // 2, 0, n - width)
+    _scan(cs, queries, rest, m, out, order, at, width)
+    bound = _key_bound(key, rest, out[1][rest, -1])
+    start = np.searchsorted(keys, qkeys - bound, "left")
+    stop = np.searchsorted(keys, qkeys + bound, "right")
+    miss = np.flatnonzero((start < at) | (stop > at + width))
+    miss = miss[np.argsort((stop - start)[miss], kind="stable")]
+    rest, start, span = rest[miss], start[miss], (stop - start)[miss]
+    lo, wide = 0, np.searchsorted(span, limit, "right")  # the rows past it rank all
+    _scan(cols, queries, rest[wide:], m, out)
+    while lo < wide:  # rows by width, each pass as wide as its widest
+        hi = lo + np.searchsorted(span[lo:wide], 1.25 * span[lo], "right")
+        w = int(span[hi - 1])
+        _scan(cs, queries, rest[lo:hi], m, out, order, np.minimum(start[lo:hi], n - w), w)
+        lo = hi
+    return _drop_excluded(*out, exclude)
 
 
 def _drop_excluded(top: np.ndarray, near: np.ndarray, exclude) -> tuple[np.ndarray, np.ndarray]:
@@ -456,29 +457,32 @@ def train_bandwidths_sd(net: AdaptiveNetwork, lr: float,
     """Steepest descent on the leave-one-out loss with per-epoch backtracking.
 
     Each epoch proposes ``b - lr * grad`` (floored at ``BANDWIDTH_FLOOR``) and
-    halves the step until the bandwidths are finite and the loss is finite
-    and does not rise, then takes that step. ``epochs`` is an upper bound:
-    the descent ends after an epoch whose step lowers a finite loss by at
-    most ``_SD_RTOL`` (1e-6) of it, keeping that step, or at an epoch whose
-    gradient is not finite or where none of its ``_MAX_BACKTRACKS`` tries
-    passes, moving nothing; a linear-rescale network has nothing to descend.
-    No overflow on the way warns. Returns the trained network,
-    the loss trace (initial loss first, then one entry per epoch, the last
-    loss repeated up to ``epochs + 1`` entries) and the trained network's
-    leave-one-out responses (``loo_predictions``), all from one neighbor table."""
+    halves the step until each bandwidth times its rank's largest finite table
+    distance (or 1) is finite and the loss is finite and does not rise, then
+    takes that step. ``epochs`` is an upper bound: the descent ends after an
+    epoch whose step lowers a finite loss by at most ``_SD_RTOL`` (1e-6) of
+    it, keeping that step, or at an epoch whose gradient is not finite or
+    where none of its ``_MAX_BACKTRACKS`` tries passes, moving nothing; a
+    linear-rescale network has nothing to descend. No overflow on the way,
+    nor in a later kernel call on the table, warns. Returns the trained
+    network, the loss trace (initial loss first, then one entry per epoch,
+    the last loss repeated up to ``epochs + 1`` entries) and the trained
+    network's leave-one-out responses (``loo_predictions``), all from one
+    neighbor table."""
     if not 0 < lr < np.inf:
         raise InvalidParameter(f"lr must be positive and finite, got {lr}")
     if epochs < 0:
         raise InvalidParameter(f"epochs must be >= 0, got {epochs}")
     table = _loo_table(net)
+    reach = np.maximum(np.nan_to_num(table[0], posinf=0.0).max(axis=1), 1.0)
     b = net.bandwidths
     # One kernel evaluation per candidate; the accepted one's arrays serve the
     # next gradient and the returned responses.
     weighed = _outputs(net.kernel, *table, b)
     loss = _loss(net, weighed[2])
     trace = [loss]
-    # A step past the float range is refused, a kernel product past it gives
-    # 0, and a gradient past it ends the descent.
+    # A step or bandwidth product past the float range is refused, and a
+    # gradient past it ends the descent.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs if net.kernel.parametric else 0):
             g = _grad(net, table, b, weighed)
@@ -487,7 +491,7 @@ def train_bandwidths_sd(net: AdaptiveNetwork, lr: float,
             step = lr
             for _attempt in range(_MAX_BACKTRACKS):
                 cand = np.maximum(b - step * g, BANDWIDTH_FLOOR)
-                if np.isfinite(cand).all():
+                if np.isfinite(cand[:len(reach)] * reach).all():
                     cand_weighed = _outputs(net.kernel, *table, cand)
                     cand_loss = _loss(net, cand_weighed[2])
                     if cand_loss <= loss and cand_loss < np.inf:

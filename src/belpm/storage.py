@@ -200,12 +200,9 @@ def save_pairs_csv(dataset: EmbeddedDataset, path) -> None:
 
 @dataclass(frozen=True)
 class LoadedModel:
-    """A deserialized model, its kind, and the embedding (r, horizon) it records."""
+    """A deserialized model; it records its own embedding (``r``, ``horizon``)."""
 
-    kind: str
     model: BelpmModel | WknnModel | ClassicBelModel
-    r: int
-    horizon: int
 
 
 def _render(fields: dict) -> str:
@@ -409,4 +406,4 @@ def load_model_file(path) -> LoadedModel:
             raise CorruptFile(f"embedding_r = {r}, but the inputs are {model.r} values wide")
     except (ConfigError, CorruptFile) as exc:
         raise CorruptFile(f"{path}: {exc}") from None
-    return LoadedModel(kind=name, model=model, r=model.r, horizon=model.horizon)
+    return LoadedModel(model)

@@ -126,8 +126,8 @@ def test_one_row_batches_skip_the_window_search(monkeypatch):
     # One row ranks its n distances with one sort; the window search would
     # first sort all n stored first coordinates.
     calls = []
-    windows = network._windows
-    monkeypatch.setattr(network, "_windows", lambda *a: calls.append(1) or windows(*a))
+    choose = network._key
+    monkeypatch.setattr(network, "_key", lambda *a: calls.append(1) or choose(*a))
     belpm_model, wknn_model, _ = models()
     q = np.array([[1.0, 2.0, 3.5]])
     assert predict_many(belpm_model, q)[0] == predict(belpm_model, q[0])
