@@ -156,10 +156,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model_file(args.model_path).model
-    series = resolve_series(_config(args))
-    dataset = embed(series, model.r, model.horizon)
-    observed = TimeSeries(dataset.targets, step=series.step,
-                          start_time=series.time_at(model.r - 1 + model.horizon))
+    dataset = embed(resolve_series(_config(args)), model.r, model.horizon)
+    observed = TimeSeries(dataset.targets, start_time=dataset.start_time, step=dataset.step)
     save_predictions_csv(observed, predict_with(model, dataset.inputs), args.out)
     print(f"wrote {len(dataset)} predictions to {args.out}")
     return 0

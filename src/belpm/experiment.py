@@ -22,6 +22,7 @@ from .model import BelpmConfig, train as belpm_train
 from .network import KernelKind
 from .series import EmbeddedDataset, TimeSeries, embed, gen_logistic, gen_mackey_glass, split
 from .storage import (
+    GAP_ERROR,
     MODEL_KINDS,
     format_float,
     kind_of,
@@ -30,6 +31,7 @@ from .storage import (
     write_text,
 )
 
+_BELPM_DEFAULTS = BelpmConfig()
 # Field annotation -> the value types it accepts.
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
@@ -50,7 +52,7 @@ class ExperimentConfig:
     # data source
     data_path: str | None = None
     missing_sentinel: float | None = None
-    gap_policy: str = "error"
+    gap_policy: str = GAP_ERROR
     generator: str | None = None
     gen_n: int = 600
     gen_tau: int = 17
@@ -63,13 +65,13 @@ class ExperimentConfig:
     n_train: int = 500
     # model selection and hyperparameters
     model: str = "belpm"
-    k_a: int = 8
-    k_o: int = 8
-    bl_kernel: str = "exponential"
-    mo_kernel: str = "exponential"
-    lr: float = 0.05
-    epochs: int = 50
-    ridge: float = 1e-8
+    k_a: int = _BELPM_DEFAULTS.k_a
+    k_o: int = _BELPM_DEFAULTS.k_o
+    bl_kernel: str = _BELPM_DEFAULTS.bl_kernel.value
+    mo_kernel: str = _BELPM_DEFAULTS.mo_kernel.value
+    lr: float = _BELPM_DEFAULTS.lr
+    epochs: int = _BELPM_DEFAULTS.epochs
+    ridge: float = _BELPM_DEFAULTS.ridge
     wknn_k: int = 2
     bel_alpha: float = 0.1
     bel_beta: float = 0.1
@@ -119,15 +121,10 @@ def train_model(config: ExperimentConfig, train_set: EmbeddedDataset):
     """Train the configured model kind on the given pairs: the one place that
     maps config fields onto each kind's trainer."""
     trainers = {
-        "belpm": lambda: belpm_train(train_set, BelpmConfig(
-            k_a=config.k_a,
-            k_o=config.k_o,
-            bl_kernel=KernelKind.from_name(config.bl_kernel),
-            mo_kernel=KernelKind.from_name(config.mo_kernel),
-            lr=config.lr,
-            epochs=config.epochs,
-            ridge=config.ridge,
-        )),
+        "belpm": lambda: belpm_train(train_set, BelpmConfig(**{
+            **{field.name: getattr(config, field.name) for field in dataclass_fields(BelpmConfig)},
+            "bl_kernel": KernelKind.from_name(config.bl_kernel),
+            "mo_kernel": KernelKind.from_name(config.mo_kernel)})),
         "wknn": lambda: WknnModel.from_dataset(train_set, k=config.wknn_k),
         "classic_bel": lambda: bel_train(
             ClassicBelModel.zeros(train_set.r, alpha=config.bel_alpha, beta=config.bel_beta),
@@ -195,18 +192,13 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     ``report.txt`` (the rendered report), and ``peaks.txt`` when the test
     span is long enough to carry peaks.
     """
-    series = resolve_series(config)
-    dataset = embed(series, config.embed_r, config.horizon)
+    dataset = embed(resolve_series(config), config.embed_r, config.horizon)
     train_set, test_set = split(dataset, config.n_train)
     if len(test_set) == 0:
         raise ConfigError("n_train leaves no test samples")
     model = train_model(config, train_set)
     preds = predict_with(model, test_set.inputs)
-
-    # Epoch of the first test target: offset past the embedding head plus the
-    # training prefix.
-    start = series.time_at(config.embed_r - 1 + config.horizon + config.n_train)
-    observed = TimeSeries(test_set.targets, start_time=start, step=series.step)
+    observed = TimeSeries(test_set.targets, start_time=test_set.start_time, step=test_set.step)
     report = evaluate(observed, preds, config.peak_window, config.peak_top_m)
 
     if config.out_dir is not None:

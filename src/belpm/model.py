@@ -244,5 +244,4 @@ def predict_series(model: BelpmModel, series: TimeSeries) -> TimeSeries:
     """
     dataset = embed(series, model.r, model.horizon)
     preds = predict_many(model, dataset.inputs)
-    start = series.start_time + (model.r - 1 + model.horizon) * series.step
-    return TimeSeries(preds, start_time=start, step=series.step)
+    return TimeSeries(preds, start_time=dataset.start_time, step=dataset.step)

@@ -476,14 +476,14 @@ def train_bandwidths_sd(net: AdaptiveNetwork, lr: float,
     table = _loo_table(net)
     reach = np.maximum(np.nan_to_num(table[0], posinf=0.0).max(axis=1), 1.0)
     b = net.bandwidths
-    # One kernel evaluation per candidate; the accepted one's arrays serve the
-    # next gradient and the returned responses.
-    weighed = _outputs(net.kernel, *table, b)
-    loss = _loss(net, weighed[2])
-    trace = [loss]
-    # A step or bandwidth product past the float range is refused, and a
-    # gradient past it ends the descent.
+    # No overflow warns: a step or bandwidth product past the float range is
+    # refused, and a gradient past it ends the descent.
     with np.errstate(over="ignore", invalid="ignore"):
+        # One kernel evaluation per candidate; the accepted one's arrays serve
+        # the next gradient and the returned responses.
+        weighed = _outputs(net.kernel, *table, b)
+        loss = _loss(net, weighed[2])
+        trace = [loss]
         for _ in range(epochs if net.kernel.parametric else 0):
             g = _grad(net, table, b, weighed)
             if not np.isfinite(g).all():

@@ -6,7 +6,7 @@ can be shared freely between models and evaluation code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,20 +99,25 @@ def shared_span(a: TimeSeries, b: TimeSeries) -> tuple[int, TimeSeries, TimeSeri
 class EmbeddedDataset:
     """Aligned (input vector, target) pairs produced by time-delay embedding.
 
-    ``inputs`` has shape (n, r); ``targets`` has shape (n,). Empty datasets
-    (n == 0) are legal as split leftovers but are rejected by consumers that
-    need samples.
+    ``inputs`` has shape (n, r); ``targets`` has shape (n,). Target ``j`` is
+    observed at epoch ``start_time + j * step``, in its series' time units.
+    Empty datasets (n == 0) are legal as split leftovers but are rejected by
+    consumers that need samples.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
     r: int
     horizon: int
+    start_time: int = 0
+    step: int = 1
 
     def __post_init__(self):
         inputs = _frozen_f64(self.inputs, ndim=2)
         targets = _frozen_f64(self.targets, ndim=1)
         _check_embedding(self.r, self.horizon)
+        if self.step <= 0:
+            raise InvalidParameter(f"step must be positive, got {self.step}")
         if inputs.shape[1] != self.r and inputs.shape[0] > 0:
             raise InvalidParameter(
                 f"input vectors have {inputs.shape[1]} entries, expected r={self.r}"
@@ -134,7 +139,8 @@ def embed(series: TimeSeries, r: int, horizon: int) -> EmbeddedDataset:
     """Unroll a series into contiguous unit-lag windows with a lookahead target.
 
     Pair ``j`` couples the window ``values[j : j+r]`` with the target
-    ``values[j + r - 1 + horizon]``; ordering is preserved.
+    ``values[j + r - 1 + horizon]``, observed at ``series.time_at(j + r - 1 +
+    horizon)``; ordering is preserved.
     """
     _check_embedding(r, horizon)
     n = len(series) - r - horizon + 1
@@ -143,22 +149,23 @@ def embed(series: TimeSeries, r: int, horizon: int) -> EmbeddedDataset:
             f"need at least {r + horizon} values to embed (r={r}, horizon={horizon}), "
             f"got {len(series)}"
         )
-    v = series.values
+    v, first = series.values, r - 1 + horizon
     idx = np.arange(n)[:, None] + np.arange(r)[None, :]
-    inputs = v[idx]
-    targets = v[r - 1 + horizon : r - 1 + horizon + n]
-    return EmbeddedDataset(inputs, targets, r=r, horizon=horizon)
+    return EmbeddedDataset(v[idx], v[first:first + n], r=r, horizon=horizon,
+                           start_time=series.time_at(first), step=series.step)
 
 
 def split(dataset: EmbeddedDataset, n_train: int) -> tuple[EmbeddedDataset, EmbeddedDataset]:
-    """Chronological prefix/suffix split; never shuffles."""
+    """Chronological prefix/suffix split; never shuffles. Each part's targets
+    keep their times."""
     if not 0 <= n_train <= len(dataset):
         raise IndexOutOfRange(
             f"n_train={n_train} outside [0, {len(dataset)}]"
         )
-    part = lambda rows: EmbeddedDataset(dataset.inputs[rows], dataset.targets[rows],
-                                        r=dataset.r, horizon=dataset.horizon)
-    return part(slice(n_train)), part(slice(n_train, None))
+    part = lambda first, stop: replace(
+        dataset, inputs=dataset.inputs[first:stop], targets=dataset.targets[first:stop],
+        start_time=dataset.start_time + first * dataset.step)
+    return part(0, n_train), part(n_train, None)
 
 
 def gen_mackey_glass(n: int, tau: int = 17, x0: float = 1.2, warmup: int = 0) -> TimeSeries:

@@ -7,7 +7,7 @@ from belpm import cli
 from belpm.cli import main
 from belpm.experiment import ExperimentConfig, render_peak_report
 from belpm.metrics import find_peaks, match_peaks
-from belpm.model import predict
+from belpm.model import predict, predict_series
 from belpm.series import TimeSeries, embed, gen_logistic
 from belpm.storage import format_float, load_model_file, load_series_csv, save_series_csv
 
@@ -377,3 +377,42 @@ def test_peak_window_defaults_come_from_the_config(monkeypatch):
     parser = cli.build_parser()
     assert parser.parse_args(["peaks", "--data", "s.csv"]).window == 5
     assert parser.parse_args(["eval", "--predictions", "p.csv"]).peak_window == 5
+
+
+def test_forecast_times_follow_the_series_times(tmp_path):
+    # Times 1000 + 60 j, r = 3, horizon 2: the first forecast is at
+    # 1000 + 60 * 4, and bench's test span starts n_train = 40 rows later.
+    series = TimeSeries(gen_logistic(60, 3.9, 0.3).values, start_time=1000, step=60)
+    data, model, preds = tmp_path / "series.csv", tmp_path / "model.txt", tmp_path / "preds.csv"
+    save_series_csv(series, data)
+    shape = ["--embed-r", "3", "--horizon", "2", "--k-a", "4", "--k-o", "4", "--epochs", "2"]
+    assert run("train", "--data", str(data), "--n-train", "40", *shape, "--out", str(model)) == 0
+    assert run("predict", "--model", str(model), "--data", str(data), "--out", str(preds)) == 0
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"data_path": str(data), "embed_r": 3, "horizon": 2,
+                               "n_train": 40, "model": "wknn", "out_dir": str(tmp_path / "run")}))
+    assert run("bench", "--config", str(cfg)) == 0
+    times = lambda path: [int(row.split(",")[0]) for row in path.read_text().splitlines()[1:]]
+    assert times(preds) == list(range(1000 + 60 * 4, 1000 + 60 * 60, 60))
+    assert times(tmp_path / "run" / "predictions.csv") == list(
+        range(1000 + 60 * (4 + 40), 1000 + 60 * 60, 60))
+    forecast = predict_series(load_model_file(model).model, series)
+    assert (forecast.start_time, forecast.step) == (1000 + 60 * 4, 60)
+
+
+def test_a_span_of_two_values_is_scored_without_peaks(tmp_path, capsys):
+    preds = tmp_path / "preds.csv"
+    preds.write_text("time,observed,predicted\n0,1.0,1.5\n1,2.0,2.5\n")
+    capsys.readouterr()
+    assert run("eval", "--predictions", str(preds)) == 0
+    keys = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+    assert keys == ["n", "nmse", "mse", "correlation"]
+
+    # 117 pairs, 115 of them for training: a test span of two values.
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"generator": "logistic", "gen_n": 120, "n_train": 115,
+                               "model": "wknn", "out_dir": str(tmp_path / "run")}))
+    assert run("bench", "--config", str(cfg)) == 0
+    assert "n=2 " in capsys.readouterr().out
+    assert sorted(path.name for path in (tmp_path / "run").iterdir()) == [
+        "predictions.csv", "report.txt"]

@@ -7,7 +7,8 @@ import pytest
 from belpm.cli import main
 from belpm.errors import ConfigError
 from belpm.experiment import ExperimentConfig, resolve_series, run_experiment, train_model
-from belpm.series import embed, split
+from belpm.model import train
+from belpm.series import embed, gen_logistic, split
 from belpm.storage import MODEL_KINDS
 
 MINIMAL = ExperimentConfig(
@@ -120,3 +121,14 @@ def test_bench_labels_and_order(tmp_path, capsys):
 def test_unknown_generator_is_a_config_error(generator):
     with pytest.raises(ConfigError, match=f"unknown generator {generator!r}"):
         resolve_series(ExperimentConfig(generator=generator))
+
+
+def test_belpm_hyperparameters_default_to_belpm_configs():
+    train_set, _ = split(embed(gen_logistic(160, x0=0.3), 3, 1), 120)
+    ours = train_model(ExperimentConfig(generator="logistic"), train_set)
+    theirs = train(train_set)
+    for net, ref in ((ours.bl, theirs.bl), (ours.mo, theirs.mo)):
+        assert net.bandwidths.tobytes() == ref.bandwidths.tobytes()
+        assert net.k == ref.k and net.kernel is ref.kernel
+    assert ours.mo.train_targets.tobytes() == theirs.mo.train_targets.tobytes()
+    assert ours.cm == theirs.cm

@@ -1073,6 +1073,15 @@ class TestTrainBandwidths:
         _, trace, _ = train_bandwidths_sd(net, lr=0.05, epochs=5)
         assert trace[0] == np.inf and np.isfinite(trace[1]) and trace[2] < trace[1]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_start_whose_kernel_overflows_warns_nothing(self):
+        # Every bandwidth times a stored distance overflows at the start, so
+        # the descent cannot step and returns its start.
+        net = AdaptiveNetwork(np.array([[0.0], [1.0], [3.0]]), np.array([1.0, 2.0, 3.0]),
+                              k=2, bandwidths=[1e308, 1e308])
+        trained, trace, _ = train_bandwidths_sd(net, lr=0.05, epochs=2)
+        assert trained is net and trace.tolist() == [4.5, 4.5, 4.5]
+
     # Seed 0's descent used to end on bandwidths near 1e308, whose products
     # with the table's distances overflowed in every later kernel call.
     @example(seed=0, n=6, scale=3e153, kind=KernelKind.EXPONENTIAL, lr=20.0)

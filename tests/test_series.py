@@ -81,6 +81,28 @@ class TestEmbed:
             assert ds.inputs[j][r - 1] == series.values[j + r - 1]
             assert ds.targets[j] == series.values[j + r - 1 + horizon]
 
+    @given(
+        start_time=st.integers(-10 ** 6, 10 ** 6),
+        step=st.integers(1, 3600),
+        length=st.integers(2, 30),
+        r=st.integers(1, 4),
+        horizon=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_targets_carry_their_times_through_split(self, start_time, step, length, r,
+                                                     horizon, data):
+        series = TimeSeries(np.arange(float(length + r + horizon)), start_time, step)
+        ds = embed(series, r, horizon)
+        assert ds.step == step
+        n_train = data.draw(st.integers(0, len(ds)))
+        train, test = split(ds, n_train)
+        for j, part in [(0, ds), (0, train), (n_train, test)]:
+            assert part.step == step
+            for i in range(len(part)):
+                time = part.start_time + i * part.step
+                assert time == series.time_at(j + i + r - 1 + horizon)
+                assert part.targets[i] == series.values[j + i + r - 1 + horizon]
+
 
 class TestSplit:
     def _dataset(self):
@@ -184,6 +206,7 @@ def test_empty_dataset_allowed_as_split_leftover():
     ((np.ones((2, 3)), np.ones(3), 3, 1), "equal length"),
     ((np.array([[1.0, np.nan, 2.0]]), np.ones(1), 3, 1), "inputs must be finite"),
     ((np.ones((1, 3)), np.array([np.inf]), 3, 1), "targets must be finite"),
+    ((np.ones((2, 3)), np.ones(2), 3, 1, 1000, 0), "step must be positive, got 0"),
 ])
 def test_embedded_dataset_refusals(args, message):
     with pytest.raises(InvalidParameter, match=message):
