@@ -36,8 +36,8 @@ BANDWIDTH_FLOOR = 1e-8
 _MAX_BACKTRACKS = 30
 # An epoch that lowers a finite loss by at most this share of it ends the descent.
 _SD_RTOL = 1e-6
-# Distances computed at once by a pass (8 query rows of a full scan at n = 2000).
-# Larger blocks add memory and save little time.
+# Distances a pass computes at once (8 query rows of a full scan at n = 2000), in
+# two live buffers: the distances, then their keys. Larger blocks save little time.
 _BLOCK_DISTANCES = 2 ** 14
 # Widest key window, as a share of n, that `_nearest` ranks.
 _WINDOW_SHARE = 0.5
@@ -218,23 +218,26 @@ def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> float:
 def _rank_smallest(d: np.ndarray, m: int, order=None, at=None) -> tuple[np.ndarray, np.ndarray]:
     """Stored indices and values of the m smallest entries in each row of
     ``d`` (m at most its width), ranked by value, ties to the lower stored
-    index. Column c of row i holds stored sample ``order[at[i] + c]``, or c."""
-    rows = np.arange(len(d))[:, None]
-    kth = np.partition(d, m - 1, axis=1)[:, m - 1]
-    win = d <= kth[:, None]  # at least m entries per row
-    if np.count_nonzero(win) == len(d) * m:
-        top = (np.flatnonzero(win) % d.shape[1]).reshape(-1, m)
-    else:  # a row with other than m entries up to kth is ranked in full
-        full = np.count_nonzero(win, axis=1) != m
-        win[full] = False
-        top = np.empty((len(d), m), dtype=np.intp)
-        top[~full] = (np.flatnonzero(win) % d.shape[1]).reshape(-1, m)
-        cols = np.arange(d.shape[1])
-        index = cols if order is None else order[at[full][:, None] + cols]
-        top[full] = np.lexsort((np.broadcast_to(index, d[full].shape), d[full]))[:, :m]
-    vals, index = d[rows, top], top if order is None else order[at[:, None] + top]
-    by = np.lexsort((index, vals))
-    return index[rows, by], vals[rows, by]
+    index. Column c of row i holds stored sample ``order[at[i] + c]``, or c.
+    An entry's key is its bits as a uint64, which order as its value (none is
+    negative; inf included), with the low b bits replaced by its column: keys
+    whose high bits differ order as their values. So a partition and a sort of
+    the m + 1 smallest keys rank a row exactly unless two of those share their
+    high bits (a tie, or values within 2**(b - 52) relative); such a row is
+    ranked in full by value and stored index."""
+    rows, b = np.arange(len(d))[:, None], (d.shape[1] - 1).bit_length()
+    keys = d.view(np.uint64) & np.uint64(2 ** 64 - 2 ** b)
+    keys |= np.arange(d.shape[1], dtype=np.uint64)
+    if m < d.shape[1]:
+        keys.partition(m, axis=1)
+    keys = np.sort(keys[:, :m + 1], axis=1)
+    top, high = (keys[:, :m] & np.uint64(2 ** b - 1)).astype(np.intp), keys >> np.uint64(b)
+    if (high.ravel()[1:] == high.ravel()[:-1]).any():  # in a row, or across two rows' ends
+        tied = (high[:, 1:] == high[:, :-1]).any(axis=1)
+        cols, near = np.arange(d.shape[1]), d[tied]
+        index = cols if order is None else order[at[tied][:, None] + cols]
+        top[tied] = np.lexsort((np.broadcast_to(index, near.shape), near))[:, :m]
+    return top if order is None else order[at[:, None] + top], d.ravel()[top + rows * d.shape[1]]
 
 
 def _scan(cols: np.ndarray, queries: np.ndarray, rows: np.ndarray, m: int, out: tuple,
@@ -243,7 +246,9 @@ def _scan(cols: np.ndarray, queries: np.ndarray, rows: np.ndarray, m: int, out: 
     samples ``cols``, or with ``order`` the ``width`` samples of ``cols`` (key order)
     from each row's start in ``at``; by chunks of ``_BLOCK_DISTANCES``, one live at a time."""
     step = max(1, _BLOCK_DISTANCES // (width or cols.shape[1]))
-    cols = cols if order is None else np.lib.stride_tricks.sliding_window_view(cols, width, axis=1)
+    if order is not None:  # cols[j][s] is the window of samples s to s + width - 1
+        cols = np.ndarray((len(cols), cols.shape[1] - width + 1, width), cols.dtype, cols,
+                          strides=cols.strides + cols.strides[1:])
     for lo in range(0, len(rows), step):
         part, chunk = None if at is None else at[lo:lo + step], rows[lo:lo + step]
         out[0][chunk], out[1][chunk] = _rank_smallest(_distances(cols, queries[chunk], part),
@@ -295,7 +300,8 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
 
     A single row ranks all n distances. More rows rank the samples whose key
     lies near their own (Friedman, Baskett & Shustek, 1975), sorted once by
-    ``_key``'s key, in three passes, ties to the lower stored index in each.
+    ``_key``'s key, in three passes, ties to the lower stored index in each;
+    the sort need not be stable, as the windows end at key values.
     Guess: each row ranks a window of W samples around its key. Accept: R,
     the row's m-th distance there (m = kk, or kk + 1 with ``exclude``), bounds
     its m-th over all n; a row keeps its guess if the samples [start, stop)
@@ -327,9 +333,9 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
     m = kk + (exclude is not None)
     cols = net.train_inputs.T
     if len(queries) == 1:
-        # One stable sort of the n distances; a window would first sort the n
-        # first coordinates. `_rank_smallest` takes a third of the time, but the
-        # benchmark's per-query memory then breaks its bound (ROADMAP items 1a, 12).
+        # A window would first sort the n first coordinates. `_rank_smallest`
+        # takes query_min_us 244 -> 93 us but peak_rss_mb 53 -> 69 MB, as the
+        # benchmark keeps objects per answered query: it waits on ROADMAP item 1a.
         d = _distances(cols, queries)[0]
         top = np.argsort(d, kind="stable")[None, :m]
         return _drop_excluded(top, d[top], exclude)
@@ -339,8 +345,8 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
     if width > limit:  # an uninformative key: the full scan costs less
         _scan(cols, queries, rest, m, out)
         return _drop_excluded(*out, exclude)
-    order = np.argsort(key[0], kind="stable")
-    keys, qkeys, cs = key[0][order], key[1][rest], cols[:, order]
+    order = np.argsort(key[0])
+    keys, qkeys, cs = key[0][order], key[1][rest], cols.take(order, axis=1)
     at = np.clip(np.searchsorted(keys, qkeys) - width // 2, 0, n - width)
     _scan(cs, queries, rest, m, out, order, at, width)
     bound = _key_bound(key, rest, out[1][rest, -1])
@@ -387,7 +393,9 @@ def _loo_table(net: AdaptiveNetwork) -> tuple[np.ndarray, np.ndarray]:
 def loo_predictions(net: AdaptiveNetwork) -> np.ndarray:
     """Prediction for each stored sample with that sample excluded from its
     own neighbor set. Needed so training residuals are not trivially zero."""
-    return _outputs(net.kernel, *_loo_table(net), net.bandwidths)[2]
+    table = _loo_table(net)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the descent
+        return _outputs(net.kernel, *table, net.bandwidths)[2]
 
 
 def _loss(net: AdaptiveNetwork, outputs: np.ndarray) -> float:
@@ -449,7 +457,8 @@ def grad_bandwidths(net: AdaptiveNetwork) -> np.ndarray:
     if not net.kernel.parametric:
         return np.zeros(net.k)
     table = _loo_table(net)
-    return _grad(net, table, net.bandwidths, _outputs(net.kernel, *table, net.bandwidths))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the descent
+        return _grad(net, table, net.bandwidths, _outputs(net.kernel, *table, net.bandwidths))
 
 
 def train_bandwidths_sd(net: AdaptiveNetwork, lr: float,

@@ -411,6 +411,60 @@ def test_ties_across_key_and_index_order_go_to_the_lower_index(loo):
         assert np.array_equal(dists[j], ref_dists)
 
 
+# Chunk entries: 0, inf, and three levels moved up by a few ulps. The keys'
+# column bits (the low bit_length(width - 1) bits, up to 6 here) hide exact
+# ties and near-ties; moves of 16 or 64 ulps reach the high bits of narrower rows.
+RANK_LEVELS = np.array([1.0, 1.5, 3.0])
+RANK_ULPS = [0, 1, 2, 3, 16, 64]
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_rank_smallest_matches_a_full_lexsort(data):
+    m = data.draw(st.integers(1, 6), label="m")
+    width = data.draw(st.sampled_from([m, m + 1]) | st.integers(m, 40), label="width")
+    rows = data.draw(st.integers(1, 5), label="rows")
+    scale = data.draw(st.sampled_from([1.0, 1e-300, 1e300]), label="scale")
+    code = data.draw(arrays(np.intp, (rows, width), elements=st.integers(-2, 2)), label="levels")
+    ulps = data.draw(arrays(np.uint64, (rows, width), elements=st.sampled_from(RANK_ULPS)),
+                     label="ulps")
+    d = ((RANK_LEVELS * scale)[np.maximum(code, 0)].view(np.uint64) + ulps).view(np.float64)
+    d[code == -1], d[code == -2] = 0.0, np.inf
+    order = at = None
+    index = np.broadcast_to(np.arange(width), d.shape)
+    if data.draw(st.booleans(), label="windows"):
+        n = width + data.draw(st.integers(0, 10), label="extra samples")
+        order = np.array(data.draw(st.permutations(range(n)), label="order"))
+        at = data.draw(arrays(np.intp, rows, elements=st.integers(0, n - width)), label="at")
+        index = order[at[:, None] + np.arange(width)]
+    top, vals = network._rank_smallest(d.copy(), m, order, at)
+    by = np.lexsort((index, d))[:, :m]
+    np.testing.assert_array_equal(top, np.take_along_axis(index, by, axis=1))
+    assert vals.tobytes() == np.take_along_axis(d, by, axis=1).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_windows_over_many_equal_keys_match_direct_ranking(data):
+    # Three first coordinates and few sums for up to 150 shuffled samples: the
+    # key sort, which need not be stable, leaves equal keys in any order.
+    n = data.draw(st.integers(20, 150), label="n")
+    grid = arrays(np.float64, (n, 2), elements=st.integers(0, 2).map(float))
+    inputs = data.draw(grid, label="inputs")[data.draw(st.permutations(range(n)), label="rows")]
+    net = StoredPairs(inputs, np.zeros(n), data.draw(st.integers(1, 6), label="k"))
+    loo = data.draw(st.booleans(), label="loo")
+    queries = inputs if loo else data.draw(arrays(np.float64, (data.draw(
+        st.integers(2, 30), label="m"), 2), elements=st.integers(0, 2).map(float)), label="queries")
+    key_sample = data.draw(st.sampled_from([4, network._KEY_SAMPLE]), label="key sample")
+    with mock.patch.object(network, "_WINDOW_SHARE", 1.0), \
+            mock.patch.object(network, "_KEY_SAMPLE", key_sample):
+        indices, dists = _nearest(net, queries, np.arange(len(queries)) if loo else None)
+    for j, q in enumerate(queries.tolist()):
+        ref_indices, ref_dists = nearest_direct(inputs.tolist(), q, net.k, j if loo else None)
+        np.testing.assert_array_equal(indices[j], ref_indices)
+        assert np.array_equal(dists[j], ref_dists)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_single_query_nearest_matches_direct_ranking(data):
@@ -1081,6 +1135,9 @@ class TestTrainBandwidths:
                               k=2, bandwidths=[1e308, 1e308])
         trained, trace, _ = train_bandwidths_sd(net, lr=0.05, epochs=2)
         assert trained is net and trace.tolist() == [4.5, 4.5, 4.5]
+        # The leave-one-out responses and the gradient outside the descent too.
+        np.testing.assert_array_equal(loo_predictions(net), train_bandwidths_sd(net, 0.05, 0)[2])
+        assert grad_bandwidths(net).tolist() == [0.0, 0.0]
 
     # Seed 0's descent used to end on bandwidths near 1e308, whose products
     # with the table's distances overflowed in every later kernel call.
