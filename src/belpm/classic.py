@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameter, TooFewSamples
-from .series import EmbeddedDataset, _check_embedding, _frozen_f64, _query
+from .series import EmbeddedDataset, _check_embedding, _check_int, _frozen_f64, _query
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,7 @@ def bel_train(model: ClassicBelModel, dataset: EmbeddedDataset, epochs: int) -> 
     """``bel_update`` over the dataset's pairs in order, repeated ``epochs``
     times, recording the dataset's horizon; a dataset with no pairs raises
     ``TooFewSamples``. Warns once when the returned weights are not finite."""
-    if epochs < 0:
-        raise InvalidParameter(f"epochs must be >= 0, got {epochs}")
+    _check_int("epochs", epochs, 0)
     if len(dataset) == 0:
         raise TooFewSamples("training needs at least one embedded pair")
     v, w, inputs = model.v, model.w, _query(dataset.inputs, model.r, batch=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, LengthMismatch, NumericError, SeriesTooShort, ZeroVariance
-from .series import TimeSeries
+from .series import TimeSeries, _check_int
 
 
 def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +105,8 @@ def find_peaks(series: TimeSeries, top_m: int | None = None) -> np.ndarray:
     """
     if len(series) < 3:
         raise SeriesTooShort(f"peak detection needs >= 3 values, got {len(series)}")
-    if top_m is not None and top_m < 1:
-        raise InvalidParameter(f"top_m must be >= 1, got {top_m}")
+    if top_m is not None:
+        _check_int("top_m", top_m, 1)
     v = series.values
     interior = np.arange(1, v.size - 1)
     mask = (v[interior - 1] < v[interior]) & (v[interior] >= v[interior + 1])
@@ -131,8 +131,7 @@ def match_peaks(
     most once. A zero offset counts as exact, a nonzero one within the window
     as delayed, anything unmatched as missed.
     """
-    if window < 0:
-        raise InvalidParameter(f"window must be >= 0, got {window}")
+    _check_int("window", window, 0)
     obs = np.asarray(observed_peaks, dtype=np.int64)
     if obs.ndim != 1:
         raise InvalidParameter("observed_peaks must be a 1-D index sequence")

@@ -26,7 +26,7 @@ from .errors import (
     TooFewSamples,
 )
 from .network import AdaptiveNetwork, KernelKind, _forward_many, _sample_sum, train_bandwidths_sd
-from .series import EmbeddedDataset, TimeSeries, _check_embedding, _query, embed
+from .series import EmbeddedDataset, TimeSeries, _check_embedding, _check_int, _query, embed
 
 # Relative tolerance for verifying an unregularized normal-equation solution;
 # beyond it the system counts as numerically singular.
@@ -64,23 +64,21 @@ class BelpmConfig:
     ridge: float = 1e-8
 
     def __post_init__(self):
-        if self.k_a < 1 or self.k_o < 1:
-            raise InvalidParameter("neighbor counts must be >= 1")
+        for name, minimum in (("k_a", 1), ("k_o", 1), ("epochs", 0)):
+            _check_int(name, getattr(self, name), minimum)
         if not 0 < self.lr < np.inf:
             raise InvalidParameter(f"lr must be positive and finite, got {self.lr}")
-        if self.epochs < 0:
-            raise InvalidParameter(f"epochs must be >= 0, got {self.epochs}")
         if not 0 <= self.ridge < np.inf:
             raise InvalidParameter(f"ridge must be >= 0 and finite, got {self.ridge}")
 
 
 @dataclass(frozen=True)
 class BelpmModel:
-    """Trained artifact: both networks, fusion weights, and the embedding shape.
-    The primary network stores exactly the thalamic features of the secondary
-    network's windows, so the windows are the one copy of the training inputs."""
+    """Trained artifact: both networks, fusion weights, and the horizon of the
+    pairs; ``r`` is the secondary network's width. The primary network stores
+    exactly the thalamic features of the secondary network's windows, so the
+    windows are the one copy of the training inputs."""
 
-    r: int
     horizon: int
     bl: AdaptiveNetwork
     mo: AdaptiveNetwork
@@ -88,12 +86,12 @@ class BelpmModel:
 
     def __post_init__(self):
         _check_embedding(self.r, self.horizon)
-        if self.mo.dim != self.r:
-            raise InvalidParameter(
-                f"secondary network expects dimension r={self.r}, got {self.mo.dim}"
-            )
         if not np.array_equal(self.bl.train_inputs, _bl_feature_matrix(self.mo.train_inputs)):
             raise InvalidParameter("primary network must store each window, its max and min")
+
+    @property
+    def r(self) -> int:
+        return self.mo.dim
 
 
 def _bl_feature_matrix(inputs: np.ndarray) -> np.ndarray:
@@ -212,8 +210,7 @@ def train(train_set: EmbeddedDataset, config: BelpmConfig = BelpmConfig()) -> Be
     mo = AdaptiveNetwork(train_set.inputs, residuals, k=config.k_o, kernel=config.mo_kernel)
     mo, _, r_o = train_bandwidths_sd(mo, lr=config.lr, epochs=config.epochs)
     cm = cm_lse_fit(r_a, r_o, train_set.targets, ridge=config.ridge)
-    return BelpmModel(r=train_set.r, horizon=train_set.horizon,
-                      bl=bl, mo=mo, cm=cm)
+    return BelpmModel(horizon=train_set.horizon, bl=bl, mo=mo, cm=cm)
 
 
 def predict(model: BelpmModel, i) -> float:

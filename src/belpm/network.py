@@ -29,7 +29,7 @@ from .errors import (
     TooFewSamples,
     UnsupportedKernel,
 )
-from .series import _frozen_f64, _query
+from .series import _check_int, _frozen_f64, _query
 
 # Lower bound keeping parametric kernels parametric during descent.
 BANDWIDTH_FLOOR = 1e-8
@@ -89,8 +89,7 @@ class StoredPairs:
             raise InvalidParameter("train_targets must align with train_inputs")
         if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
             raise InvalidParameter("stored inputs and targets must be finite")
-        if self.k < 1:
-            raise InvalidParameter(f"k must be >= 1, got {self.k}")
+        _check_int("k", self.k, 1)
         object.__setattr__(self, "train_inputs", inputs)
         object.__setattr__(self, "train_targets", targets)
         object.__setattr__(self, "k", min(self.k, inputs.shape[0]))
@@ -212,6 +211,8 @@ def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> float:
     """Prediction for one finite ``query``, leaving out stored sample ``exclude``:
     the batch path on one row, with shape and finiteness checked first."""
     q = _query(query, net.dim)[None]
+    if exclude is not None:
+        _check_int("exclude", exclude)
     return float(_forward_many(net, q, None if exclude is None else [exclude])[0])
 
 
@@ -353,7 +354,7 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
     start = np.searchsorted(keys, qkeys - bound, "left")
     stop = np.searchsorted(keys, qkeys + bound, "right")
     miss = np.flatnonzero((start < at) | (stop > at + width))
-    miss = miss[np.argsort((stop - start)[miss], kind="stable")]
+    miss = miss[np.argsort((stop - start)[miss])]  # equal spans share a pass
     rest, start, span = rest[miss], start[miss], (stop - start)[miss]
     lo, wide = 0, np.searchsorted(span, limit, "right")  # the rows past it rank all
     _scan(cols, queries, rest[wide:], m, out)
@@ -400,8 +401,7 @@ def loo_predictions(net: AdaptiveNetwork) -> np.ndarray:
 
 def _loss(net: AdaptiveNetwork, outputs: np.ndarray) -> float:
     resid = outputs - net.train_targets
-    with np.errstate(over="ignore"):  # an overflowing sum is inf
-        return float(resid @ resid)
+    return float(_sample_sum(np.square(resid, out=resid)[None])[0])
 
 
 def _grad(net: AdaptiveNetwork, table: tuple, bw: np.ndarray, weighed: tuple) -> np.ndarray:
@@ -422,21 +422,16 @@ def _grad(net: AdaptiveNetwork, table: tuple, bw: np.ndarray, weighed: tuple) ->
     raw, total, y = weighed
     kk = len(dists)
     # -dK/db, whose sign joins the residual factor below: negating is exact.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if net.kernel is KernelKind.EXPONENTIAL:
-            draw = dists * raw
-        else:
-            draw = np.square(dists) * 2.0
-            draw *= bw[:kk, None]
-            draw *= np.square(raw)
+    if net.kernel is KernelKind.EXPONENTIAL:
+        draw = dists * raw
+    else:
+        draw = np.square(dists) * 2.0
+        draw *= bw[:kk, None]
+        draw *= np.square(raw)
     draw[np.isnan(draw)] = 0.0
-    truth = net.train_targets
-    live = total > 0.0
-    if not live.all():
-        y, truth, draw, targets, total = (a[..., live] for a in (y, truth, draw, targets, total))
-    draw *= 2.0 * (truth - y)
+    draw *= 2.0 * (net.train_targets - y)
     draw *= targets - y
-    draw /= total
+    np.divide(draw, total, out=draw, where=total > 0.0)
     grad = np.zeros(net.k)
     grad[:kk] = _sample_sum(draw)
     return grad
@@ -480,8 +475,7 @@ def train_bandwidths_sd(net: AdaptiveNetwork, lr: float,
     neighbor table."""
     if not 0 < lr < np.inf:
         raise InvalidParameter(f"lr must be positive and finite, got {lr}")
-    if epochs < 0:
-        raise InvalidParameter(f"epochs must be >= 0, got {epochs}")
+    _check_int("epochs", epochs, 0)
     table = _loo_table(net)
     reach = np.maximum(np.nan_to_num(table[0], posinf=0.0).max(axis=1), 1.0)
     b = net.bandwidths

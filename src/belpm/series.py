@@ -40,14 +40,19 @@ def _query(x, dim: int, batch: bool = False) -> np.ndarray:
     return arr
 
 
+def _check_int(name: str, value, minimum: int | None = None) -> None:
+    """The one integer rule of every count, step and time: an int (numpy ints
+    accepted, bools refused) of at least ``minimum``, or ``InvalidParameter``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameter(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidParameter(f"{name} must be >= {minimum}, got {value}")
+
+
 def _check_embedding(r, horizon) -> None:
-    """The one rule for an embedding (r, horizon): each an int >= 1, numpy
-    ints accepted and bools refused, or ``InvalidParameter``."""
-    for name, value in (("r", r), ("horizon", horizon)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InvalidParameter(f"{name} must be an int, got {value!r}")
-        if value < 1:
-            raise InvalidParameter(f"{name} must be >= 1, got {value}")
+    """An embedding (r, horizon) is two ints >= 1, by ``_check_int``."""
+    _check_int("r", r, 1)
+    _check_int("horizon", horizon, 1)
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,8 @@ class TimeSeries:
             raise EmptyInput("a time series needs at least one value")
         if not np.all(np.isfinite(arr)):
             raise InvalidParameter("series values must be finite")
-        if self.step <= 0:
-            raise InvalidParameter(f"step must be positive, got {self.step}")
+        _check_int("start_time", self.start_time)
+        _check_int("step", self.step, 1)
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -116,8 +121,8 @@ class EmbeddedDataset:
         inputs = _frozen_f64(self.inputs, ndim=2)
         targets = _frozen_f64(self.targets, ndim=1)
         _check_embedding(self.r, self.horizon)
-        if self.step <= 0:
-            raise InvalidParameter(f"step must be positive, got {self.step}")
+        _check_int("start_time", self.start_time)
+        _check_int("step", self.step, 1)
         if inputs.shape[1] != self.r and inputs.shape[0] > 0:
             raise InvalidParameter(
                 f"input vectors have {inputs.shape[1]} entries, expected r={self.r}"
@@ -158,6 +163,7 @@ def embed(series: TimeSeries, r: int, horizon: int) -> EmbeddedDataset:
 def split(dataset: EmbeddedDataset, n_train: int) -> tuple[EmbeddedDataset, EmbeddedDataset]:
     """Chronological prefix/suffix split; never shuffles. Each part's targets
     keep their times."""
+    _check_int("n_train", n_train)
     if not 0 <= n_train <= len(dataset):
         raise IndexOutOfRange(
             f"n_train={n_train} outside [0, {len(dataset)}]"
@@ -175,14 +181,11 @@ def gen_mackey_glass(n: int, tau: int = 17, x0: float = 1.2, warmup: int = 0) ->
     from the constant history ``x0``. The first emitted sample is one step past
     ``x0``; the first ``warmup`` samples are then discarded. Fully deterministic.
     """
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
-    if tau < 1:
-        raise InvalidParameter(f"tau must be >= 1, got {tau}")
+    _check_int("n", n, 1)
+    _check_int("tau", tau, 1)
+    _check_int("warmup", warmup, 0)
     if not 0.0 < x0 < 2.0:
         raise InvalidParameter(f"x0 must lie in (0, 2), got {x0}")
-    if warmup < 0:
-        raise InvalidParameter(f"warmup must be >= 0, got {warmup}")
 
     total = warmup + n
     # x[i] holds the state at time i - tau, so the constant history and the
@@ -198,8 +201,7 @@ def gen_mackey_glass(n: int, tau: int = 17, x0: float = 1.2, warmup: int = 0) ->
 
 def gen_logistic(n: int, r: float = 3.9, x0: float = 0.3) -> TimeSeries:
     """Logistic map ``x[t+1] = r * x[t] * (1 - x[t])``, starting at ``x0``."""
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
+    _check_int("n", n, 1)
     if not 0.0 < r <= 4.0:
         raise InvalidParameter(f"r must lie in (0, 4], got {r}")
     if not 0.0 < x0 < 1.0:

@@ -294,7 +294,6 @@ def _read_belpm(fields: _Fields) -> BelpmModel:
     bl_inputs = (_matrix(fields, "bl_inputs") if "bl_inputs" in fields
                  else _bl_feature_matrix(mo.train_inputs))
     return BelpmModel(
-        r=_field(fields, "embedding_r", int),
         horizon=_field(fields, "embedding_horizon", int),
         bl=_read_network(fields, "bl", bl_inputs),
         mo=mo,

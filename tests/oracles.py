@@ -199,8 +199,12 @@ def _outputs(kind: KernelKind, dists: np.ndarray, targets: np.ndarray,
 
 def _loss(net, outputs: np.ndarray) -> float:
     resid = outputs - net.train_targets
-    with np.errstate(over="ignore"):  # an overflowing sum is inf
-        return float(resid @ resid)
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        squares = (resid * resid).tolist()
+    total = 0.0  # left to right, one sample after another
+    for term in squares:
+        total += term
+    return total
 
 
 def _grad(net, table: tuple, bw: np.ndarray, weighed: tuple) -> np.ndarray:

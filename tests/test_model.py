@@ -103,13 +103,13 @@ class TestBlFeatures:
                                     train_targets=model.bl.train_targets[1:])
         for bl in (model.mo, off, fewer):
             with pytest.raises(InvalidParameter, match="max and min"):
-                BelpmModel(r=model.r, horizon=model.horizon, bl=bl, mo=model.mo, cm=model.cm)
+                BelpmModel(horizon=model.horizon, bl=bl, mo=model.mo, cm=model.cm)
             with pytest.raises(InvalidParameter, match="max and min"):
                 dataclasses.replace(model, bl=bl)
-        with pytest.raises(InvalidParameter, match="expects dimension r=4"):
-            dataclasses.replace(model, r=model.r + 1)
-        with pytest.raises(TypeError):
-            dataclasses.replace(model, config=FAST)
+        assert model.r == model.mo.dim == 3  # read from the windows, not a field
+        for field in ("config", "r"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(model, **{field: FAST})
 
 
 class TestPunishments:
@@ -138,8 +138,8 @@ class TestValidation:
             network.train_bandwidths_sd(net, lr=lr, epochs=1)
 
     @pytest.mark.parametrize("fields, message", [
-        ({"k_a": 0}, "neighbor counts must be >= 1"),
-        ({"k_o": 0}, "neighbor counts must be >= 1"),
+        ({"k_a": 0}, "k_a must be >= 1, got 0"),
+        ({"k_o": 0}, "k_o must be >= 1, got 0"),
         ({"epochs": -1}, "epochs must be >= 0"),
     ])
     def test_config_refusals(self, fields, message):

@@ -74,8 +74,7 @@ def test_belpm_batch_equals_single_queries(case, kernel, bw, cm):
     k = min(k, len(inputs))
     nets = [AdaptiveNetwork(x, targets, k=k, kernel=kernel, bandwidths=np.full(k, bw))
             for x in (_bl_feature_matrix(inputs), inputs)]
-    model = BelpmModel(r=inputs.shape[1], horizon=1, bl=nets[0], mo=nets[1],
-                       cm=CmWeights(*cm))
+    model = BelpmModel(horizon=1, bl=nets[0], mo=nets[1], cm=CmWeights(*cm))
     assert_rows_match(model, queries)
 
 
@@ -95,7 +94,7 @@ def models():
     inputs = np.arange(12.0).reshape(4, 3)
     targets = np.arange(4.0)
     nets = [AdaptiveNetwork(x, targets, k=2) for x in (_bl_feature_matrix(inputs), inputs)]
-    return [BelpmModel(r=3, horizon=1, bl=nets[0], mo=nets[1], cm=CmWeights(1.0, 0.5, 0.0)),
+    return [BelpmModel(horizon=1, bl=nets[0], mo=nets[1], cm=CmWeights(1.0, 0.5, 0.0)),
             WknnModel(inputs, targets, k=2),
             ClassicBelModel(v=[1.0, 2.0, 3.0], w=[0.5, 0.0, 1.0], alpha=0.5, beta=0.5)]
 

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from belpm.baselines import WknnModel
+from belpm.classic import ClassicBelModel, bel_train
 from belpm.errors import (
     EmptyInput,
     IndexOutOfRange,
     InvalidParameter,
     SeriesTooShort,
 )
+from belpm.metrics import find_peaks, match_peaks
+from belpm.model import BelpmConfig
+from belpm.network import AdaptiveNetwork, forward, train_bandwidths_sd
 from belpm.series import (
     EmbeddedDataset,
     TimeSeries,
@@ -206,8 +211,50 @@ def test_empty_dataset_allowed_as_split_leftover():
     ((np.ones((2, 3)), np.ones(3), 3, 1), "equal length"),
     ((np.array([[1.0, np.nan, 2.0]]), np.ones(1), 3, 1), "inputs must be finite"),
     ((np.ones((1, 3)), np.array([np.inf]), 3, 1), "targets must be finite"),
-    ((np.ones((2, 3)), np.ones(2), 3, 1, 1000, 0), "step must be positive, got 0"),
+    ((np.ones((2, 3)), np.ones(2), 3, 1, 1000, 0), "step must be >= 1, got 0"),
 ])
 def test_embedded_dataset_refusals(args, message):
     with pytest.raises(InvalidParameter, match=message):
         EmbeddedDataset(*args)
+
+
+_SERIES = gen_logistic(40)
+_PAIRS = embed(_SERIES, 3, 1)
+_NET = AdaptiveNetwork(_PAIRS.inputs, _PAIRS.targets, k=3)
+# (parameter, entry point, a call of that entry point passing the parameter v)
+_INTEGER_CALLS = [
+    ("r", "embed", lambda v: embed(_SERIES, v, 1)),
+    ("horizon", "embed", lambda v: embed(_SERIES, 3, v)),
+    ("k", "AdaptiveNetwork", lambda v: AdaptiveNetwork(_PAIRS.inputs, _PAIRS.targets, k=v)),
+    ("k", "WknnModel", lambda v: WknnModel(_PAIRS.inputs, _PAIRS.targets, v)),
+    ("k_a", "BelpmConfig", lambda v: BelpmConfig(k_a=v)),
+    ("k_o", "BelpmConfig", lambda v: BelpmConfig(k_o=v)),
+    ("epochs", "BelpmConfig", lambda v: BelpmConfig(epochs=v)),
+    ("epochs", "train_bandwidths_sd", lambda v: train_bandwidths_sd(_NET, lr=0.05, epochs=v)),
+    ("epochs", "bel_train", lambda v: bel_train(ClassicBelModel.zeros(3), _PAIRS, epochs=v)),
+    ("n_train", "split", lambda v: split(_PAIRS, v)),
+    ("top_m", "find_peaks", lambda v: find_peaks(_SERIES, top_m=v)),
+    ("window", "match_peaks", lambda v: match_peaks([5], _SERIES, window=v, top_m=None)),
+    ("step", "TimeSeries", lambda v: TimeSeries(_SERIES.values, step=v)),
+    ("step", "EmbeddedDataset", lambda v: EmbeddedDataset(_PAIRS.inputs, _PAIRS.targets, 3, 1,
+                                                          step=v)),
+    ("start_time", "TimeSeries", lambda v: TimeSeries(_SERIES.values, start_time=v)),
+    ("start_time", "EmbeddedDataset", lambda v: EmbeddedDataset(_PAIRS.inputs, _PAIRS.targets,
+                                                                3, 1, start_time=v)),
+    ("n", "gen_mackey_glass", lambda v: gen_mackey_glass(v)),
+    ("n", "gen_logistic", lambda v: gen_logistic(v)),
+    ("tau", "gen_mackey_glass", lambda v: gen_mackey_glass(10, tau=v)),
+    ("warmup", "gen_mackey_glass", lambda v: gen_mackey_glass(10, warmup=v)),
+    ("exclude", "forward", lambda v: forward(_NET, _PAIRS.inputs[1], exclude=v)),
+]
+
+
+@pytest.mark.parametrize("name, entry, call", _INTEGER_CALLS,
+                         ids=[f"{name}-{entry}" for name, entry, _ in _INTEGER_CALLS])
+def test_every_integer_parameter_takes_only_ints(name, entry, call):
+    # One rule for every count, step and time: a float, even a whole one, and
+    # a bool are refused by name; a numpy int is an int.
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(InvalidParameter, match=f"^{name} must be an int, got {bad!r}$"):
+            call(bad)
+    call(np.int64(3))

@@ -546,16 +546,16 @@ class TestModelPersistence:
         text = path.read_text()
         for r in (2, 4):
             path.write_bytes(rechecksum(text.replace("embedding_r = 3", f"embedding_r = {r}", 1)))
-            message = f"embedding_r = {r}, .* 3 values wide" if kind else f"r={r}, got 3"
-            with pytest.raises(CorruptFile, match=message):
+            with pytest.raises(CorruptFile, match=f"embedding_r = {r}, .* 3 values wide"):
                 load_model_file(path)
             assert main(["predict", "--model", str(path), "--data", str(series),
                          "--out", str(tmp_path / "p.csv")]) == 2
 
     @pytest.mark.parametrize("kind", [0, 1, 2], ids=["belpm", "wknn", "classic_bel"])
     def test_only_loadable_embeddings_are_saved(self, tmp_path, kind):
-        # Every model, and so save and load, applies one rule: r and horizon
-        # are ints >= 1, bools refused and numpy ints accepted.
+        # Every model, and so save and load, applies one rule: r, the width
+        # of its inputs, and horizon are ints >= 1, bools refused and numpy
+        # ints accepted.
         model = trained_models()[kind]
         for horizon in (0, -2):
             with pytest.raises(InvalidParameter, match=f"horizon must be >= 1, got {horizon}"):
@@ -563,10 +563,6 @@ class TestModelPersistence:
         for horizon in (1.5, True):
             with pytest.raises(InvalidParameter, match=f"horizon must be an int, got {horizon}"):
                 dataclasses.replace(model, horizon=horizon)
-        if kind == 0:  # the other kinds take r from their inputs
-            for r in (3.0, True):
-                with pytest.raises(InvalidParameter, match=f"r must be an int, got {r}"):
-                    dataclasses.replace(model, r=r)
         path = tmp_path / "m.belpm"
         save_model(dataclasses.replace(model, horizon=np.int64(2)), path)
         loaded = load_model_file(path)
@@ -681,7 +677,7 @@ def _model_with_field(tmp_path, key, value):
     (lambda tmp_path: save_model(BelpmConfig(), tmp_path / "m"), InvalidParameter,
      "BelpmConfig is not a model kind"),
     (lambda tmp_path: _model_with_field(tmp_path, "embedding_r", "0"), CorruptFile,
-     "r must be >= 1, got 0"),
+     "embedding_r = 0, .* 3 values wide"),
     (lambda tmp_path: _model_with_field(tmp_path, "embedding_horizon", "-2"), CorruptFile,
      "horizon must be >= 1, got -2"),
 ])
