@@ -46,6 +46,7 @@ class ClassicBelModel:
 
     @classmethod
     def zeros(cls, dim: int, alpha: float = 0.5, beta: float = 0.5) -> "ClassicBelModel":
+        _check_int("dim", dim)
         return cls(v=np.zeros(dim), w=np.zeros(dim), alpha=alpha, beta=beta)
 
     @property

@@ -25,7 +25,8 @@ from .errors import (
     SingularSystem,
     TooFewSamples,
 )
-from .network import AdaptiveNetwork, KernelKind, _forward_many, _sample_sum, train_bandwidths_sd
+from .network import (AdaptiveNetwork, KernelKind, _forward_many, _loo_table, _sample_sum,
+                      train_bandwidths_sd)
 from .series import EmbeddedDataset, TimeSeries, _check_embedding, _check_int, _query, embed
 
 # Relative tolerance for verifying an unregularized normal-equation solution;
@@ -199,16 +200,23 @@ def train(train_set: EmbeddedDataset, config: BelpmConfig = BelpmConfig()) -> Be
     at most ``config.epochs`` epochs and ends after one that lowers its finite
     loss by at most ``network._SD_RTOL`` (1e-6) of it. Deterministic for fixed
     data and config.
+
+    Each network's leave-one-out table is built here and handed to its
+    descent. With ``k_o <= k_a``, a sample's last primary-network distance
+    is the secondary network's search reach (``_fuse``): the kk primary
+    neighbours and the sample itself lie within it.
     """
     if len(train_set) < 2:
         raise TooFewSamples("training needs at least two embedded pairs")
     bl = AdaptiveNetwork(_bl_feature_matrix(train_set.inputs), train_set.targets,
                          k=config.k_a, kernel=config.bl_kernel)
-    bl, _, r_a = train_bandwidths_sd(bl, lr=config.lr, epochs=config.epochs)
+    table = _loo_table(bl)
+    bl, _, r_a = train_bandwidths_sd(bl, lr=config.lr, epochs=config.epochs, table=table)
     residuals = train_set.targets - r_a
 
     mo = AdaptiveNetwork(train_set.inputs, residuals, k=config.k_o, kernel=config.mo_kernel)
-    mo, _, r_o = train_bandwidths_sd(mo, lr=config.lr, epochs=config.epochs)
+    table = _loo_table(mo, table[0][-1] if mo.k <= bl.k else None)
+    mo, _, r_o = train_bandwidths_sd(mo, lr=config.lr, epochs=config.epochs, table=table)
     cm = cm_lse_fit(r_a, r_o, train_set.targets, ridge=config.ridge)
     return BelpmModel(horizon=train_set.horizon, bl=bl, mo=mo, cm=cm)
 
@@ -225,9 +233,17 @@ def predict_many(model: BelpmModel, inputs) -> np.ndarray:
 
 
 def _fuse(model: BelpmModel, arr: np.ndarray) -> np.ndarray:
-    """Fused predictions for the rows of a checked (m, r) query matrix."""
-    r_a = _forward_many(model.bl, _bl_feature_matrix(arr))
-    r_o = _forward_many(model.mo, arr)
+    """Fused predictions for the rows of a checked (m, r) query matrix.
+
+    The primary network's features begin with the window, and its distances
+    sum the same squares left to right, then two more: no secondary distance
+    exceeds the primary one, bit for bit. So with ``mo.k <= bl.k`` a row's
+    k-th primary distance bounds its k-th secondary one, the reach of the
+    secondary network's search (lower bounding; Faloutsos, Ranganathan &
+    Manolopoulos, 1994). The neighbours, and every output bit, stay the same.
+    """
+    r_a, reach = _forward_many(model.bl, _bl_feature_matrix(arr))
+    r_o = _forward_many(model.mo, arr, reach=reach if model.mo.k <= model.bl.k else None)[0]
     return model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3
 
 

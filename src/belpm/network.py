@@ -213,7 +213,7 @@ def forward(net: AdaptiveNetwork, query, exclude: int | None = None) -> float:
     q = _query(query, net.dim)[None]
     if exclude is not None:
         _check_int("exclude", exclude)
-    return float(_forward_many(net, q, None if exclude is None else [exclude])[0])
+    return float(_forward_many(net, q, None if exclude is None else [exclude])[0][0])
 
 
 def _rank_smallest(d: np.ndarray, m: int, order=None, at=None) -> tuple[np.ndarray, np.ndarray]:
@@ -273,25 +273,29 @@ def _sum_key(cols: np.ndarray, queries: np.ndarray):
             len(cols) ** 0.5 * (1 + 1e-12), len(cols) * 2.0 ** -51 * mass)
 
 
-def _key(cols: np.ndarray, queries: np.ndarray, m: int, out: tuple):
+def _key(cols: np.ndarray, queries: np.ndarray, m: int, out: tuple, reach=None):
     """The key of a search of many rows, the rows left to search and their
     guesses' width: twice the key's median window around the rows sampled
-    into ``out`` (``_KEY_SAMPLE``), or 4m samples when none is sampled."""
+    into ``out`` (``_KEY_SAMPLE``), or 4m samples when none is sampled. With
+    ``reach``, the sampled rows' windows at their reach pick the key, and
+    every row is left, none ranked."""
     rows, key = np.arange(len(queries)), (cols[0], queries[:, 0], 1.0, np.zeros(len(queries)))
     step = max(_KEY_SAMPLE, -(-len(queries) // max(1, _BLOCK_DISTANCES // cols.shape[1])))
     picks = rows[step // 2::step]
     if not len(picks) or (summed := _sum_key(cols, queries)) is None:
         return key, rows, 4 * m
-    _scan(cols, queries, picks, m, out)
+    if reach is None:
+        _scan(cols, queries, picks, m, out)
+        reach, rows = out[1][:, -1], np.delete(rows, picks)
     widths = [np.count_nonzero(np.abs(k[0] - k[1][picks, None])
-                               <= _key_bound(k, picks, out[1][picks, -1])[:, None], axis=1)
+                               <= _key_bound(k, picks, reach[picks])[:, None], axis=1)
               for k in (summed, key)]
     x0 = bool(widths[0].sum() >= _SUM_KEY_SHARE * widths[1].sum())
-    return (summed, key)[x0], np.delete(rows, picks), 2 * np.median(widths[x0])
+    return (summed, key)[x0], rows, 2 * np.median(widths[x0])
 
 
-def _nearest(net: StoredPairs, queries: np.ndarray,
-             exclude=None) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(net: StoredPairs, queries: np.ndarray, exclude=None,
+             reach=None) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances (each (len(queries), kk)) of the ``net.k``
     nearest stored samples to each query row, exactly as a stable argsort
     of all n distances picks and ranks them: the one neighbor search. With
@@ -299,16 +303,21 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
     sample ``exclude[j]`` and kk = min(k, n - 1); an index outside [0, n)
     raises ``IndexOutOfRange``, then a single stored sample ``TooFewSamples``.
 
-    A single row ranks all n distances. More rows rank the samples whose key
-    lies near their own (Friedman, Baskett & Shustek, 1975), sorted once by
-    ``_key``'s key, in three passes, ties to the lower stored index in each;
-    the sort need not be stable, as the windows end at key values.
+    ``reach``, one computed distance per row, bounds the row's m-th smallest
+    distance (m = kk, or kk + 1 with ``exclude``): m samples lie within it.
+    A single row ranks all n distances, or with a reach only those within
+    it, which come in index order, so a stable sort ranks them as all n.
+    More rows rank the samples whose key lies near their own (Friedman,
+    Baskett & Shustek, 1975), sorted once by ``_key``'s key, in three
+    passes, ties to the lower stored index in each; the sort need not be
+    stable, as the windows end at key values.
     Guess: each row ranks a window of W samples around its key. Accept: R,
-    the row's m-th distance there (m = kk, or kk + 1 with ``exclude``), bounds
-    its m-th over all n; a row keeps its guess if the samples [start, stop)
-    whose keys could lie within R lie in it. Widen: the others rank their
-    [start, stop), in passes of widths within a quarter of each other, or all
-    n if wider than ``_WINDOW_SHARE`` of them (as an infinite R makes it).
+    the row's m-th distance there, bounds its m-th over all n; a row keeps
+    its guess if the samples [start, stop) whose keys could lie within R lie
+    in it. A reach is such an R, so with one no row guesses. Widen: the
+    others rank their [start, stop), in passes of widths within a quarter of
+    each other, or all n if wider than ``_WINDOW_SHARE`` of them (as an
+    infinite R makes it).
 
     Exactness: a distance rounds a sqrt of rounded sums of rounded squares,
     so a sample it puts within R is truly within R' = R * (1 + 1e-9) +
@@ -338,22 +347,28 @@ def _nearest(net: StoredPairs, queries: np.ndarray,
         # takes query_min_us 244 -> 93 us but peak_rss_mb 53 -> 69 MB, as the
         # benchmark keeps objects per answered query: it waits on ROADMAP item 1a.
         d = _distances(cols, queries)[0]
-        top = np.argsort(d, kind="stable")[None, :m]
+        if reach is None:
+            top = np.argsort(d, kind="stable")[None, :m]
+        else:  # the samples within reach, in index order
+            near = np.flatnonzero(d <= reach[0])
+            top = near[np.argsort(d[near], kind="stable")][None, :m]
         return _drop_excluded(top, d[top], exclude)
     out = np.empty((len(queries), m), dtype=np.intp), np.empty((len(queries), m))
-    key, rest, width = _key(cols, queries, m, out)
+    key, rest, width = _key(cols, queries, m, out, reach)
     width, limit = min(max(int(width), m), n), _WINDOW_SHARE * n
     if width > limit:  # an uninformative key: the full scan costs less
         _scan(cols, queries, rest, m, out)
         return _drop_excluded(*out, exclude)
-    order = np.argsort(key[0])
+    order, guess = np.argsort(key[0]), reach is None
     keys, qkeys, cs = key[0][order], key[1][rest], cols.take(order, axis=1)
-    at = np.clip(np.searchsorted(keys, qkeys) - width // 2, 0, n - width)
-    _scan(cs, queries, rest, m, out, order, at, width)
-    bound = _key_bound(key, rest, out[1][rest, -1])
+    if guess:
+        at = np.clip(np.searchsorted(keys, qkeys) - width // 2, 0, n - width)
+        _scan(cs, queries, rest, m, out, order, at, width)
+        reach = out[1][:, -1]
+    bound = _key_bound(key, rest, reach[rest])
     start = np.searchsorted(keys, qkeys - bound, "left")
     stop = np.searchsorted(keys, qkeys + bound, "right")
-    miss = np.flatnonzero((start < at) | (stop > at + width))
+    miss = np.flatnonzero((start < at) | (stop > at + width)) if guess else np.arange(len(rest))
     miss = miss[np.argsort((stop - start)[miss])]  # equal spans share a pass
     rest, start, span = rest[miss], start[miss], (stop - start)[miss]
     lo, wide = 0, np.searchsorted(span, limit, "right")  # the rows past it rank all
@@ -377,17 +392,21 @@ def _drop_excluded(top: np.ndarray, near: np.ndarray, exclude) -> tuple[np.ndarr
     return top[keep].reshape(len(top), -1), near[keep].reshape(len(top), -1)
 
 
-def _forward_many(net: AdaptiveNetwork, queries: np.ndarray, exclude=None) -> np.ndarray:
-    """``_outputs`` over each query row's ``_nearest`` samples."""
-    indices, dists = _nearest(net, queries, exclude)
-    return _outputs(net.kernel, dists.T, net.train_targets[indices.T], net.bandwidths)[2]
+def _forward_many(net: AdaptiveNetwork, queries: np.ndarray, exclude=None,
+                  reach=None) -> tuple[np.ndarray, np.ndarray]:
+    """``_outputs`` over each query row's ``_nearest`` samples, and the row's
+    last-rank distance."""
+    indices, dists = _nearest(net, queries, exclude, reach)
+    return _outputs(net.kernel, dists.T, net.train_targets[indices.T], net.bandwidths)[2], \
+        dists[:, -1]
 
 
-def _loo_table(net: AdaptiveNetwork) -> tuple[np.ndarray, np.ndarray]:
+def _loo_table(net: AdaptiveNetwork, reach=None) -> tuple[np.ndarray, np.ndarray]:
     """Rank-major neighbor distances and targets (each (kk, n)) of every stored
-    sample, leaving itself out. Selection never depends on bandwidths, so one
-    table serves a whole descent and the trained network's LOO responses."""
-    indices, dists = _nearest(net, net.train_inputs, np.arange(net.n_samples))
+    sample, leaving itself out, searched within ``reach`` if given (``_nearest``).
+    Selection never depends on bandwidths, so one table serves a whole descent
+    and the trained network's LOO responses."""
+    indices, dists = _nearest(net, net.train_inputs, np.arange(net.n_samples), reach)
     return dists.T.copy(), net.train_targets[indices.T.copy()]
 
 
@@ -456,8 +475,8 @@ def grad_bandwidths(net: AdaptiveNetwork) -> np.ndarray:
         return _grad(net, table, net.bandwidths, _outputs(net.kernel, *table, net.bandwidths))
 
 
-def train_bandwidths_sd(net: AdaptiveNetwork, lr: float,
-                        epochs: int) -> tuple[AdaptiveNetwork, np.ndarray, np.ndarray]:
+def train_bandwidths_sd(net: AdaptiveNetwork, lr: float, epochs: int,
+                        table=None) -> tuple[AdaptiveNetwork, np.ndarray, np.ndarray]:
     """Steepest descent on the leave-one-out loss with per-epoch backtracking.
 
     Each epoch proposes ``b - lr * grad`` (floored at ``BANDWIDTH_FLOOR``) and
@@ -472,11 +491,11 @@ def train_bandwidths_sd(net: AdaptiveNetwork, lr: float,
     network, the loss trace (initial loss first, then one entry per epoch,
     the last loss repeated up to ``epochs + 1`` entries) and the trained
     network's leave-one-out responses (``loo_predictions``), all from one
-    neighbor table."""
+    neighbor table: ``table``, the network's ``_loo_table`` if already built."""
     if not 0 < lr < np.inf:
         raise InvalidParameter(f"lr must be positive and finite, got {lr}")
     _check_int("epochs", epochs, 0)
-    table = _loo_table(net)
+    table = _loo_table(net) if table is None else table
     reach = np.maximum(np.nan_to_num(table[0], posinf=0.0).max(axis=1), 1.0)
     b = net.bandwidths
     # No overflow warns: a step or bandwidth product past the float range is

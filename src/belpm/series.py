@@ -82,7 +82,8 @@ class TimeSeries:
         return self.values.size
 
     def time_at(self, index: int) -> int:
-        """Epoch of the observation at ``index``."""
+        """Epoch of the observation at ``index``, an int by ``_check_int``."""
+        _check_int("index", index)
         return self.start_time + index * self.step
 
 

@@ -414,6 +414,67 @@ def test_ties_across_key_and_index_order_go_to_the_lower_index(loo):
         assert np.array_equal(dists[j], ref_dists)
 
 
+@pytest.mark.parametrize("loo", [False, True])
+@pytest.mark.parametrize("reach", ["exact", "inf"])
+@pytest.mark.parametrize("rows", [slice(45, 46), slice(None)], ids=["one row", "all rows"])
+def test_a_reach_ranks_ties_as_the_full_search(rows, reach, loo):
+    # A reach at the m-th distance itself (m = k, or k + 1 with the row's own
+    # sample, which lies within it) keeps every sample tied there, and at inf
+    # it keeps them all. Row 45, (25, 5), has four neighbours at distance 1.
+    net = StoredPairs(TIE_GRID, np.zeros(len(TIE_GRID)), 3)
+    grid, picked = TIE_GRID.tolist(), np.arange(len(TIE_GRID))[rows]
+    exclude = picked if loo else None
+    bound = np.array([nearest_direct(grid, grid[j], net.k + loo)[1][-1] for j in picked])
+    bound = bound if reach == "exact" else np.full(len(picked), np.inf)
+    indices, dists = _nearest(net, TIE_GRID[rows], exclude, bound)
+    unbounded = _nearest(net, TIE_GRID[rows], exclude)
+    np.testing.assert_array_equal(indices, unbounded[0])
+    assert np.array_equal(dists, unbounded[1])
+    for row, j in enumerate(picked):
+        ref_indices, ref_dists = nearest_direct(grid, grid[j], net.k, j if loo else None)
+        np.testing.assert_array_equal(indices[row], ref_indices)
+        assert np.array_equal(dists[row], ref_dists)
+
+
+@pytest.mark.parametrize("loo", [False, True])
+@pytest.mark.parametrize("k_a, k_o", [(8, 8), (13, 8), (8, 1)])
+def test_primary_distances_bound_the_secondary_search(k_a, k_o, loo):
+    # The primary network's features begin with the window, so its k_a-th
+    # distance bounds the secondary network's k_o-th, bit for bit: it is a
+    # reach for one row and for batches, a leave-one-out table included.
+    windows = chaotic_windows("MO")[:600]
+    bl = StoredPairs(_bl_feature_matrix(windows), np.zeros(600), k_a)
+    mo = StoredPairs(windows, np.zeros(600), k_o)
+    queries = windows if loo else windows[::2] + 1e-3
+    exclude = np.arange(600) if loo else None
+    reach = _nearest(bl, _bl_feature_matrix(queries), exclude)[1][:, -1]
+    indices, dists = _nearest(mo, queries, exclude, reach)
+    unbounded = _nearest(mo, queries, exclude)
+    np.testing.assert_array_equal(indices, unbounded[0])
+    assert np.array_equal(dists, unbounded[1])
+    for j in range(0, len(queries), 50):
+        one = slice(j, j + 1)
+        row = _nearest(mo, queries[one], None if exclude is None else exclude[one], reach[one])
+        np.testing.assert_array_equal(row[0], indices[one])
+        assert np.array_equal(row[1], dists[one])
+        ref_indices, ref_dists = nearest_direct(windows.tolist(), queries[j].tolist(), k_o,
+                                                j if loo else None)
+        np.testing.assert_array_equal(indices[j], ref_indices)
+        assert np.array_equal(dists[j], ref_dists)
+
+
+def test_one_row_with_a_reach_sorts_only_the_samples_within_it():
+    windows = chaotic_windows("MO")
+    bl, mo = (StoredPairs(x, np.zeros(2000), 8) for x in (_bl_feature_matrix(windows), windows))
+    q = windows[:1] + 1e-3
+    reach = _nearest(bl, _bl_feature_matrix(q))[1][:, -1]
+    within = np.count_nonzero(network._distances(mo.train_inputs.T, q) <= reach[0])
+    with mock.patch.object(network.np, "argsort", wraps=np.argsort) as sort:
+        _nearest(mo, q, None, reach)
+    assert 8 <= within < 0.05 * 2000
+    assert [call.args[0].size for call in sort.call_args_list] == [within]
+
+
 # Chunk entries: 0, inf, and three levels moved up by a few ulps. The keys'
 # column bits (the low bit_length(width - 1) bits, up to 6 here) hide exact
 # ties and near-ties; moves of 16 or 64 ulps reach the high bits of narrower rows.
@@ -658,9 +719,9 @@ def test_every_search_sees_finite_queries(scale):
     finite = []
 
     def spy(search):
-        def recorded(net, rows, exclude=None):
+        def recorded(net, rows, exclude=None, reach=None):
             finite.append(bool(np.isfinite(rows).all()))
-            return search(net, rows, exclude)
+            return search(net, rows, exclude, reach)
         return recorded
 
     with mock.patch.object(network, "_nearest", spy(network._nearest)), \

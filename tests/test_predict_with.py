@@ -2,17 +2,22 @@
 kind's single-query function: the same bits on every row, and the same error
 class for a bad row."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import belpm.model
 from belpm import network
 from belpm.baselines import WknnModel, wknn_predict, wknn_predict_many
 from belpm.classic import ClassicBelModel, bel_predict
 from belpm.errors import DimensionMismatch, InvalidParameter
 from belpm.experiment import predict_with
-from belpm.model import BelpmModel, CmWeights, _bl_feature_matrix, predict, predict_many
-from belpm.network import AdaptiveNetwork, KernelKind
+from belpm.model import (BelpmConfig, BelpmModel, CmWeights, _bl_feature_matrix, predict,
+                         predict_many, train)
+from belpm.network import AdaptiveNetwork, KernelKind, _loo_table
+from belpm.series import embed, gen_mackey_glass, split
 from belpm.storage import MODEL_KINDS, kind_of
 
 SINGLE = {"belpm": predict, "wknn": wknn_predict, "classic_bel": bel_predict}
@@ -76,6 +81,30 @@ def test_belpm_batch_equals_single_queries(case, kernel, bw, cm):
             for x in (_bl_feature_matrix(inputs), inputs)]
     model = BelpmModel(horizon=1, bl=nets[0], mo=nets[1], cm=CmWeights(*cm))
     assert_rows_match(model, queries)
+
+
+@pytest.mark.parametrize("k_a, k_o", [(4, 8), (8, 8), (8, 4)])
+def test_belpm_reach_moves_no_bit(k_a, k_o):
+    # With k_o <= k_a the secondary network searches within the primary
+    # network's k-th distance, in training and prediction; with k_o > k_a it
+    # searches all samples. Neither the model nor a prediction moves a bit.
+    data = embed(gen_mackey_glass(700, warmup=300), 3, 1)
+    train_set, test = split(data, 400)
+    config = BelpmConfig(k_a=k_a, k_o=k_o, epochs=2)
+    model = train(train_set, config)
+    with mock.patch.object(belpm.model, "_loo_table", lambda net, reach=None: _loo_table(net)):
+        unbounded = train(train_set, config)
+    assert model.cm == unbounded.cm
+    for net, ref in ((model.bl, unbounded.bl), (model.mo, unbounded.mo)):
+        np.testing.assert_array_equal(net.bandwidths.view(np.int64), ref.bandwidths.view(np.int64))
+        np.testing.assert_array_equal(net.train_targets.view(np.int64),
+                                      ref.train_targets.view(np.int64))
+    assert_rows_match(model, test.inputs)
+    r_a = network._forward_many(model.bl, _bl_feature_matrix(test.inputs))[0]
+    r_o = network._forward_many(model.mo, test.inputs)[0]
+    fused = model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3
+    np.testing.assert_array_equal(predict_many(model, test.inputs).view(np.int64),
+                                  fused.view(np.int64))
 
 
 @settings(max_examples=200, deadline=None)

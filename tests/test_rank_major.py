@@ -104,7 +104,7 @@ def test_every_path_matches_the_row_major_code(data):
     for rows in (queries, queries[:1]):
         indices, dists = network._nearest(net, rows)
         ref = oracles._outputs(net.kernel, dists, net.train_targets[indices], net.bandwidths)
-        assert same_bits(network._forward_many(net, rows), ref[2])
+        assert same_bits(network._forward_many(net, rows)[0], ref[2])
         wknn = WknnModel(net.train_inputs, net.train_targets, net.k)
         ref = oracles._weigh(1.0 / (dists + DISTANCE_EPSILON), net.train_targets[indices])
         assert same_bits(_wknn(wknn, rows), ref[1])

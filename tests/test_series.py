@@ -66,11 +66,6 @@ class TestEmbed:
         with pytest.raises(InvalidParameter, match="(r|horizon) must be >= 1, got 0"):
             embed(TimeSeries(np.arange(10.0)), r=r, horizon=horizon)
 
-    @pytest.mark.parametrize("r, horizon", [(3.0, 1), (3, True)])
-    def test_width_and_horizon_are_ints(self, r, horizon):
-        with pytest.raises(InvalidParameter, match="(r|horizon) must be an int, got (3.0|True)"):
-            embed(TimeSeries(np.arange(10.0)), r=r, horizon=horizon)
-
     @given(
         values=st.lists(st.floats(-100, 100), min_size=4, max_size=40),
         r=st.integers(1, 3),
@@ -246,6 +241,8 @@ _INTEGER_CALLS = [
     ("tau", "gen_mackey_glass", lambda v: gen_mackey_glass(10, tau=v)),
     ("warmup", "gen_mackey_glass", lambda v: gen_mackey_glass(10, warmup=v)),
     ("exclude", "forward", lambda v: forward(_NET, _PAIRS.inputs[1], exclude=v)),
+    ("dim", "ClassicBelModel.zeros", lambda v: ClassicBelModel.zeros(v)),
+    ("index", "time_at", lambda v: TimeSeries(np.arange(5.0), start_time=3, step=2).time_at(v)),
 ]
 
 
