@@ -66,6 +66,11 @@ class TestEmbed:
         with pytest.raises(InvalidParameter, match="(r|horizon) must be >= 1, got 0"):
             embed(TimeSeries(np.arange(10.0)), r=r, horizon=horizon)
 
+    @pytest.mark.parametrize("r, horizon", [(3.0, 1), (3, True)])
+    def test_width_and_horizon_are_ints(self, r, horizon):
+        with pytest.raises(InvalidParameter, match="(r|horizon) must be an int, got (3.0|True)"):
+            embed(TimeSeries(np.arange(10.0)), r=r, horizon=horizon)
+
     @given(
         values=st.lists(st.floats(-100, 100), min_size=4, max_size=40),
         r=st.integers(1, 3),
