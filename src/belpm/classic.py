@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameter, TooFewSamples
-from .series import EmbeddedDataset, _check_embedding, _check_int, _frozen_f64, _query
+from .series import EmbeddedDataset, _check_embedding, _check_int, _frozen_f64, _query, _real
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class ClassicBelModel:
         v, w = _frozen_f64(self.v, ndim=1), _frozen_f64(self.w, ndim=1)
         if v.shape != w.shape:
             raise InvalidParameter("v and w must be 1-D arrays of equal length")
-        if not 0.0 < self.alpha <= 1.0 or not 0.0 < self.beta <= 1.0:
+        if not 0.0 < _real("alpha", self.alpha) <= 1.0 or not 0.0 < _real("beta", self.beta) <= 1.0:
             raise InvalidParameter("alpha and beta must lie in (0, 1]")
         _check_embedding(v.size, self.horizon)
         object.__setattr__(self, "v", v)
@@ -77,7 +77,7 @@ def bel_update(model: ClassicBelModel, s, rew: float) -> ClassicBelModel:
     step is beta * s * (E - rew), which keeps E = rew as the stable fixed
     point. Both use the pre-update responses.
     """
-    if not np.isfinite(rew):
+    if not np.isfinite(_real("reinforcement", rew)):
         raise InvalidParameter(f"reinforcement must be finite, got {rew}")
     with np.errstate(over="ignore", invalid="ignore"):
         v, w = _step(model.v, model.w, model.alpha, model.beta, _query(s, model.r), float(rew))

@@ -183,7 +183,7 @@ def _cmd_peaks(args) -> int:
         print(f"{first + int(t)},{series.time_at(int(t))},{format_float(series.values[t])}")
     if args.predicted is not None:
         report = match_peaks(peaks, predicted, window=args.window, top_m=args.top_m)
-        print(render_peak_report(report, first + peaks), end="")
+        print(render_peak_report(report, first), end="")
     return 0
 
 

@@ -19,7 +19,6 @@ from .classic import ClassicBelModel, bel_train
 from .errors import ConfigError
 from .metrics import EvaluationReport, PeakReport, correlation, find_peaks, match_peaks, mse, nmse
 from .model import BelpmConfig, train as belpm_train
-from .network import KernelKind
 from .series import EmbeddedDataset, TimeSeries, embed, gen_logistic, gen_mackey_glass, split
 from .storage import (
     GAP_ERROR,
@@ -121,10 +120,8 @@ def train_model(config: ExperimentConfig, train_set: EmbeddedDataset):
     """Train the configured model kind on the given pairs: the one place that
     maps config fields onto each kind's trainer."""
     trainers = {
-        "belpm": lambda: belpm_train(train_set, BelpmConfig(**{
-            **{field.name: getattr(config, field.name) for field in dataclass_fields(BelpmConfig)},
-            "bl_kernel": KernelKind.from_name(config.bl_kernel),
-            "mo_kernel": KernelKind.from_name(config.mo_kernel)})),
+        "belpm": lambda: belpm_train(train_set, BelpmConfig(
+            **{field.name: getattr(config, field.name) for field in dataclass_fields(BelpmConfig)})),
         "wknn": lambda: WknnModel.from_dataset(train_set, k=config.wknn_k),
         "classic_bel": lambda: bel_train(
             ClassicBelModel.zeros(train_set.r, alpha=config.bel_alpha, beta=config.bel_beta),
@@ -172,11 +169,12 @@ def render_report(report: EvaluationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_peak_report(pk: PeakReport, observed_peaks: np.ndarray) -> str:
+def render_peak_report(pk: PeakReport, first: int = 0) -> str:
+    """The report's lines, its observed peak indices shifted by ``first``."""
     offsets = ",".join("miss" if off is None else str(off) for off in pk.offsets)
     lines = [
         f"window = {pk.window}",
-        f"observed_peaks = {','.join(str(int(t)) for t in observed_peaks)}",
+        f"observed_peaks = {','.join(str(first + t) for t in pk.observed)}",
         f"offsets = {offsets}",
         f"identified_exact = {pk.identified_exact}",
         f"identified_delayed = {pk.identified_delayed}",
@@ -210,6 +208,5 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
         save_predictions_csv(observed, preds, out / "predictions.csv")
         write_text(out / "report.txt", render_report(report))
         if report.peak_report is not None:
-            obs_peaks = find_peaks(observed, top_m=config.peak_top_m)
-            write_text(out / "peaks.txt", render_peak_report(report.peak_report, obs_peaks))
+            write_text(out / "peaks.txt", render_peak_report(report.peak_report))
     return report

@@ -68,20 +68,30 @@ def correlation(y, yhat) -> float:
 class PeakReport:
     """Outcome of matching observed peaks against predicted peaks.
 
-    ``offsets`` aligns with the observed peak list: the signed predicted-minus-
-    observed offset for matched peaks, None for missed ones. The three counts
-    always partition the observed peaks.
+    ``observed`` holds the observed peak indices matched on; ``offsets``
+    aligns with it: the signed predicted-minus-observed offset of a matched
+    peak, None for a missed one. The counts are read from ``offsets``.
     """
 
-    identified_exact: int
-    identified_delayed: int
-    missed: int
     window: int
+    observed: tuple[int, ...]
     offsets: tuple[int | None, ...]
 
     @property
+    def identified_exact(self) -> int:
+        return self.offsets.count(0)
+
+    @property
+    def identified_delayed(self) -> int:
+        return self.total - self.identified_exact - self.missed
+
+    @property
+    def missed(self) -> int:
+        return self.offsets.count(None)
+
+    @property
     def total(self) -> int:
-        return self.identified_exact + self.identified_delayed + self.missed
+        return len(self.offsets)
 
 
 @dataclass(frozen=True)
@@ -105,15 +115,12 @@ def find_peaks(series: TimeSeries, top_m: int | None = None) -> np.ndarray:
     """
     if len(series) < 3:
         raise SeriesTooShort(f"peak detection needs >= 3 values, got {len(series)}")
-    if top_m is not None:
-        _check_int("top_m", top_m, 1)
     v = series.values
     interior = np.arange(1, v.size - 1)
-    mask = (v[interior - 1] < v[interior]) & (v[interior] >= v[interior + 1])
-    peaks = interior[mask]
-    if top_m is not None and peaks.size > top_m:
-        ranked = sorted(peaks, key=lambda t: (-v[t], t))
-        peaks = np.sort(np.asarray(ranked[:top_m], dtype=peaks.dtype))
+    peaks = interior[(v[interior - 1] < v[interior]) & (v[interior] >= v[interior + 1])]
+    if top_m is not None:
+        _check_int("top_m", top_m, 1)
+        peaks = np.sort(peaks[np.lexsort((peaks, -v[peaks]))[:top_m]])
     return peaks
 
 
@@ -125,46 +132,27 @@ def match_peaks(
 ) -> PeakReport:
     """Greedy matching of observed peak positions to predicted peaks.
 
-    Predicted peaks are detected with the same rule and the same ``top_m``.
-    Candidate (observed, predicted) pairs within ``window`` steps are taken
-    closest-first (ties to the earlier predicted index); each peak matches at
-    most once. A zero offset counts as exact, a nonzero one within the window
-    as delayed, anything unmatched as missed.
+    Each observed index is an int by ``_check_int``. Predicted peaks are
+    detected with the same rule and the same ``top_m``. Candidate (observed,
+    predicted) pairs within ``window`` steps are taken closest-first (ties to
+    the earlier predicted index, then to the earlier observed one); each peak
+    matches at most once. A zero offset counts as exact, a nonzero one within
+    the window as delayed, anything unmatched as missed.
     """
     _check_int("window", window, 0)
-    obs = np.asarray(observed_peaks, dtype=np.int64)
+    obs = np.asarray(observed_peaks, dtype=object)
     if obs.ndim != 1:
         raise InvalidParameter("observed_peaks must be a 1-D index sequence")
-    if obs.size and (obs.min() < 0 or obs.max() >= len(predicted)):
-        raise LengthMismatch(
-            "observed peak indices fall outside the predicted series"
-        )
-    pred_peaks = find_peaks(predicted, top_m=top_m)
-
-    candidates = []
-    for oi, ot in enumerate(obs):
-        for pt in pred_peaks:
-            off = int(pt) - int(ot)
-            if abs(off) <= window:
-                candidates.append((abs(off), int(pt), int(ot), oi, off))
-    candidates.sort()
-
-    matched_obs: dict[int, int] = {}
-    used_pred: set[int] = set()
-    for _adist, pt, _ot, oi, off in candidates:
-        if oi in matched_obs or pt in used_pred:
-            continue
-        matched_obs[oi] = off
-        used_pred.add(pt)
-
-    offsets = tuple(matched_obs.get(oi) for oi in range(obs.size))
-    exact = sum(1 for off in offsets if off == 0)
-    delayed = sum(1 for off in offsets if off is not None and off != 0)
-    missed = obs.size - exact - delayed
-    return PeakReport(
-        identified_exact=exact,
-        identified_delayed=delayed,
-        missed=missed,
-        window=window,
-        offsets=offsets,
-    )
+    for t in obs:
+        _check_int("observed peak", t)
+    observed = tuple(map(int, obs))
+    if observed and (min(observed) < 0 or max(observed) >= len(predicted)):
+        raise LengthMismatch("observed peak indices fall outside the predicted series")
+    pred = find_peaks(predicted, top_m=top_m).tolist()
+    offsets, taken = [None] * len(observed), set()
+    for _, p, o, i in sorted((abs(p - o), p, o, i) for i, o in enumerate(observed)
+                             for p in pred if abs(p - o) <= window):
+        if offsets[i] is None and p not in taken:
+            offsets[i] = p - o
+            taken.add(p)
+    return PeakReport(window, observed, tuple(offsets))

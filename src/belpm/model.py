@@ -27,7 +27,7 @@ from .errors import (
 )
 from .network import (AdaptiveNetwork, KernelKind, _forward_many, _loo_table, _sample_sum,
                       train_bandwidths_sd)
-from .series import EmbeddedDataset, TimeSeries, _check_embedding, _check_int, _query, embed
+from .series import EmbeddedDataset, TimeSeries, _check_embedding, _check_int, _query, _real, embed
 
 # Relative tolerance for verifying an unregularized normal-equation solution;
 # beyond it the system counts as numerically singular.
@@ -52,9 +52,10 @@ class CmWeights:
 
 @dataclass(frozen=True)
 class BelpmConfig:
-    """Training hyperparameters for both networks and the fusion fit. ``epochs``
-    is an upper bound: each descent ends after an epoch that lowers its finite
-    loss by at most ``network._SD_RTOL`` (1e-6) of it."""
+    """Training hyperparameters for both networks and the fusion fit. A kernel
+    is a ``KernelKind`` or its name. ``epochs`` is an upper bound: each descent
+    ends after an epoch that lowers its finite loss by at most
+    ``network._SD_RTOL`` (1e-6) of it."""
 
     k_a: int = 8
     k_o: int = 8
@@ -67,9 +68,11 @@ class BelpmConfig:
     def __post_init__(self):
         for name, minimum in (("k_a", 1), ("k_o", 1), ("epochs", 0)):
             _check_int(name, getattr(self, name), minimum)
-        if not 0 < self.lr < np.inf:
+        for name in ("bl_kernel", "mo_kernel"):
+            object.__setattr__(self, name, KernelKind.from_name(getattr(self, name)))
+        if not 0 < _real("lr", self.lr) < np.inf:
             raise InvalidParameter(f"lr must be positive and finite, got {self.lr}")
-        if not 0 <= self.ridge < np.inf:
+        if not 0 <= _real("ridge", self.ridge) < np.inf:
             raise InvalidParameter(f"ridge must be >= 0 and finite, got {self.ridge}")
 
 
@@ -120,7 +123,7 @@ def cm_lse_fit(r_a_list, r_o_list, r_u_list, ridge: float = 1e-8) -> CmWeights:
     ru = np.asarray(r_u_list, dtype=np.float64)
     if not ra.shape == ro.shape == ru.shape or ra.ndim != 1 or ra.size < 1:
         raise LengthMismatch("response sequences must be equal-length and non-empty")
-    if not 0 <= ridge < np.inf:
+    if not 0 <= _real("ridge", ridge) < np.inf:
         raise InvalidParameter(f"ridge must be >= 0 and finite, got {ridge}")
     a, b = _normal_equations(ra, ro, ru, ridge)
     if not all(map(math.isfinite, (*a[0], *a[1], *a[2], *b))):

@@ -29,7 +29,7 @@ from .errors import (
     TooFewSamples,
     UnsupportedKernel,
 )
-from .series import _check_int, _frozen_f64, _query
+from .series import _check_int, _frozen_f64, _query, _real
 
 # Lower bound keeping parametric kernels parametric during descent.
 BANDWIDTH_FLOOR = 1e-8
@@ -60,7 +60,7 @@ class KernelKind(enum.Enum):
         return self is not KernelKind.LINEAR_RESCALE
 
     @classmethod
-    def from_name(cls, name: str) -> "KernelKind":
+    def from_name(cls, name) -> "KernelKind":
         try:
             return cls(name)
         except ValueError:
@@ -107,9 +107,10 @@ class StoredPairs:
 class AdaptiveNetwork(StoredPairs):
     """Memory-based kernel regressor over stored (feature, target) pairs.
 
-    ``bandwidths`` holds one finite value per neighbor rank, positive for a
-    parametric kernel; it defaults to all ones. Instances are immutable, so
-    concurrent forward passes are safe; training returns a new network.
+    ``kernel`` is a ``KernelKind`` or its name; ``bandwidths`` holds one
+    finite value per neighbor rank, positive for a parametric kernel, and
+    defaults to all ones. Instances are immutable, so concurrent forward
+    passes are safe; training returns a new network.
     """
 
     kernel: KernelKind = KernelKind.EXPONENTIAL
@@ -117,6 +118,7 @@ class AdaptiveNetwork(StoredPairs):
 
     def __post_init__(self):
         super().__post_init__()
+        object.__setattr__(self, "kernel", KernelKind.from_name(self.kernel))
         bw = _frozen_f64(np.ones(self.k) if self.bandwidths is None else self.bandwidths, ndim=1)
         if bw.shape != (self.k,):
             raise InvalidParameter(f"bandwidths must have length k={self.k}")
@@ -492,7 +494,7 @@ def train_bandwidths_sd(net: AdaptiveNetwork, lr: float, epochs: int,
     the last loss repeated up to ``epochs + 1`` entries) and the trained
     network's leave-one-out responses (``loo_predictions``), all from one
     neighbor table: ``table``, the network's ``_loo_table`` if already built."""
-    if not 0 < lr < np.inf:
+    if not 0 < _real("lr", lr) < np.inf:
         raise InvalidParameter(f"lr must be positive and finite, got {lr}")
     _check_int("epochs", epochs, 0)
     table = _loo_table(net) if table is None else table

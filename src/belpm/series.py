@@ -49,6 +49,14 @@ def _check_int(name: str, value, minimum: int | None = None) -> None:
         raise InvalidParameter(f"{name} must be >= {minimum}, got {value}")
 
 
+def _real(name: str, value):
+    """``value`` if it is a real number (numpy's accepted, bools refused, as by
+    ``_check_int``), else ``InvalidParameter``; callers compare it to its range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _check_embedding(r, horizon) -> None:
     """An embedding (r, horizon) is two ints >= 1, by ``_check_int``."""
     _check_int("r", r, 1)
@@ -185,7 +193,7 @@ def gen_mackey_glass(n: int, tau: int = 17, x0: float = 1.2, warmup: int = 0) ->
     _check_int("n", n, 1)
     _check_int("tau", tau, 1)
     _check_int("warmup", warmup, 0)
-    if not 0.0 < x0 < 2.0:
+    if not 0.0 < _real("x0", x0) < 2.0:
         raise InvalidParameter(f"x0 must lie in (0, 2), got {x0}")
 
     total = warmup + n
@@ -203,9 +211,9 @@ def gen_mackey_glass(n: int, tau: int = 17, x0: float = 1.2, warmup: int = 0) ->
 def gen_logistic(n: int, r: float = 3.9, x0: float = 0.3) -> TimeSeries:
     """Logistic map ``x[t+1] = r * x[t] * (1 - x[t])``, starting at ``x0``."""
     _check_int("n", n, 1)
-    if not 0.0 < r <= 4.0:
+    if not 0.0 < _real("r", r) <= 4.0:
         raise InvalidParameter(f"r must lie in (0, 4], got {r}")
-    if not 0.0 < x0 < 1.0:
+    if not 0.0 < _real("x0", x0) < 1.0:
         raise InvalidParameter(f"x0 must lie in (0, 1), got {x0}")
     out = np.empty(n)
     cur = x0

@@ -46,7 +46,7 @@ from .errors import (
     VersionMismatch,
 )
 from .model import BelpmModel, CmWeights, _bl_feature_matrix, predict_many
-from .network import AdaptiveNetwork, KernelKind
+from .network import AdaptiveNetwork
 from .series import EmbeddedDataset, TimeSeries
 
 MODEL_HEADER = "belpm-model"
@@ -273,7 +273,7 @@ def _read_network(fields: _Fields, prefix: str, inputs: np.ndarray) -> AdaptiveN
         train_inputs=inputs,
         train_targets=_array(fields, f"{prefix}_targets"),
         k=_field(fields, f"{prefix}_k", int),
-        kernel=KernelKind.from_name(_field(fields, f"{prefix}_kernel", str)),
+        kernel=_field(fields, f"{prefix}_kernel", str),
         bandwidths=_array(fields, f"{prefix}_bandwidths"),
     )
 

@@ -137,6 +137,33 @@ def rechecksum(text):
     return body + f"checksum = {zlib.crc32(body) & 0xFFFFFFFF:08x}\n".encode("utf-8")
 
 
+def peaks_direct(values, top_m=None):
+    """Strict local maxima v[t-1] < v[t] >= v[t+1], and with ``top_m`` the
+    m largest (ties to the earlier index), in time order."""
+    peaks = [t for t in range(1, len(values) - 1) if values[t - 1] < values[t] >= values[t + 1]]
+    if top_m is not None:
+        peaks = sorted(sorted(peaks, key=lambda t: (-values[t], t))[:top_m])
+    return peaks
+
+
+def match_peaks_direct(observed, predicted_peaks, window):
+    """Offsets (predicted minus observed, None when missed) of the matching
+    rule, applied one match at a time: of the pairs of an unmatched observed
+    position and a free predicted peak at most ``window`` apart, take the
+    closest, ties to the earlier predicted peak, then to the earlier observed
+    index, then to the earlier position; repeat until no pair is left."""
+    offsets = [None] * len(observed)
+    free = set(predicted_peaks)
+    while True:
+        pairs = [(abs(p - o), p, o, i) for i, o in enumerate(observed) if offsets[i] is None
+                 for p in free if abs(p - o) <= window]
+        if not pairs:
+            return tuple(offsets)
+        _, p, o, i = min(pairs)
+        offsets[i] = p - o
+        free.remove(p)
+
+
 # The network's row-major weighting and gradient: tables are (n, kk), one
 # row per sample, and each row and each column is summed by `in_order_sum`.
 from belpm.network import BANDWIDTH_FLOOR, KernelKind, _MAX_BACKTRACKS, _SD_RTOL, _nearest  # noqa: E402

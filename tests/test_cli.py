@@ -251,7 +251,7 @@ def test_peaks_reads_what_predict_writes(tmp_path, capsys):
     report = match_peaks(peaks, predicted, window=2, top_m=10)
     assert capsys.readouterr().out.splitlines() == (
         ["index,time,value", *peak_lines(span, peaks, first=3)]
-        + render_peak_report(report, peaks + 3).splitlines())
+        + render_peak_report(report, 3).splitlines())
 
 
 def test_peaks_matches_on_shared_times(tmp_path, capsys):
@@ -279,7 +279,7 @@ def test_peaks_matches_on_shared_times(tmp_path, capsys):
     report = match_peaks(peaks, TimeSeries(predicted), window=2, top_m=5)
     assert capsys.readouterr().out.splitlines() == (
         ["index,time,value", *peak_lines(series, peaks)]
-        + render_peak_report(report, peaks).splitlines())
+        + render_peak_report(report).splitlines())
 
 
 @pytest.mark.parametrize("start, step", [(102, 5), (100, 10), (1000, 5)])
@@ -370,6 +370,30 @@ def test_bench_refuses_an_experiment_that_is_no_object(tmp_path, capsys, doc):
     cfg.write_text(json.dumps(doc))
     assert run("bench", "--config", str(cfg)) == 1
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "invalid JSON"),
+    ("[1, 2]", "config must be an object or {'experiments': [...]}"),
+    ('"belpm"', "config must be an object or {'experiments': [...]}"),
+])
+def test_bench_refuses_a_config_that_is_no_json_object(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(text)
+    assert run("bench", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", [
+    ("peaks", "--data", "{dir}"),
+    ("bench", "--config", "{dir}"),
+    ("predict", "--model", "{dir}", "--data", "{dir}", "--out", "{dir}/p.csv"),
+])
+def test_a_directory_given_as_an_input_file_is_a_config_error(tmp_path, capsys, command):
+    assert run(*(arg.format(dir=tmp_path) for arg in command)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and f" {tmp_path}: " in err
 
 
 def test_peak_window_defaults_come_from_the_config(monkeypatch):

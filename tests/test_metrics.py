@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from belpm.errors import (
     InvalidParameter,
@@ -8,8 +9,10 @@ from belpm.errors import (
     SeriesTooShort,
     ZeroVariance,
 )
-from belpm.metrics import correlation, find_peaks, match_peaks, mse, nmse
+from belpm.metrics import PeakReport, correlation, find_peaks, match_peaks, mse, nmse
 from belpm.series import TimeSeries
+
+from oracles import match_peaks_direct, peaks_direct
 
 
 @pytest.mark.parametrize("metric", [nmse, mse, correlation])
@@ -189,9 +192,48 @@ class TestMatchPeaks:
         rb = match_peaks(pb, b_pred, window=2, top_m=4)
         assert ra == rb
 
+    def test_equidistant_predicted_peaks_go_to_the_earlier_one(self):
+        report = match_peaks([5], bump_series(9, [3, 7]), window=2, top_m=None)
+        assert report.offsets == (-2,) and report.identified_delayed == 1
+
+    def test_an_observed_peak_listed_twice_takes_two_predicted_peaks(self):
+        report = match_peaks([4, 2, 2], bump_series(6, [1, 4]), window=1, top_m=None)
+        assert report == PeakReport(window=1, observed=(4, 2, 2), offsets=(0, -1, None))
+
     def test_observed_index_out_of_predicted_range(self):
         with pytest.raises(LengthMismatch):
             match_peaks([25], bump_series(10, [5]), window=2, top_m=1)
+
+
+# Small integer values give plateaus, equal peaks and equidistant pairs.
+_VALUES = st.lists(st.integers(0, 4).map(float), min_size=3, max_size=30)
+_TOP_M = st.none() | st.integers(1, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES, _TOP_M)
+def test_find_peaks_matches_the_direct_rule(values, top_m):
+    assert find_peaks(TimeSeries(values), top_m=top_m).tolist() == peaks_direct(values, top_m)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_VALUES, st.lists(st.integers(0, 29), max_size=8), st.integers(0, 5), _TOP_M)
+@example([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0], [5], 2, None)  # equidistant peaks
+@example([0.0, 1.0, 0.0, 0.0, 1.0, 0.0], [4, 2, 2], 1, None)  # an index twice, out of order
+def test_match_peaks_matches_the_direct_rule(values, raw, window, top_m):
+    observed = [t % len(values) for t in raw]  # any order, repeats allowed
+    report = match_peaks(observed, TimeSeries(values), window=window, top_m=top_m)
+    assert report.window == window and report.observed == tuple(observed)
+    assert report.offsets == match_peaks_direct(observed, peaks_direct(values, top_m), window)
+    assert report.identified_exact + report.identified_delayed + report.missed == len(observed)
+
+
+@pytest.mark.parametrize("observed", [[1.5], [3.9], [-0.5], [True], ["a"], [np.float64(3.0)]])
+def test_observed_peaks_must_be_ints(observed):
+    # Each was truncated (1.5 and 3.9 scored exact, -0.5 read as 0, True as
+    # 1) or raised a raw ValueError.
+    with pytest.raises(InvalidParameter, match="^observed peak must be an int, got "):
+        match_peaks(observed, TimeSeries([0, 1, 0, 2, 0, 1, 0]), window=1, top_m=None)
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -11,6 +11,7 @@ from belpm.errors import (
     LengthMismatch,
     SingularSystem,
     TooFewSamples,
+    UnsupportedKernel,
 )
 from belpm.model import (
     BelpmConfig,
@@ -27,6 +28,7 @@ from belpm.model import (
 from belpm import network
 from belpm.network import AdaptiveNetwork, KernelKind, forward, loo_predictions
 from belpm.series import EmbeddedDataset, TimeSeries, embed, gen_logistic, split
+from belpm.storage import save_model
 
 from oracles import lse_3x3
 
@@ -482,3 +484,30 @@ class TestPredictSeries:
             out = predict_series(model, series)
             for j in range(len(ds)):
                 assert out.values[j] == predict(model, ds.inputs[j])
+
+
+class TestKernelNames:
+    def test_a_name_trains_the_same_model_file_as_its_member(self, tmp_path):
+        # A kernel name died in training with a raw AttributeError.
+        train_set, _ = logistic_sets()
+        for kind in KernelKind:
+            by_name = dataclasses.replace(FAST, bl_kernel=kind.value, mo_kernel=kind.value)
+            by_member = dataclasses.replace(FAST, bl_kernel=kind, mo_kernel=kind)
+            assert by_name == by_member
+            save_model(train(train_set, by_name), tmp_path / "name.txt")
+            save_model(train(train_set, by_member), tmp_path / "member.txt")
+            assert (tmp_path / "name.txt").read_bytes() == (tmp_path / "member.txt").read_bytes()
+
+    def test_a_network_takes_a_name(self):
+        inputs, targets = np.arange(6.0).reshape(3, 2), np.arange(3.0)
+        net = AdaptiveNetwork(inputs, targets, k=1, kernel="inverse_quadratic")
+        assert net.kernel is KernelKind.INVERSE_QUADRATIC
+        assert forward(net, [0.5, 1.5]) == forward(
+            AdaptiveNetwork(inputs, targets, k=1, kernel=KernelKind.INVERSE_QUADRATIC), [0.5, 1.5])
+
+    @pytest.mark.parametrize("bad", [None, 5, "gaussian"])
+    def test_anything_else_is_refused(self, bad):
+        for build in (lambda: BelpmConfig(bl_kernel=bad), lambda: BelpmConfig(mo_kernel=bad),
+                      lambda: AdaptiveNetwork(np.ones((2, 1)), np.ones(2), k=1, kernel=bad)):
+            with pytest.raises(UnsupportedKernel, match=f"^unknown kernel {bad!r}$"):
+                build()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from belpm.baselines import WknnModel
-from belpm.classic import ClassicBelModel, bel_train
+from belpm.classic import ClassicBelModel, bel_train, bel_update
 from belpm.errors import (
     EmptyInput,
     IndexOutOfRange,
@@ -11,7 +11,7 @@ from belpm.errors import (
     SeriesTooShort,
 )
 from belpm.metrics import find_peaks, match_peaks
-from belpm.model import BelpmConfig
+from belpm.model import BelpmConfig, cm_lse_fit
 from belpm.network import AdaptiveNetwork, forward, train_bandwidths_sd
 from belpm.series import (
     EmbeddedDataset,
@@ -235,6 +235,9 @@ _INTEGER_CALLS = [
     ("n_train", "split", lambda v: split(_PAIRS, v)),
     ("top_m", "find_peaks", lambda v: find_peaks(_SERIES, top_m=v)),
     ("window", "match_peaks", lambda v: match_peaks([5], _SERIES, window=v, top_m=None)),
+    ("observed peak", "match_peaks", lambda v: match_peaks([v], _SERIES, window=1, top_m=None)),
+    ("observed peak", "match_peaks-later",
+     lambda v: match_peaks([4, v, 9], _SERIES, window=1, top_m=None)),
     ("step", "TimeSeries", lambda v: TimeSeries(_SERIES.values, step=v)),
     ("step", "EmbeddedDataset", lambda v: EmbeddedDataset(_PAIRS.inputs, _PAIRS.targets, 3, 1,
                                                           step=v)),
@@ -260,3 +263,32 @@ def test_every_integer_parameter_takes_only_ints(name, entry, call):
         with pytest.raises(InvalidParameter, match=f"^{name} must be an int, got {bad!r}$"):
             call(bad)
     call(np.int64(3))
+
+
+_REAL_CALLS = [
+    ("lr", "BelpmConfig", lambda v: BelpmConfig(lr=v), 0.05),
+    ("ridge", "BelpmConfig", lambda v: BelpmConfig(ridge=v), 1e-8),
+    ("lr", "train_bandwidths_sd", lambda v: train_bandwidths_sd(_NET, lr=v, epochs=1), 0.05),
+    ("ridge", "cm_lse_fit", lambda v: cm_lse_fit([1.0, 2.0, 4.0], [0.5, -0.1, 0.2],
+                                                 [1.0, 2.0, 3.5], ridge=v), 1e-8),
+    ("alpha", "ClassicBelModel.zeros", lambda v: ClassicBelModel.zeros(2, alpha=v), 0.5),
+    ("beta", "ClassicBelModel.zeros", lambda v: ClassicBelModel.zeros(2, beta=v), 0.5),
+    ("reinforcement", "bel_update",
+     lambda v: bel_update(ClassicBelModel.zeros(2), [1.0, 2.0], v), 1.0),
+    ("r", "gen_logistic", lambda v: gen_logistic(5, r=v), 3.9),
+    ("x0", "gen_logistic", lambda v: gen_logistic(5, x0=v), 0.3),
+    ("x0", "gen_mackey_glass", lambda v: gen_mackey_glass(5, x0=v), 1.2),
+]
+
+
+@pytest.mark.parametrize("name, entry, call, good", _REAL_CALLS,
+                         ids=[f"{name}-{entry}" for name, entry, _, _ in _REAL_CALLS])
+def test_every_real_parameter_takes_only_real_numbers(name, entry, call, good):
+    # A string, None, a complex number and a bool are refused by name before
+    # the range check (they raised TypeError, or a bool passed as 0 or 1); a
+    # numpy float is a real number.
+    for bad in ("0.1", None, 1j, True):
+        with pytest.raises(InvalidParameter, match=f"^{name} must be a real number, got "):
+            call(bad)
+    call(np.float64(good))
+    call(good)
