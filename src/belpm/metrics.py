@@ -70,12 +70,26 @@ class PeakReport:
 
     ``observed`` holds the observed peak indices matched on; ``offsets``
     aligns with it: the signed predicted-minus-observed offset of a matched
-    peak, None for a missed one. The counts are read from ``offsets``.
+    peak, at most ``window`` steps, None for a missed one. The counts are read
+    from ``offsets``. Window, indices and offsets are ints by ``_check_int``.
     """
 
     window: int
     observed: tuple[int, ...]
     offsets: tuple[int | None, ...]
+
+    def __post_init__(self):
+        _check_int("window", self.window, 0)
+        if not (isinstance(self.observed, tuple) and isinstance(self.offsets, tuple)
+                and len(self.offsets) == len(self.observed)):
+            raise InvalidParameter("observed and offsets must be tuples of one length")
+        for t in self.observed:
+            _check_int("observed peak", t)
+        for d in self.offsets:
+            if d is not None:
+                _check_int("offset", d)
+                if abs(d) > self.window:
+                    raise InvalidParameter(f"offset {d} lies outside the window {self.window}")
 
     @property
     def identified_exact(self) -> int:

@@ -25,8 +25,8 @@ from .errors import (
     SingularSystem,
     TooFewSamples,
 )
-from .network import (AdaptiveNetwork, KernelKind, _forward_many, _loo_table, _sample_sum,
-                      train_bandwidths_sd)
+from .network import (AdaptiveNetwork, KernelKind, _distances, _forward_many, _forward_row,
+                      _loo_table, _sample_sum, train_bandwidths_sd)
 from .series import EmbeddedDataset, TimeSeries, _check_embedding, _check_int, _query, _real, embed
 
 # Relative tolerance for verifying an unregularized normal-equation solution;
@@ -100,7 +100,11 @@ class BelpmModel:
 
 def _bl_feature_matrix(inputs: np.ndarray) -> np.ndarray:
     """Primary-network features: each window (last axis) followed by its max
-    and min. Serves a single window and a matrix of windows alike."""
+    and min. Serves a single window and a matrix of windows alike; a matrix
+    of one window, a single query, is built from Python floats."""
+    if inputs.shape[:-1] == (1,):
+        row = inputs[0].tolist()
+        return np.array([row + [max(row), min(row)]])
     return np.concatenate([inputs, inputs.max(axis=-1, keepdims=True),
                            inputs.min(axis=-1, keepdims=True)], axis=-1)
 
@@ -225,7 +229,7 @@ def train(train_set: EmbeddedDataset, config: BelpmConfig = BelpmConfig()) -> Be
 
 
 def predict(model: BelpmModel, i) -> float:
-    """Fused prediction w1 * r_a + w2 * r_o + w3 for one query vector."""
+    """Fused prediction w1 * r_a + w2 * r_o + w3 for one query vector (``_fuse``)."""
     return float(_fuse(model, _query(i, model.r)[None])[0])
 
 
@@ -244,9 +248,17 @@ def _fuse(model: BelpmModel, arr: np.ndarray) -> np.ndarray:
     k-th primary distance bounds its k-th secondary one, the reach of the
     secondary network's search (lower bounding; Faloutsos, Ranganathan &
     Manolopoulos, 1994). The neighbours, and every output bit, stay the same.
+    One row makes one distance pass: its sums after r coordinates are the
+    secondary network's distances, and both networks rank them by ``_rank_row``.
     """
-    r_a, reach = _forward_many(model.bl, _bl_feature_matrix(arr))
-    r_o = _forward_many(model.mo, arr, reach=reach if model.mo.k <= model.bl.k else None)[0]
+    bl, mo, bounded = model.bl, model.mo, model.mo.k <= model.bl.k
+    if len(arr) == 1:
+        d_o, d_a = _distances(bl.train_inputs.T, _bl_feature_matrix(arr), split=model.r)
+        r_a, reach = _forward_row(bl, d_a[0])
+        r_o = _forward_row(mo, d_o[0], reach if bounded else None)[0]
+    else:
+        r_a, reach = _forward_many(bl, _bl_feature_matrix(arr))
+        r_o = _forward_many(mo, arr, reach=reach if bounded else None)[0]
     return model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3
 
 

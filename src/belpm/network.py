@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -127,14 +129,15 @@ class AdaptiveNetwork(StoredPairs):
         object.__setattr__(self, "bandwidths", bw)
 
 
-def _distances(cols: np.ndarray, queries: np.ndarray, at=None) -> np.ndarray:
+def _distances(cols: np.ndarray, queries: np.ndarray, at=None, split=None):
     """Euclidean distances (m, c) from each of the m query rows to the stored
     samples ``cols`` (``train_inputs.T`` or a column subset), or to the windows
     ``cols[j][at[i]]`` of row i: the one distance formula of every neighbor search.
 
     Squares are summed left to right, coordinate 0 to d - 1, into one buffer,
     so a distance has the same bits in any block and subset. An overflow
-    gives inf without a warning.
+    gives inf without a warning. With ``split``, the distances over the first
+    ``split`` coordinates, the sums on the way, come first, bit for bit.
     """
     with np.errstate(over="ignore"):
         for j in range(len(cols)):
@@ -144,7 +147,9 @@ def _distances(cols: np.ndarray, queries: np.ndarray, at=None) -> np.ndarray:
             sq *= sq
             out = np.add(out, sq, out=out) if j else sq  # the inner loops run over c
             del sq  # so at most two buffers live
-    return np.sqrt(out, out=out)
+            if j + 1 == split:
+                head = np.sqrt(out)
+    return np.sqrt(out, out=out) if split is None else (head, np.sqrt(out, out=out))
 
 
 def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
@@ -174,10 +179,7 @@ def _kernel(kind: KernelKind, dists: np.ndarray, bw: np.ndarray) -> np.ndarray:
 
 
 def _rank_sum(a: np.ndarray) -> np.ndarray:
-    """Sums over the ranks (axis 0) of ``a``, in plain order. One column, a
-    single query, is one accumulate down it; more columns add whole rank rows."""
-    if a.shape[1] == 1:
-        return np.add.accumulate(a)[-1] + 0.0
+    """Sums over the ranks (axis 0) of ``a``, in plain order, whole rank rows at a time."""
     out = a[0] + 0.0  # adding 0.0 first or last gives the same bits
     for row in a[1:]:
         out += row
@@ -188,7 +190,14 @@ def _weigh(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Sums over ranks of rank-major raw weights (kk, m), and the targets
     weighed by them normalized, or uniformly where the sum is 0: the one
     weighting rule of the networks and wknn. Normalizing first keeps k=1
-    recalling a target exactly."""
+    recalling a target exactly. One column, a single query, runs the same
+    steps in Python floats, each sum a left fold (the built-in ``sum`` is
+    compensated from Python 3.12)."""
+    if raw.shape[1] == 1:
+        raw, targets = raw.ravel().tolist(), targets.ravel().tolist()
+        total = reduce(add, raw) + 0.0
+        weights = [w / total for w in raw] if total else [1.0 / len(raw)] * len(raw)
+        return np.array([total]), np.array([reduce(add, map(mul, weights, targets)) + 0.0])
     weights = np.empty_like(raw)
     total = _rank_sum(raw)
     if total.all():
@@ -307,12 +316,10 @@ def _nearest(net: StoredPairs, queries: np.ndarray, exclude=None,
 
     ``reach``, one computed distance per row, bounds the row's m-th smallest
     distance (m = kk, or kk + 1 with ``exclude``): m samples lie within it.
-    A single row ranks all n distances, or with a reach only those within
-    it, which come in index order, so a stable sort ranks them as all n.
-    More rows rank the samples whose key lies near their own (Friedman,
-    Baskett & Shustek, 1975), sorted once by ``_key``'s key, in three
-    passes, ties to the lower stored index in each; the sort need not be
-    stable, as the windows end at key values.
+    A single row is ranked by ``_rank_row``. More rows rank the samples whose
+    key lies near their own (Friedman, Baskett & Shustek, 1975), sorted once
+    by ``_key``'s key, in three passes, ties to the lower stored index in
+    each; the sort need not be stable, as the windows end at key values.
     Guess: each row ranks a window of W samples around its key. Accept: R,
     the row's m-th distance there, bounds its m-th over all n; a row keeps
     its guess if the samples [start, stop) whose keys could lie within R lie
@@ -344,16 +351,9 @@ def _nearest(net: StoredPairs, queries: np.ndarray, exclude=None,
     kk = net.k if exclude is None else min(net.k, n - 1)
     m = kk + (exclude is not None)
     cols = net.train_inputs.T
-    if len(queries) == 1:
-        # A window would first sort the n first coordinates. `_rank_smallest`
-        # takes query_min_us 244 -> 93 us but peak_rss_mb 53 -> 69 MB, as the
-        # benchmark keeps objects per answered query: it waits on ROADMAP item 1a.
+    if len(queries) == 1:  # wknn and `forward`: the ranking `predict`'s `_forward_row` uses
         d = _distances(cols, queries)[0]
-        if reach is None:
-            top = np.argsort(d, kind="stable")[None, :m]
-        else:  # the samples within reach, in index order
-            near = np.flatnonzero(d <= reach[0])
-            top = near[np.argsort(d[near], kind="stable")][None, :m]
+        top = _rank_row(d, m, None if reach is None else reach[0])[None]
         return _drop_excluded(top, d[top], exclude)
     out = np.empty((len(queries), m), dtype=np.intp), np.empty((len(queries), m))
     key, rest, width = _key(cols, queries, m, out, reach)
@@ -383,6 +383,17 @@ def _nearest(net: StoredPairs, queries: np.ndarray, exclude=None,
     return _drop_excluded(*out, exclude)
 
 
+def _rank_row(d: np.ndarray, m: int, reach=None) -> np.ndarray:
+    """Indices of the m smallest of one row's distances ``d`` by a stable sort,
+    ties to the lower index; with ``reach``, a bound on the m-th, only those
+    within it, which come in index order. ``_rank_smallest`` would be faster,
+    but the benchmark's peak memory then outgrows its bound (ROADMAP item 12)."""
+    if reach is None:
+        return np.argsort(d, kind="stable")[:m]
+    near = np.flatnonzero(d <= reach)
+    return near[np.argsort(d[near], kind="stable")[:m]]
+
+
 def _drop_excluded(top: np.ndarray, near: np.ndarray, exclude) -> tuple[np.ndarray, np.ndarray]:
     """Ranked indices ``top`` and distances ``near`` of one or more rows, each
     row less its ``exclude`` index, or its last entry when that index is not
@@ -401,6 +412,13 @@ def _forward_many(net: AdaptiveNetwork, queries: np.ndarray, exclude=None,
     indices, dists = _nearest(net, queries, exclude, reach)
     return _outputs(net.kernel, dists.T, net.train_targets[indices.T], net.bandwidths)[2], \
         dists[:, -1]
+
+
+def _forward_row(net: AdaptiveNetwork, d: np.ndarray, reach=None) -> tuple[np.ndarray, float]:
+    """``_forward_many`` of one row from its distances ``d``, ranked by ``_rank_row``."""
+    top = _rank_row(d, net.k, reach)[:, None]
+    near = d[top]
+    return _outputs(net.kernel, near, net.train_targets[top], net.bandwidths)[2], near[-1, 0]
 
 
 def _loo_table(net: AdaptiveNetwork, reach=None) -> tuple[np.ndarray, np.ndarray]:

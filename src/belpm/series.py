@@ -21,7 +21,10 @@ from .errors import (
 
 
 def _frozen_f64(values, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+    try:
+        arr = np.array(values, dtype=np.float64, copy=True)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"expected real numbers: {exc}") from None
     if arr.ndim != ndim:
         raise InvalidParameter(f"expected a {ndim}-D array, got shape {arr.shape}")
     arr.flags.writeable = False
@@ -31,8 +34,12 @@ def _frozen_f64(values, ndim: int) -> np.ndarray:
 def _query(x, dim: int, batch: bool = False) -> np.ndarray:
     """``x`` as a float64 query of ``dim`` values, or with ``batch`` an (m, dim)
     matrix of them: the one check of every predictor's input. A wrong shape
-    raises ``DimensionMismatch``, a NaN or inf ``InvalidParameter``."""
-    arr = np.asarray(x, dtype=np.float64)
+    raises ``DimensionMismatch``; a value that is not a real number, or a NaN
+    or inf, ``InvalidParameter``."""
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"query must hold real numbers: {exc}") from None
     if arr.ndim != 1 + batch or arr.shape[-1] != dim:
         raise DimensionMismatch(f"query has shape {arr.shape}, expected {dim} values a row")
     if not np.isfinite(arr).all():

@@ -228,6 +228,25 @@ def test_match_peaks_matches_the_direct_rule(values, raw, window, top_m):
     assert report.identified_exact + report.identified_delayed + report.missed == len(observed)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((-1, (1,), (0,)), "^window must be >= 0"),
+    ((1.0, (1,), (0,)), "^window must be an int"),
+    ((2, (1.5,), (None,)), "^observed peak must be an int"),
+    ((2, (True,), (None,)), "^observed peak must be an int"),
+    ((2, [1], [0]), "tuples of one length"),
+    ((2, (1, 2), (0,)), "tuples of one length"),
+    ((2, (1,), (0.0,)), "^offset must be an int"),
+    ((1, (1,), (7,)), "^offset 7 lies outside the window 1"),
+    ((1, (1,), (-2,)), "^offset -2 lies outside the window 1"),
+])
+def test_peak_report_checks_its_fields(fields, message):
+    # Each built a report whose counts and rendering read wrong fields.
+    with pytest.raises(InvalidParameter, match=message):
+        PeakReport(*fields)
+    report = PeakReport(1, (np.int64(4), 2, 9), (1, -1, None))
+    assert (report.identified_exact, report.identified_delayed, report.missed) == (0, 2, 1)
+
+
 @pytest.mark.parametrize("observed", [[1.5], [3.9], [-0.5], [True], ["a"], [np.float64(3.0)]])
 def test_observed_peaks_must_be_ints(observed):
     # Each was truncated (1.5 and 3.9 scored exact, -0.5 read as 0, True as

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from belpm import baselines, network
+import belpm.model
+from belpm import network
 from belpm.baselines import WknnModel, wknn_predict, wknn_predict_many
 from belpm.errors import (
     DimensionMismatch,
@@ -475,6 +476,73 @@ def test_one_row_with_a_reach_sorts_only_the_samples_within_it():
     assert [call.args[0].size for call in sort.call_args_list] == [within]
 
 
+def fused_model(windows, k_a, k_o, kernel, seed=0):
+    """A BELPM model over ``windows``, its kernels ``kernel`` (BL) and the next
+    kind (MO), with drawn targets (some -0.0), bandwidths and fusion weights."""
+    rng = np.random.default_rng(seed)
+    kinds = [kernel, ALL_KERNELS[(ALL_KERNELS.index(kernel) + 1) % len(ALL_KERNELS)]]
+    nets = []
+    for inputs, k, kind in zip((_bl_feature_matrix(windows), windows), (k_a, k_o), kinds):
+        targets = rng.normal(size=len(windows))
+        targets[::7] = -0.0
+        bw = rng.uniform(0.5, 2.0, min(k, len(windows))) if kind.parametric else None
+        nets.append(AdaptiveNetwork(inputs, targets, k=k, kernel=kind, bandwidths=bw))
+    return BelpmModel(horizon=1, bl=nets[0], mo=nets[1], cm=CmWeights(*rng.normal(size=3)))
+
+
+def fused_case(name):
+    """Stored windows and query rows. Chaotic windows at r = 1, 3 and 8 are
+    queried off and on a stored window; TIE_GRID stored twice holds duplicate
+    windows tied at every rank; five windows clamp every k; at 1e200 every
+    distance is inf but a query's own window's."""
+    if name == "tie grid":
+        return np.vstack([TIE_GRID, TIE_GRID]), np.vstack([TIE_GRID[::7], TIE_GRID[::11] + 0.5])
+    r = {"r=1": 1, "r=8": 8}.get(name, 3)
+    windows = np.lib.stride_tricks.sliding_window_view(chaotic_mackey_glass(300), r)
+    stored = windows[:5] if name == "n < k" else windows[:150]
+    scale = 1e200 if name == "1e200" else 1.0
+    return stored * scale, np.vstack([windows[150:170], stored[::30]]) * scale
+
+
+@pytest.mark.parametrize("k_a, k_o", [(8, 4), (8, 8), (4, 8)])
+@pytest.mark.parametrize("kernel", ALL_KERNELS)
+@pytest.mark.parametrize("case", ["r=1", "r=3", "r=8", "tie grid", "n < k", "1e200"])
+def test_one_row_fusion_matches_the_batch_and_the_unfused_networks(case, kernel, k_a, k_o):
+    # One row ranks both networks from one distance pass and weighs in Python
+    # floats; the batch path searches each network on its own and weighs in
+    # numpy. Every output keeps its bits.
+    stored, queries = fused_case(case)
+    model = fused_model(stored, k_a, k_o, kernel)
+    r_a = network._forward_many(model.bl, _bl_feature_matrix(queries))[0]
+    r_o = network._forward_many(model.mo, queries)[0]
+    unfused = model.cm.w1 * r_a + model.cm.w2 * r_o + model.cm.w3
+    batch = predict_many(model, queries)
+    one = [predict(model, q) for q in queries]
+    alone = [predict_many(model, q[None])[0] for q in queries]
+    for got in (batch, one, alone):
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64), unfused.view(np.int64))
+
+
+@pytest.mark.parametrize("k_a, k_o", [(8, 8), (4, 8)])
+@pytest.mark.parametrize("r", [1, 3])
+def test_one_row_predict_makes_one_distance_pass(r, k_a, k_o):
+    # The secondary network's distances are the pass's sums after r
+    # coordinates, with or without the primary network's reach.
+    stored, queries = fused_case(f"r={r}")
+    model, widths = fused_model(stored, k_a, k_o, KernelKind.EXPONENTIAL), []
+    distances = network._distances
+
+    def spy(cols, rows, *args, **kwargs):
+        widths.append((len(cols), len(rows)))
+        return distances(cols, rows, *args, **kwargs)
+
+    with mock.patch.object(network, "_distances", spy), \
+            mock.patch.object(belpm.model, "_distances", spy):
+        predict(model, queries[0])
+        predict_many(model, queries[:1])
+    assert widths == [(r + 2, 1), (r + 2, 1)]
+
+
 # Chunk entries: 0, inf, and three levels moved up by a few ulps. The keys'
 # column bits (the low bit_length(width - 1) bits, up to 6 here) hide exact
 # ties and near-ties; moves of 16 or 64 ulps reach the high bits of narrower rows.
@@ -711,23 +779,25 @@ def test_searches_on_huge_windows_warn_nothing(scale):
 def test_every_search_sees_finite_queries(scale):
     # The search ranks no NaN or inf query: every predictor refuses one before
     # it searches, and stored inputs and their max and min are finite. At 1e200
-    # the squared differences overflow, so every distance is inf.
+    # the squared differences overflow, so every distance is inf. Every search
+    # computes its distances by `_distances`, `predict`'s one pass included.
     values = chaotic_mackey_glass(260)
     data = embed(TimeSeries(values), 3, 1)
     train_set = EmbeddedDataset(data.inputs[:200] * scale, data.targets[:200], 3, 1)
     queries = data.inputs[200:] * scale
-    finite = []
+    finite, tables = [], []
 
-    def spy(search):
-        def recorded(net, rows, exclude=None, reach=None):
-            finite.append(bool(np.isfinite(rows).all()))
-            return search(net, rows, exclude, reach)
+    def spy(call, seen):
+        def recorded(stored, rows, *args, **kwargs):
+            seen.append(bool(np.isfinite(rows).all()))
+            return call(stored, rows, *args, **kwargs)
         return recorded
 
-    with mock.patch.object(network, "_nearest", spy(network._nearest)), \
-            mock.patch.object(baselines, "_nearest", spy(baselines._nearest)):
+    with mock.patch.object(network, "_distances", spy(network._distances, finite)), \
+            mock.patch.object(belpm.model, "_distances", spy(network._distances, finite)), \
+            mock.patch.object(network, "_nearest", spy(network._nearest, tables)):
         model = train(train_set, BelpmConfig(k_a=4, k_o=4, epochs=2))
-        assert len(finite) == 2  # one leave-one-out table per network
+        assert len(tables) == 2  # one leave-one-out table per network
         net, wknn = model.mo, WknnModel.from_dataset(train_set, k=2)
         calls = {
             "forward": lambda: forward(net, queries[0]),

@@ -17,7 +17,7 @@ from belpm.experiment import predict_with
 from belpm.model import (BelpmConfig, BelpmModel, CmWeights, _bl_feature_matrix, predict,
                          predict_many, train)
 from belpm.network import AdaptiveNetwork, KernelKind, _loo_table
-from belpm.series import embed, gen_mackey_glass, split
+from belpm.series import TimeSeries, embed, gen_mackey_glass, split
 from belpm.storage import MODEL_KINDS, kind_of
 
 SINGLE = {"belpm": predict, "wknn": wknn_predict, "classic_bel": bel_predict}
@@ -141,6 +141,21 @@ def test_bad_row_raises_the_same_class_in_batch_and_single(model, bad, error):
     good = np.zeros((2, len(bad)))
     with pytest.raises(error):
         predict_with(model, np.vstack([good, bad]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda belpm_model, wknn_model: predict(belpm_model, "abc"),
+    lambda belpm_model, wknn_model: predict_many(belpm_model, [[1, 2, "x"]]),
+    lambda belpm_model, wknn_model: predict(belpm_model, [1 + 2j, 1, 2]),
+    lambda belpm_model, wknn_model: wknn_predict(wknn_model, ["a", 1, 2]),
+    lambda belpm_model, wknn_model: TimeSeries(["a"]),
+], ids=["predict text", "predict_many text", "predict complex", "wknn_predict text",
+        "TimeSeries text"])
+def test_values_that_are_not_real_numbers_are_refused(call):
+    # Each raised numpy's ValueError or TypeError from the float conversion.
+    belpm_model, wknn_model, _ = models()
+    with pytest.raises(InvalidParameter, match="real numbers: "):
+        call(belpm_model, wknn_model)
 
 
 @pytest.mark.parametrize("model", models(), ids=lambda m: kind_of(m))

@@ -53,6 +53,21 @@ def test_sums_run_in_plain_order(kk, m, seed):
     assert same_bits(network._sample_sum(a.copy()), by_rank)
 
 
+@settings(max_examples=150, deadline=None)
+@given(kk=RANKS, m=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_column_weighs_as_a_batch_column(kk, m, seed):
+    # A single query weighs in Python floats, a batch in numpy: the same steps
+    # and the same bits, the uniform fallback and signed zeros included.
+    rng = np.random.default_rng(seed)
+    raw, targets = summands(rng, (kk, m)), summands(rng, (kk, m))
+    raw = np.where(raw == 0.0, raw, np.abs(raw))  # no weight below zero; -0.0 kept
+    raw[:, ::3] = -0.0  # no mass: uniform weights
+    total, y = network._weigh(raw, targets)
+    for j in range(m):
+        one = network._weigh(raw[:, j:j + 1], targets[:, j:j + 1])
+        assert same_bits(one[0], total[j:j + 1]) and same_bits(one[1], y[j:j + 1])
+
+
 def network_case(data) -> AdaptiveNetwork:
     """A network whose leave-one-out table has kk ranks, with targets that
     hold 0.0 and -0.0, and inputs spread so that kernel masses underflow to
