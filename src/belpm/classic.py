@@ -35,7 +35,7 @@ class ClassicBelModel:
 
     def __post_init__(self):
         # Training can diverge to non-finite weights; they are kept as they are.
-        v, w = _frozen_f64(self.v, ndim=1), _frozen_f64(self.w, ndim=1)
+        v, w = _frozen_f64(self.v, 1, "v", finite=False), _frozen_f64(self.w, 1, "w", finite=False)
         if v.shape != w.shape:
             raise InvalidParameter("v and w must be 1-D arrays of equal length")
         if not 0.0 < _real("alpha", self.alpha) <= 1.0 or not 0.0 < _real("beta", self.beta) <= 1.0:

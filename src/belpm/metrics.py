@@ -7,19 +7,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, LengthMismatch, NumericError, SeriesTooShort, ZeroVariance
-from .series import TimeSeries, _check_int
+from .series import TimeSeries, _check_finite, _check_int, _f64
 
 
 def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(y, dtype=np.float64)
-    b = np.asarray(yhat, dtype=np.float64)
+    a, b = _f64(y, "y"), _f64(yhat, "yhat")
     if a.ndim != 1 or a.shape != b.shape:
         raise LengthMismatch(f"sequences have shapes {a.shape} and {b.shape}")
     if a.size == 0:
         raise LengthMismatch("sequences must be non-empty")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise NumericError("sequences must be finite")
-    return a, b
+    return _check_finite(a, "sequences", NumericError), _check_finite(b, "sequences", NumericError)
 
 
 def _finite(value) -> float:

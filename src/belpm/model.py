@@ -27,7 +27,8 @@ from .errors import (
 )
 from .network import (AdaptiveNetwork, KernelKind, _distances, _forward_many, _forward_row,
                       _loo_table, _sample_sum, train_bandwidths_sd)
-from .series import EmbeddedDataset, TimeSeries, _check_embedding, _check_int, _query, _real, embed
+from .series import (EmbeddedDataset, TimeSeries, _check_embedding, _check_int, _f64, _query, _real,
+                     embed)
 
 # Relative tolerance for verifying an unregularized normal-equation solution;
 # beyond it the system counts as numerically singular.
@@ -39,14 +40,14 @@ _PIVOT_FLOOR = 3 * 2.0 ** -52
 
 @dataclass(frozen=True)
 class CmWeights:
-    """Fusion weights of the fused response w1 * r_a + w2 * r_o + w3; all finite."""
+    """Fusion weights of the fused response w1 * r_a + w2 * r_o + w3, finite real numbers."""
 
     w1: float
     w2: float
     w3: float
 
     def __post_init__(self):
-        if not np.isfinite([self.w1, self.w2, self.w3]).all():
+        if not all(math.isfinite(_real(name, getattr(self, name))) for name in ("w1", "w2", "w3")):
             raise InvalidParameter(f"fusion weights must be finite, got {self}")
 
 
@@ -89,6 +90,10 @@ class BelpmModel:
     cm: CmWeights
 
     def __post_init__(self):
+        for name, kind in (("bl", AdaptiveNetwork), ("mo", AdaptiveNetwork), ("cm", CmWeights)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidParameter(f"{name} must be {kind.__name__}, got "
+                                       f"{type(getattr(self, name)).__name__}")
         _check_embedding(self.r, self.horizon)
         if not np.array_equal(self.bl.train_inputs, _bl_feature_matrix(self.mo.train_inputs)):
             raise InvalidParameter("primary network must store each window, its max and min")
@@ -122,9 +127,7 @@ def cm_lse_fit(r_a_list, r_o_list, r_u_list, ridge: float = 1e-8) -> CmWeights:
     ``SingularSystem`` means the normal equations or weights are not finite,
     or at ridge=0 even that minimizer fails them numerically (retry ridge > 0).
     """
-    ra = np.asarray(r_a_list, dtype=np.float64)
-    ro = np.asarray(r_o_list, dtype=np.float64)
-    ru = np.asarray(r_u_list, dtype=np.float64)
+    ra, ro, ru = _f64(r_a_list, "r_a"), _f64(r_o_list, "r_o"), _f64(r_u_list, "r_u")
     if not ra.shape == ro.shape == ru.shape or ra.ndim != 1 or ra.size < 1:
         raise LengthMismatch("response sequences must be equal-length and non-empty")
     if not 0 <= _real("ridge", ridge) < np.inf:

@@ -83,14 +83,12 @@ class StoredPairs:
     k: int
 
     def __post_init__(self):
-        inputs = _frozen_f64(np.asfortranarray(self.train_inputs, dtype=np.float64), ndim=2)
-        targets = _frozen_f64(self.train_targets, ndim=1)
+        inputs = _frozen_f64(self.train_inputs, 2, "stored inputs", order="F")
+        targets = _frozen_f64(self.train_targets, 1, "stored targets")
         if 0 in inputs.shape:
             raise InvalidParameter("train_inputs must be a non-empty (n, d) array")
         if targets.shape != (inputs.shape[0],):
             raise InvalidParameter("train_targets must align with train_inputs")
-        if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
-            raise InvalidParameter("stored inputs and targets must be finite")
         _check_int("k", self.k, 1)
         object.__setattr__(self, "train_inputs", inputs)
         object.__setattr__(self, "train_targets", targets)
@@ -121,10 +119,11 @@ class AdaptiveNetwork(StoredPairs):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "kernel", KernelKind.from_name(self.kernel))
-        bw = _frozen_f64(np.ones(self.k) if self.bandwidths is None else self.bandwidths, ndim=1)
+        bw = _frozen_f64(np.ones(self.k) if self.bandwidths is None else self.bandwidths, 1,
+                         "bandwidths")
         if bw.shape != (self.k,):
             raise InvalidParameter(f"bandwidths must have length k={self.k}")
-        if not np.isfinite(bw).all() or self.kernel.parametric and not np.all(bw > 0):
+        if self.kernel.parametric and not np.all(bw > 0):
             raise InvalidParameter("bandwidths must be finite, and positive for a parametric kernel")
         object.__setattr__(self, "bandwidths", bw)
 

@@ -20,31 +20,41 @@ from .errors import (
 )
 
 
-def _frozen_f64(values, ndim: int) -> np.ndarray:
+def _f64(values, name: str) -> np.ndarray:
+    """``values`` as float64, itself if it already is: the one conversion of a
+    caller's array. Unparsable text, a complex dtype (by dtype, as numpy moved
+    ``ComplexWarning``) and an int past the float range raise ``InvalidParameter``."""
     try:
-        arr = np.array(values, dtype=np.float64, copy=True)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameter(f"expected real numbers: {exc}") from None
+        if np.asarray(values).dtype.kind == "c":
+            raise TypeError("got complex values")
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameter(f"{name} must hold real numbers: {exc}") from None
+
+
+def _check_finite(arr: np.ndarray, name: str, error=InvalidParameter) -> np.ndarray:
+    """``arr`` if it holds no NaN or inf (``_f64`` reads a None as NaN), else ``error``."""
+    if not np.isfinite(arr).all():
+        raise error(f"{name} must be finite")
+    return arr
+
+
+def _frozen_f64(values, ndim: int, name: str, finite: bool = True, order: str = "K") -> np.ndarray:
+    arr = np.array(_f64(values, name), order=order)
     if arr.ndim != ndim:
         raise InvalidParameter(f"expected a {ndim}-D array, got shape {arr.shape}")
     arr.flags.writeable = False
-    return arr
+    return _check_finite(arr, name) if finite else arr
 
 
 def _query(x, dim: int, batch: bool = False) -> np.ndarray:
-    """``x`` as a float64 query of ``dim`` values, or with ``batch`` an (m, dim)
-    matrix of them: the one check of every predictor's input. A wrong shape
-    raises ``DimensionMismatch``; a value that is not a real number, or a NaN
-    or inf, ``InvalidParameter``."""
-    try:
-        arr = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameter(f"query must hold real numbers: {exc}") from None
+    """``x`` as a float64 query (``_f64``) of ``dim`` values, or with ``batch`` an
+    (m, dim) matrix of them: the one check of every predictor's input. A wrong
+    shape raises ``DimensionMismatch``, then a NaN or inf ``InvalidParameter``."""
+    arr = _f64(x, "query")
     if arr.ndim != 1 + batch or arr.shape[-1] != dim:
         raise DimensionMismatch(f"query has shape {arr.shape}, expected {dim} values a row")
-    if not np.isfinite(arr).all():
-        raise InvalidParameter("query must be finite")
-    return arr
+    return _check_finite(arr, "query")
 
 
 def _check_int(name: str, value, minimum: int | None = None) -> None:
@@ -57,10 +67,15 @@ def _check_int(name: str, value, minimum: int | None = None) -> None:
 
 
 def _real(name: str, value):
-    """``value`` if it is a real number (numpy's accepted, bools refused, as by
-    ``_check_int``), else ``InvalidParameter``; callers compare it to its range."""
+    """``value`` if it is a real number in the float range (numpy's accepted,
+    bools refused, as by ``_check_int``), else ``InvalidParameter``; callers
+    compare it to its range."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError as exc:
+        raise InvalidParameter(f"{name} must be a real number, got {exc}") from None
     return value
 
 
@@ -84,11 +99,9 @@ class TimeSeries:
     step: int = 1
 
     def __post_init__(self):
-        arr = _frozen_f64(self.values, ndim=1)
+        arr = _frozen_f64(self.values, 1, "series values")
         if arr.size == 0:
             raise EmptyInput("a time series needs at least one value")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidParameter("series values must be finite")
         _check_int("start_time", self.start_time)
         _check_int("step", self.step, 1)
         object.__setattr__(self, "values", arr)
@@ -134,8 +147,8 @@ class EmbeddedDataset:
     step: int = 1
 
     def __post_init__(self):
-        inputs = _frozen_f64(self.inputs, ndim=2)
-        targets = _frozen_f64(self.targets, ndim=1)
+        inputs = _frozen_f64(self.inputs, 2, "embedded inputs")
+        targets = _frozen_f64(self.targets, 1, "embedded targets")
         _check_embedding(self.r, self.horizon)
         _check_int("start_time", self.start_time)
         _check_int("step", self.step, 1)
@@ -145,10 +158,6 @@ class EmbeddedDataset:
             )
         if inputs.shape[0] != targets.shape[0]:
             raise InvalidParameter("inputs and targets must have equal length")
-        if inputs.size and not np.all(np.isfinite(inputs)):
-            raise InvalidParameter("embedded inputs must be finite")
-        if targets.size and not np.all(np.isfinite(targets)):
-            raise InvalidParameter("embedded targets must be finite")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 

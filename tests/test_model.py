@@ -131,6 +131,22 @@ class TestValidation:
             with pytest.raises(InvalidParameter, match="fusion weights must be finite"):
                 CmWeights(*weights)
 
+    @pytest.mark.parametrize("bad", ["a", None, 1j, True, 10 ** 400])
+    def test_fusion_weights_are_real_numbers(self, bad):
+        # "a" and None raised a TypeError from np.isfinite, and so did an int
+        # past the float range; 1j was kept as a complex weight.
+        with pytest.raises(InvalidParameter, match="^w2 must be a real number, got "):
+            CmWeights(0.5, bad, 0.0)
+
+    def test_model_parts_have_their_types(self):
+        # bl=None raised an AttributeError; a tuple for cm built a model whose
+        # predict raised one.
+        model = train(logistic_sets()[0], FAST)
+        for part, bad, got in (("bl", None, "NoneType"), ("mo", model.cm, "CmWeights"),
+                               ("cm", (1.0, 0.5, 0.0), "tuple")):
+            with pytest.raises(InvalidParameter, match=f"^{part} must be [A-Za-z]+, got {got}$"):
+                dataclasses.replace(model, **{part: bad})
+
     @pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf])
     def test_lr_must_be_positive_and_finite(self, lr):
         with pytest.raises(InvalidParameter, match="lr must be positive and finite"):

@@ -14,8 +14,9 @@ from belpm.baselines import WknnModel, wknn_predict, wknn_predict_many
 from belpm.classic import ClassicBelModel, bel_predict
 from belpm.errors import DimensionMismatch, InvalidParameter
 from belpm.experiment import predict_with
-from belpm.model import (BelpmConfig, BelpmModel, CmWeights, _bl_feature_matrix, predict,
-                         predict_many, train)
+from belpm.metrics import nmse
+from belpm.model import (BelpmConfig, BelpmModel, CmWeights, _bl_feature_matrix, cm_lse_fit,
+                         predict, predict_many, train)
 from belpm.network import AdaptiveNetwork, KernelKind, _loo_table
 from belpm.series import TimeSeries, embed, gen_mackey_glass, split
 from belpm.storage import MODEL_KINDS, kind_of
@@ -149,10 +150,21 @@ def test_bad_row_raises_the_same_class_in_batch_and_single(model, bad, error):
     lambda belpm_model, wknn_model: predict(belpm_model, [1 + 2j, 1, 2]),
     lambda belpm_model, wknn_model: wknn_predict(wknn_model, ["a", 1, 2]),
     lambda belpm_model, wknn_model: TimeSeries(["a"]),
+    lambda belpm_model, wknn_model: predict(belpm_model, np.array([1 + 2j, 1, 2])),
+    lambda belpm_model, wknn_model: predict_many(belpm_model, np.ones((2, 3), dtype=complex)),
+    lambda belpm_model, wknn_model: AdaptiveNetwork([["a"]], [1.0], k=1),
+    lambda belpm_model, wknn_model: WknnModel([[1.0], ["a"]], [1.0, 2.0], 1),
+    lambda belpm_model, wknn_model: nmse([1, 2], [1, "a"]),
+    lambda belpm_model, wknn_model: cm_lse_fit(["a"], [1], [1]),
+    lambda belpm_model, wknn_model: TimeSeries([10 ** 400, 1]),
+    lambda belpm_model, wknn_model: predict(belpm_model, [10 ** 400, 1, 2]),
 ], ids=["predict text", "predict_many text", "predict complex", "wknn_predict text",
-        "TimeSeries text"])
+        "TimeSeries text", "predict complex array", "predict_many complex zeros",
+        "AdaptiveNetwork text", "WknnModel text", "nmse text", "cm_lse_fit text",
+        "TimeSeries big int", "predict big int"])
 def test_values_that_are_not_real_numbers_are_refused(call):
-    # Each raised numpy's ValueError or TypeError from the float conversion.
+    # Each raised numpy's ValueError, TypeError or OverflowError from the float
+    # conversion, or, for a complex array, answered for its real part.
     belpm_model, wknn_model, _ = models()
     with pytest.raises(InvalidParameter, match="real numbers: "):
         call(belpm_model, wknn_model)

@@ -284,10 +284,10 @@ _REAL_CALLS = [
 @pytest.mark.parametrize("name, entry, call, good", _REAL_CALLS,
                          ids=[f"{name}-{entry}" for name, entry, _, _ in _REAL_CALLS])
 def test_every_real_parameter_takes_only_real_numbers(name, entry, call, good):
-    # A string, None, a complex number and a bool are refused by name before
-    # the range check (they raised TypeError, or a bool passed as 0 or 1); a
-    # numpy float is a real number.
-    for bad in ("0.1", None, 1j, True):
+    # A string, None, a complex number, a bool and an int past the float range
+    # are refused by name before the range check (they raised TypeError or
+    # OverflowError, or a bool passed as 0 or 1); a numpy float is a real number.
+    for bad in ("0.1", None, 1j, True, 10 ** 400):
         with pytest.raises(InvalidParameter, match=f"^{name} must be a real number, got "):
             call(bad)
     call(np.float64(good))
