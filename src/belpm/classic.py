@@ -38,8 +38,8 @@ class ClassicBelModel:
         v, w = _frozen_f64(self.v, 1, "v", finite=False), _frozen_f64(self.w, 1, "w", finite=False)
         if v.shape != w.shape:
             raise InvalidParameter("v and w must be 1-D arrays of equal length")
-        if not 0.0 < _real("alpha", self.alpha) <= 1.0 or not 0.0 < _real("beta", self.beta) <= 1.0:
-            raise InvalidParameter("alpha and beta must lie in (0, 1]")
+        for name in ("alpha", "beta"):
+            _real(name, getattr(self, name), lambda x: 0.0 < x <= 1.0, "lie in (0, 1]")
         _check_embedding(v.size, self.horizon)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
@@ -77,8 +77,7 @@ def bel_update(model: ClassicBelModel, s, rew: float) -> ClassicBelModel:
     step is beta * s * (E - rew), which keeps E = rew as the stable fixed
     point. Both use the pre-update responses.
     """
-    if not np.isfinite(_real("reinforcement", rew)):
-        raise InvalidParameter(f"reinforcement must be finite, got {rew}")
+    _real("reinforcement", rew, np.isfinite, "be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         v, w = _step(model.v, model.w, model.alpha, model.beta, _query(s, model.r), float(rew))
     return replace(model, v=v, w=w)

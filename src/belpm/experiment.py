@@ -19,7 +19,8 @@ from .classic import ClassicBelModel, bel_train
 from .errors import ConfigError
 from .metrics import EvaluationReport, PeakReport, correlation, find_peaks, match_peaks, mse, nmse
 from .model import BelpmConfig, train as belpm_train
-from .series import EmbeddedDataset, TimeSeries, embed, gen_logistic, gen_mackey_glass, split
+from .series import (EmbeddedDataset, TimeSeries, _check_int, _real, embed, gen_logistic,
+                     gen_mackey_glass, split)
 from .storage import (
     GAP_ERROR,
     MODEL_KINDS,
@@ -31,8 +32,6 @@ from .storage import (
 )
 
 _BELPM_DEFAULTS = BelpmConfig()
-# Field annotation -> the value types it accepts.
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 # Generator name -> the series a config asks of it; x0 is passed when set.
 GENERATORS = {
@@ -45,8 +44,8 @@ GENERATORS = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; exactly one of ``data_path``/``generator``.
-    Each value must have its field's type (an int serves for a float, a bool
-    for neither), however the config is built."""
+    However the config is built, an int field follows ``_check_int``, a float
+    field ``_real`` and a str field holds a str; an optional one may be None."""
 
     # data source
     data_path: str | None = None
@@ -83,11 +82,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for field in dataclass_fields(self):
-            value = getattr(self, field.name)
-            kind, _, optional = field.type.partition(" | ")
-            typed = isinstance(value, _FIELD_TYPES[kind]) and not isinstance(value, bool)
-            if not (typed or value is None and optional):
-                raise ConfigError(f"config field {field.name!r} must be {field.type}, got {value!r}")
+            value, (kind, _, optional) = getattr(self, field.name), field.type.partition(" | ")
+            name = f"config field {field.name!r}"
+            if value is None and optional or kind == "str" and isinstance(value, str):
+                continue
+            if kind == "str":
+                raise ConfigError(f"{name} must be {field.type}, got {value!r}")
+            (_check_int if kind == "int" else _real)(name, value)
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model!r}")
 

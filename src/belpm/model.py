@@ -25,7 +25,7 @@ from .errors import (
     SingularSystem,
     TooFewSamples,
 )
-from .network import (AdaptiveNetwork, KernelKind, _distances, _forward_many, _forward_row,
+from .network import (_LR, AdaptiveNetwork, KernelKind, _distances, _forward_many, _forward_row,
                       _loo_table, _sample_sum, train_bandwidths_sd)
 from .series import (EmbeddedDataset, TimeSeries, _check_embedding, _check_int, _f64, _query, _real,
                      embed)
@@ -36,6 +36,8 @@ _NORMAL_EQ_TOL = 1e-10
 # A Cholesky pivot at or below this share of the normal equations' largest
 # diagonal entry sends a ridge > 0 system to least squares.
 _PIVOT_FLOOR = 3 * 2.0 ** -52
+# The range of the fusion fit's ridge, for ``_real``.
+_RIDGE = (lambda x: 0 <= x < math.inf, "be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,8 @@ class BelpmConfig:
             _check_int(name, getattr(self, name), minimum)
         for name in ("bl_kernel", "mo_kernel"):
             object.__setattr__(self, name, KernelKind.from_name(getattr(self, name)))
-        if not 0 < _real("lr", self.lr) < np.inf:
-            raise InvalidParameter(f"lr must be positive and finite, got {self.lr}")
-        if not 0 <= _real("ridge", self.ridge) < np.inf:
-            raise InvalidParameter(f"ridge must be >= 0 and finite, got {self.ridge}")
+        _real("lr", self.lr, *_LR)
+        _real("ridge", self.ridge, *_RIDGE)
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,7 @@ def cm_lse_fit(r_a_list, r_o_list, r_u_list, ridge: float = 1e-8) -> CmWeights:
     ra, ro, ru = _f64(r_a_list, "r_a"), _f64(r_o_list, "r_o"), _f64(r_u_list, "r_u")
     if not ra.shape == ro.shape == ru.shape or ra.ndim != 1 or ra.size < 1:
         raise LengthMismatch("response sequences must be equal-length and non-empty")
-    if not 0 <= _real("ridge", ridge) < np.inf:
-        raise InvalidParameter(f"ridge must be >= 0 and finite, got {ridge}")
+    _real("ridge", ridge, *_RIDGE)
     a, b = _normal_equations(ra, ro, ru, ridge)
     if not all(map(math.isfinite, (*a[0], *a[1], *a[2], *b))):
         # LAPACK's least squares can spin without end on a non-finite system.

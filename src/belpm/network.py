@@ -38,6 +38,8 @@ BANDWIDTH_FLOOR = 1e-8
 _MAX_BACKTRACKS = 30
 # An epoch that lowers a finite loss by at most this share of it ends the descent.
 _SD_RTOL = 1e-6
+# The range of a descent's learning rate, for ``_real``.
+_LR = (lambda x: 0 < x < np.inf, "be positive and finite")
 # Distances a pass computes at once (8 query rows of a full scan at n = 2000), in
 # two live buffers: the distances, then their keys. Larger blocks save little time.
 _BLOCK_DISTANCES = 2 ** 14
@@ -511,8 +513,7 @@ def train_bandwidths_sd(net: AdaptiveNetwork, lr: float, epochs: int,
     the last loss repeated up to ``epochs + 1`` entries) and the trained
     network's leave-one-out responses (``loo_predictions``), all from one
     neighbor table: ``table``, the network's ``_loo_table`` if already built."""
-    if not 0 < _real("lr", lr) < np.inf:
-        raise InvalidParameter(f"lr must be positive and finite, got {lr}")
+    _real("lr", lr, *_LR)
     _check_int("epochs", epochs, 0)
     table = _loo_table(net) if table is None else table
     reach = np.maximum(np.nan_to_num(table[0], posinf=0.0).max(axis=1), 1.0)

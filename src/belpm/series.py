@@ -66,16 +66,18 @@ def _check_int(name: str, value, minimum: int | None = None) -> None:
         raise InvalidParameter(f"{name} must be >= {minimum}, got {value}")
 
 
-def _real(name: str, value):
-    """``value`` if it is a real number in the float range (numpy's accepted,
-    bools refused, as by ``_check_int``), else ``InvalidParameter``; callers
-    compare it to its range."""
+def _real(name: str, value, within=None, rule: str = ""):
+    """The one rule of every real parameter: ``value`` if it is a real number in
+    the float range (numpy's accepted, bools refused, as by ``_check_int``) whose
+    float meets ``within`` if given, else ``InvalidParameter`` ("<name> must <rule>")."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidParameter(f"{name} must be a real number, got {value!r}")
     try:
-        float(value)
+        x = float(value)
     except OverflowError as exc:
         raise InvalidParameter(f"{name} must be a real number, got {exc}") from None
+    if within is not None and not within(x):
+        raise InvalidParameter(f"{name} must {rule}, got {value}")
     return value
 
 
@@ -209,8 +211,7 @@ def gen_mackey_glass(n: int, tau: int = 17, x0: float = 1.2, warmup: int = 0) ->
     _check_int("n", n, 1)
     _check_int("tau", tau, 1)
     _check_int("warmup", warmup, 0)
-    if not 0.0 < _real("x0", x0) < 2.0:
-        raise InvalidParameter(f"x0 must lie in (0, 2), got {x0}")
+    _real("x0", x0, lambda x: 0.0 < x < 2.0, "lie in (0, 2)")
 
     total = warmup + n
     # x[i] holds the state at time i - tau, so the constant history and the
@@ -227,10 +228,8 @@ def gen_mackey_glass(n: int, tau: int = 17, x0: float = 1.2, warmup: int = 0) ->
 def gen_logistic(n: int, r: float = 3.9, x0: float = 0.3) -> TimeSeries:
     """Logistic map ``x[t+1] = r * x[t] * (1 - x[t])``, starting at ``x0``."""
     _check_int("n", n, 1)
-    if not 0.0 < _real("r", r) <= 4.0:
-        raise InvalidParameter(f"r must lie in (0, 4], got {r}")
-    if not 0.0 < _real("x0", x0) < 1.0:
-        raise InvalidParameter(f"x0 must lie in (0, 1), got {x0}")
+    _real("r", r, lambda x: 0.0 < x <= 4.0, "lie in (0, 4]")
+    _real("x0", x0, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
     out = np.empty(n)
     cur = x0
     for i in range(n):
