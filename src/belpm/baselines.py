@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import TooFewSamples
 from .network import StoredPairs, _nearest, _weigh
-from .series import EmbeddedDataset, _check_embedding, _query
+from .series import EmbeddedDataset, _check_embedding, _check_type, _query
 
 # Guard added to distances so an exact match dominates without dividing by zero.
 DISTANCE_EPSILON = 1e-12
@@ -31,6 +31,7 @@ class WknnModel(StoredPairs):
 
     @classmethod
     def from_dataset(cls, dataset: EmbeddedDataset, k: int) -> "WknnModel":
+        _check_type("dataset", dataset, EmbeddedDataset)
         if len(dataset) == 0:
             raise TooFewSamples("training needs at least one embedded pair")
         return cls(dataset.inputs, dataset.targets, k, horizon=dataset.horizon)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameter, TooFewSamples
-from .series import EmbeddedDataset, _check_embedding, _check_int, _frozen_f64, _query, _real
+from .series import (EmbeddedDataset, _check_embedding, _check_int, _check_type, _frozen_f64, _query,
+                     _real)
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,7 @@ def bel_train(model: ClassicBelModel, dataset: EmbeddedDataset, epochs: int) -> 
     """``bel_update`` over the dataset's pairs in order, repeated ``epochs``
     times, recording the dataset's horizon; a dataset with no pairs raises
     ``TooFewSamples``. Warns once when the returned weights are not finite."""
+    _check_type("dataset", dataset, EmbeddedDataset)
     _check_int("epochs", epochs, 0)
     if len(dataset) == 0:
         raise TooFewSamples("training needs at least one embedded pair")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, LengthMismatch, NumericError, SeriesTooShort, ZeroVariance
-from .series import TimeSeries, _check_finite, _check_int, _f64
+from .series import TimeSeries, _check_finite, _check_int, _check_type, _f64
 
 
 def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
@@ -124,6 +124,7 @@ def find_peaks(series: TimeSeries, top_m: int | None = None) -> np.ndarray:
     peaks are ranked by value (ties to the earlier index) and the survivors
     are returned in time order.
     """
+    _check_type("series", series, TimeSeries)
     if len(series) < 3:
         raise SeriesTooShort(f"peak detection needs >= 3 values, got {len(series)}")
     v = series.values

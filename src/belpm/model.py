@@ -27,8 +27,8 @@ from .errors import (
 )
 from .network import (_LR, AdaptiveNetwork, KernelKind, _distances, _forward_many, _forward_row,
                       _loo_table, _sample_sum, train_bandwidths_sd)
-from .series import (EmbeddedDataset, TimeSeries, _check_embedding, _check_int, _f64, _query, _real,
-                     embed)
+from .series import (EmbeddedDataset, TimeSeries, _check_embedding, _check_int, _check_type, _f64,
+                     _query, _real, embed)
 
 # Relative tolerance for verifying an unregularized normal-equation solution;
 # beyond it the system counts as numerically singular.
@@ -37,7 +37,7 @@ _NORMAL_EQ_TOL = 1e-10
 # diagonal entry sends a ridge > 0 system to least squares.
 _PIVOT_FLOOR = 3 * 2.0 ** -52
 # The range of the fusion fit's ridge, for ``_real``.
-_RIDGE = (lambda x: 0 <= x < math.inf, "be >= 0 and finite")
+_RIDGE = (lambda x: 0 <= x < np.inf, "be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,7 @@ class BelpmModel:
 
     def __post_init__(self):
         for name, kind in (("bl", AdaptiveNetwork), ("mo", AdaptiveNetwork), ("cm", CmWeights)):
-            if not isinstance(getattr(self, name), kind):
-                raise InvalidParameter(f"{name} must be {kind.__name__}, got "
-                                       f"{type(getattr(self, name)).__name__}")
+            _check_type(name, getattr(self, name), kind)
         _check_embedding(self.r, self.horizon)
         if not np.array_equal(self.bl.train_inputs, _bl_feature_matrix(self.mo.train_inputs)):
             raise InvalidParameter("primary network must store each window, its max and min")
@@ -215,6 +213,8 @@ def train(train_set: EmbeddedDataset, config: BelpmConfig = BelpmConfig()) -> Be
     is the secondary network's search reach (``_fuse``): the kk primary
     neighbours and the sample itself lie within it.
     """
+    _check_type("train_set", train_set, EmbeddedDataset)
+    _check_type("config", config, BelpmConfig)
     if len(train_set) < 2:
         raise TooFewSamples("training needs at least two embedded pairs")
     bl = AdaptiveNetwork(_bl_feature_matrix(train_set.inputs), train_set.targets,

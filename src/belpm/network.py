@@ -515,7 +515,11 @@ def train_bandwidths_sd(net: AdaptiveNetwork, lr: float, epochs: int,
     neighbor table: ``table``, the network's ``_loo_table`` if already built."""
     _real("lr", lr, *_LR)
     _check_int("epochs", epochs, 0)
+    shape = (min(net.k, net.n_samples - 1), net.n_samples)
     table = _loo_table(net) if table is None else table
+    if not isinstance(table, tuple) or [(a.shape, a.dtype) for a in table if isinstance(
+            a, np.ndarray)] != [(shape, np.float64)] * 2 or not shape[0]:
+        raise InvalidParameter(f"table must be the network's _loo_table, float64 (kk, n) = {shape}")
     reach = np.maximum(np.nan_to_num(table[0], posinf=0.0).max(axis=1), 1.0)
     b = net.bandwidths
     # No overflow warns: a step or bandwidth product past the float range is

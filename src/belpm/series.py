@@ -21,11 +21,13 @@ from .errors import (
 
 
 def _f64(values, name: str) -> np.ndarray:
-    """``values`` as float64, itself if it already is: the one conversion of a
-    caller's array. Unparsable text, a complex dtype (by dtype, as numpy moved
-    ``ComplexWarning``) and an int past the float range raise ``InvalidParameter``."""
+    """``values`` as float64, itself if it already is: the one conversion of a caller's
+    array. Unparsable text, complex values (by dtype, or by element type in an array
+    of objects or text) and an int past the float range raise ``InvalidParameter``."""
     try:
-        if np.asarray(values).dtype.kind == "c":
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "biuf" and (arr.dtype.kind == "c" or any(
+                map(np.iscomplexobj, np.asarray(values, dtype=object).flat))):
             raise TypeError("got complex values")
         return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -79,6 +81,12 @@ def _real(name: str, value, within=None, rule: str = ""):
     if within is not None and not within(x):
         raise InvalidParameter(f"{name} must {rule}, got {value}")
     return value
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    """The one rule of an argument of a library type (a series, dataset, config, model part)."""
+    if not isinstance(value, kind):
+        raise InvalidParameter(f"{name} must be {kind.__name__}, got {type(value).__name__}")
 
 
 def _check_embedding(r, horizon) -> None:
@@ -174,6 +182,7 @@ def embed(series: TimeSeries, r: int, horizon: int) -> EmbeddedDataset:
     ``values[j + r - 1 + horizon]``, observed at ``series.time_at(j + r - 1 +
     horizon)``; ordering is preserved.
     """
+    _check_type("series", series, TimeSeries)
     _check_embedding(r, horizon)
     n = len(series) - r - horizon + 1
     if n < 1:
@@ -190,6 +199,7 @@ def embed(series: TimeSeries, r: int, horizon: int) -> EmbeddedDataset:
 def split(dataset: EmbeddedDataset, n_train: int) -> tuple[EmbeddedDataset, EmbeddedDataset]:
     """Chronological prefix/suffix split; never shuffles. Each part's targets
     keep their times."""
+    _check_type("dataset", dataset, EmbeddedDataset)
     _check_int("n_train", n_train)
     if not 0 <= n_train <= len(dataset):
         raise IndexOutOfRange(

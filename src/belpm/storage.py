@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import base64
 import math
+import os
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -42,12 +43,13 @@ from .errors import (
     EmptyFile,
     GapError,
     InvalidParameter,
+    LengthMismatch,
     ParseError,
     VersionMismatch,
 )
 from .model import BelpmModel, CmWeights, _bl_feature_matrix, predict_many
 from .network import AdaptiveNetwork
-from .series import EmbeddedDataset, TimeSeries
+from .series import EmbeddedDataset, TimeSeries, _check_type, _f64
 
 MODEL_HEADER = "belpm-model"
 MODEL_VERSION = "v4"
@@ -65,9 +67,12 @@ def format_float(x: float) -> str:
 
 def read_text(path, what: str, error: type[BelpmError] = ParseError) -> str:
     """A file's UTF-8 text as stored. A file that is missing or cannot be read
-    raises ``ConfigError`` naming it ``what``; undecodable bytes raise ``error``."""
+    raises ``ConfigError`` naming it ``what``; undecodable bytes raise ``error``.
+    A path that ``os.fspath`` refuses raises ``InvalidParameter``, as in ``write_text``."""
     try:
-        data = Path(path).read_bytes()
+        data = Path(os.fspath(path)).read_bytes()
+    except TypeError:
+        raise InvalidParameter(f"{what} path must be a str or os.PathLike, got {path!r}") from None
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
     except OSError as exc:
@@ -81,7 +86,9 @@ def read_text(path, what: str, error: type[BelpmError] = ParseError) -> str:
 def write_text(path, text: str) -> None:
     """Write ``text`` as UTF-8, newlines as given."""
     try:
-        Path(path).write_bytes(text.encode("utf-8"))
+        Path(os.fspath(path)).write_bytes(text.encode("utf-8"))
+    except TypeError:
+        raise InvalidParameter(f"path must be a str or os.PathLike, got {path!r}") from None
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -170,21 +177,27 @@ def load_predicted_series(path) -> TimeSeries:
 
 
 def _write_table(path, series: TimeSeries, header: str, *columns) -> None:
-    """A ``header`` line, then per value of ``series`` its time and ``columns``."""
+    """A ``header`` line, then per value of ``series`` its time, the value and
+    ``columns``, each read by ``_f64`` and holding one value per time (else
+    ``LengthMismatch``)."""
+    _check_type("series", series, TimeSeries)
     times = range(series.start_time, series.time_at(len(series)), series.step)
-    cells = [map(format_float, np.asarray(column).tolist()) for column in columns]
+    arrays = [series.values, *map(_f64, columns, header.split(",")[2:])]
+    if any(arr.shape != (len(series),) for arr in arrays):
+        raise LengthMismatch(f"each column needs one value per time: {len(series)} values")
+    cells = [map(format_float, arr.tolist()) for arr in arrays]
     rows = map(",".join, zip(map(str, times), *cells))
     write_text(path, "\n".join([header, *rows]) + "\n")
 
 
 def save_series_csv(series: TimeSeries, path) -> None:
     """Write a ``time,value`` CSV that parses back to the same values."""
-    _write_table(path, series, "time,value", series.values)
+    _write_table(path, series, "time,value")
 
 
 def save_predictions_csv(observed: TimeSeries, predicted, path) -> None:
     """Write one ``time,observed,predicted`` row per observed value."""
-    _write_table(path, observed, "time,observed,predicted", observed.values, predicted)
+    _write_table(path, observed, "time,observed,predicted", predicted)
 
 
 def save_pairs_csv(dataset: EmbeddedDataset, path) -> None:
